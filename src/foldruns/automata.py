@@ -21,20 +21,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .runs import (
+    _family_run_data,
     regular_run_end,
     regular_run_length,
-    regular_run_span,
     regular_run_start,
-    run_decompose,
     run_span,
 )
-from .foldcore import (
-    FoldCode,
-    InvalidCodeError,
-    as_code,
-    is_valid_code,
-    paperfolding_word,
-)
+from .foldcore import FoldCode, InvalidCodeError, as_code, is_valid_code
 
 INSTRUCTION_TRACK = (-1, 0, 1)
 BIT_TRACK = (0, 1)
@@ -178,33 +171,6 @@ class MultiTrackAutomaton:
         outs = [self.outputs[old] for old in order]
         return MultiTrackAutomaton(self.tracks, delta, outputs=outs)
 
-    def with_mutated_transition(
-        self, q: int, symbol: tuple, dst: int
-    ) -> "MultiTrackAutomaton":
-        """Copy with one edge redirected; used by the mutation tests."""
-        if not 0 <= q < self.n_states or not 0 <= dst < self.n_states:
-            raise ValueError("state out of range")
-        if symbol not in self.delta[q]:
-            raise ValueError(f"unknown symbol {symbol!r}")
-        delta = [dict(edges) for edges in self.delta]
-        delta[q][symbol] = dst
-        if self.outputs is None:
-            return MultiTrackAutomaton(self.tracks, delta, accepting=self.accepting)
-        return MultiTrackAutomaton(self.tracks, delta, outputs=self.outputs)
-
-    def with_mutated_label(self, q: int) -> "MultiTrackAutomaton":
-        """Copy with state q's acceptance flipped (or output bumped mod 4)."""
-        if not 0 <= q < self.n_states:
-            raise ValueError("state out of range")
-        delta = [dict(edges) for edges in self.delta]
-        if self.outputs is None:
-            acc = set(self.accepting)
-            acc.symmetric_difference_update({q})
-            return MultiTrackAutomaton(self.tracks, delta, accepting=acc)
-        outs = list(self.outputs)
-        outs[q] = (outs[q] + 1) % 4
-        return MultiTrackAutomaton(self.tracks, delta, outputs=outs)
-
     def dead_states(self) -> frozenset[int]:
         """States from which no accepting (or nonzero-output) state is reachable."""
         if self.outputs is None:
@@ -317,30 +283,22 @@ def decode_inputs(word: Sequence[tuple]) -> tuple[FoldCode, tuple[int, ...]]:
 def decode_raw(
     word: Sequence[tuple], numeric_tracks: "int | None" = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(raw track-0 symbols, numeric track values) without validation.
+    """(raw track-0 symbols, values of the last `numeric_tracks` tracks).
 
-    The empty word carries no arity, so `numeric_tracks` supplies it there
-    (every numeric value of the empty word is 0).
+    The one lsd-first decoder, without validation.  `numeric_tracks`
+    defaults to every track after track 0; bit-only words ask for all of
+    their tracks.  The empty word carries no arity, so `numeric_tracks`
+    supplies it there (every numeric value of the empty word is 0).
     """
     if len(word) == 0:
         return (), (0,) * (numeric_tracks or 0)
     k = len(word[0])
+    m = k - 1 if numeric_tracks is None else numeric_tracks
     raw = tuple(sym[0] for sym in word)
     nums = tuple(
-        sum((sym[j] & 1) << i for i, sym in enumerate(word)) for j in range(1, k)
+        sum((sym[j] & 1) << i for i, sym in enumerate(word)) for j in range(k - m, k)
     )
     return raw, nums
-
-
-def _numeric_values(
-    word: Sequence[tuple], tracks: "int | None" = None
-) -> tuple[int, ...]:
-    if len(word) == 0:
-        return (0,) * (tracks or 0)
-    k = len(word[0])
-    return tuple(
-        sum((sym[j] & 1) << i for i, sym in enumerate(word)) for j in range(k)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,42 +346,6 @@ def valid_code_length_automaton() -> MultiTrackAutomaton:
         step,
         classify=lambda st: st in ("ones", "zeros"),
     )
-
-
-def oracle_sp(f, n: int, x: int) -> bool:
-    """True iff x is the start of run n, with the virtual run 0 at 0."""
-    c = as_code(f)
-    if n < 0 or x < 0:
-        return False
-    if n == 0:
-        return x == 0
-    t = c.effective_length
-    if t < 1 or n > 2 ** (t - 1):
-        return False
-    return x == run_span(c, n)[0]
-
-
-def oracle_ep(f, n: int, x: int) -> bool:
-    """True iff x is the end of run n; needs a nonempty code, E[0] = 0."""
-    c = as_code(f)
-    t = c.effective_length
-    if t < 1 or n < 0 or x < 0:
-        return False
-    if n == 0:
-        return x == 0
-    if n > 2 ** (t - 1):
-        return False
-    return x == run_span(c, n)[1]
-
-
-def oracle_rl(f, n: int) -> int:
-    """Length of run n, in {1,2,3}; indices outside 1..2**(t-1) are errors."""
-    c = as_code(f)
-    t = c.effective_length
-    if t < 1 or not 1 <= n <= 2 ** (t - 1):
-        raise IndexError(f"run index {n} outside 1..{2 ** max(t - 1, 0)}")
-    s, e = run_span(c, n)
-    return e - s + 1
 
 
 def regular_gap_value(n: int) -> int:
@@ -498,87 +420,79 @@ class WordOracle:
         raise NotImplementedError
 
 
-def _all_effective_codes(t: int) -> Iterator[tuple[int, ...]]:
-    for bits in range(2**t):
-        yield tuple(1 if (bits >> (t - 1 - i)) & 1 == 0 else -1 for i in range(t))
-
-
 class _CodeFamilyOracle(WordOracle):
-    """Shared plumbing for three-or-two-track relations quantified over codes."""
+    """(f, n, ...) relations read off one run column of the word of code f.
+
+    Subclasses choose the column of (starts, ends, lengths), whether the
+    empty code relates its virtual run 0, and the value at n = 0.  In
+    relation mode the last track carries the value x; in function mode the
+    value is the label.
+    """
+
+    column: int
+    empty_code_relates: bool = False
+    value_at_zero: int = 0
 
     def __init__(self):
-        self._runs_cache: dict[tuple[int, ...], tuple] = {}
+        self._rows: dict[int, tuple] = {}
 
-    def _runs(self, code: tuple[int, ...]) -> tuple:
-        hit = self._runs_cache.get(code)
+    def _value(self, raw: tuple[int, ...], n: int) -> "int | None":
+        if not is_valid_code(raw):
+            return None
+        t = sum(1 for s in raw if s != 0)
+        if n == 0:
+            return self.value_at_zero if t >= 1 or self.empty_code_relates else None
+        if t < 1 or n > 2 ** (t - 1):
+            return None
+        s, e = run_span(FoldCode(raw), n)
+        return (s, e, e - s + 1)[self.column]
+
+    def label(self, word):
+        raw, nums = decode_raw(word, len(self.tracks) - 1)
+        v = self._value(raw, nums[0])
+        if self.mode == "output":
+            return 0 if v is None else v
+        return v is not None and nums[1] == v
+
+    def _family(self, t: int) -> tuple:
+        """(codes, column values) of every code of length t, as Python lists."""
+        hit = self._rows.get(t)
         if hit is None:
-            d = run_decompose(paperfolding_word(code))
-            hit = (
-                tuple(int(v) for v in d.starts),
-                tuple(int(v) for v in d.ends),
-                tuple(int(v) for v in d.lengths),
-            )
-            self._runs_cache[code] = hit
+            codes, _, lengths, ends = _family_run_data(t)
+            column = (ends - lengths + 1, ends, lengths)[self.column]
+            hit = self._rows[t] = ([tuple(c) for c in codes.tolist()], column.tolist())
         return hit
+
+    def samples(self, width: int) -> Iterator[tuple]:
+        relation = self.mode == "accept"
+        zero = (0, self.value_at_zero) if relation else (0,)
+        zero_label = True if relation else self.value_at_zero
+        if self.empty_code_relates:
+            yield ((0,) * width, zero, zero_label)
+        for t in range(1, width + 1):
+            pad = (0,) * (width - t)
+            for code, values in zip(*self._family(t)):
+                track0 = code + pad
+                yield (track0, zero, zero_label)
+                for n, v in enumerate(values, start=1):
+                    yield (track0, (n, v), True) if relation else (track0, (n,), v)
 
 
 class StartRelationOracle(_CodeFamilyOracle):
     """(f, n, x): x is the start of run n of the word of f; run 0 starts at 0."""
 
     tracks = (INSTRUCTION_TRACK, BIT_TRACK, BIT_TRACK)
-    mode = "accept"
     name = "run-start"
-
-    def label(self, word) -> bool:
-        raw, (n, x) = decode_raw(word, 2)
-        if not is_valid_code(raw):
-            return False
-        t = sum(1 for s in raw if s != 0)
-        if n == 0:
-            return x == 0
-        if t < 1 or n > 2 ** (t - 1):
-            return False
-        return x == run_span(FoldCode(raw), n)[0]
-
-    def samples(self, width: int) -> Iterator[tuple]:
-        for t in range(width + 1):
-            for code in _all_effective_codes(t):
-                track0 = code + (0,) * (width - t)
-                yield (track0, (0, 0), True)
-                if t >= 1:
-                    starts = self._runs(code)[0]
-                    for n, x in enumerate(starts, start=1):
-                        yield (track0, (n, x), True)
+    column = 0
+    empty_code_relates = True
 
 
 class EndRelationOracle(_CodeFamilyOracle):
     """(f, n, x): x is the end of run n; the empty code accepts nothing."""
 
     tracks = (INSTRUCTION_TRACK, BIT_TRACK, BIT_TRACK)
-    mode = "accept"
     name = "run-end"
-
-    def label(self, word) -> bool:
-        raw, (n, x) = decode_raw(word, 2)
-        if not is_valid_code(raw):
-            return False
-        t = sum(1 for s in raw if s != 0)
-        if t < 1:
-            return False
-        if n == 0:
-            return x == 0
-        if n > 2 ** (t - 1):
-            return False
-        return x == run_span(FoldCode(raw), n)[1]
-
-    def samples(self, width: int) -> Iterator[tuple]:
-        for t in range(1, width + 1):
-            for code in _all_effective_codes(t):
-                track0 = code + (0,) * (width - t)
-                yield (track0, (0, 0), True)
-                ends = self._runs(code)[1]
-                for n, x in enumerate(ends, start=1):
-                    yield (track0, (n, x), True)
+    column = 1
 
 
 class RunLengthOracle(_CodeFamilyOracle):
@@ -592,71 +506,68 @@ class RunLengthOracle(_CodeFamilyOracle):
     tracks = (INSTRUCTION_TRACK, BIT_TRACK)
     mode = "output"
     name = "run-length"
+    column = 2
+    value_at_zero = 1
 
-    def label(self, word) -> int:
-        raw, (n,) = decode_raw(word, 1)
-        if not is_valid_code(raw):
-            return 0
-        t = sum(1 for s in raw if s != 0)
-        if t < 1:
-            return 0
+
+class _FunctionGraphOracle(WordOracle):
+    """(n, x): x = f(n) for an index function f on n >= 1, on two bit tracks."""
+
+    tracks = (BIT_TRACK, BIT_TRACK)
+    mode = "accept"
+    zero_relates: bool = False
+
+    def _value(self, n: int) -> int:
+        raise NotImplementedError
+
+    def label(self, word) -> bool:
+        _, (n, x) = decode_raw(word, 2)
         if n == 0:
-            return 1
-        if n > 2 ** (t - 1):
-            return 0
-        s, e = run_span(FoldCode(raw), n)
-        return e - s + 1
+            return self.zero_relates and x == 0
+        return x == self._value(n)
 
     def samples(self, width: int) -> Iterator[tuple]:
-        for t in range(1, width + 1):
-            for code in _all_effective_codes(t):
-                track0 = code + (0,) * (width - t)
-                yield (track0, (0,), 1)
-                lengths = self._runs(code)[2]
-                for n, v in enumerate(lengths, start=1):
-                    yield (track0, (n,), v)
+        if self.zero_relates:
+            yield (None, (0, 0), True)
+        for n in range(1, 2**width):
+            x = self._value(n)
+            if x < 2**width:
+                yield (None, (n, x), True)
 
 
-class RegularStartOracle(WordOracle):
+class RegularStartOracle(_FunctionGraphOracle):
     """(n, x): x is the start of run n of the regular sequence; (0,0) accepted."""
 
-    tracks = (BIT_TRACK, BIT_TRACK)
-    mode = "accept"
     name = "regular-run-start"
+    zero_relates = True
 
-    def label(self, word) -> bool:
-        n, x = _numeric_values(word, 2)
-        if n == 0:
-            return x == 0
-        return x == regular_run_start(n)
-
-    def samples(self, width: int) -> Iterator[tuple]:
-        yield (None, (0, 0), True)
-        for n in range(1, 2**width):
-            x = regular_run_start(n)
-            if x < 2**width:
-                yield (None, (n, x), True)
+    def _value(self, n: int) -> int:
+        return regular_run_start(n)
 
 
-class RegularEndOracle(WordOracle):
+class RegularEndOracle(_FunctionGraphOracle):
     """(n, x): x is the end of run n of the regular sequence; (0,0) accepted."""
 
-    tracks = (BIT_TRACK, BIT_TRACK)
-    mode = "accept"
     name = "regular-run-end"
+    zero_relates = True
 
-    def label(self, word) -> bool:
-        n, x = _numeric_values(word, 2)
-        if n == 0:
-            return x == 0
-        return x == regular_run_end(n)
+    def _value(self, n: int) -> int:
+        return regular_run_end(n)
 
-    def samples(self, width: int) -> Iterator[tuple]:
-        yield (None, (0, 0), True)
-        for n in range(1, 2**width):
-            x = regular_run_end(n)
-            if x < 2**width:
-                yield (None, (n, x), True)
+
+class GapOracle(_FunctionGraphOracle):
+    """(n, x): x = t(n), the n-th positive integer missing from H."""
+
+    name = "regular-gaps"
+
+    def __init__(self):
+        self._memo: dict[int, int] = {}
+
+    def _value(self, n: int) -> int:
+        hit = self._memo.get(n)
+        if hit is None:
+            hit = self._memo[n] = regular_gap_value(n)
+        return hit
 
 
 class RegularLengthOracle(WordOracle):
@@ -667,7 +578,7 @@ class RegularLengthOracle(WordOracle):
     name = "regular-run-length"
 
     def label(self, word) -> int:
-        (n,) = _numeric_values(word, 1)
+        _, (n,) = decode_raw(word, 1)
         if n == 0:
             return 0
         return regular_run_length(n)
@@ -705,35 +616,6 @@ class ValueSliceOracle(WordOracle):
                 yield (track0, nums, True)
 
 
-class GapOracle(WordOracle):
-    """(n, x): x = t(n), the n-th positive integer missing from H."""
-
-    tracks = (BIT_TRACK, BIT_TRACK)
-    mode = "accept"
-    name = "regular-gaps"
-
-    def __init__(self):
-        self._memo: dict[int, int] = {}
-
-    def _t(self, n: int) -> int:
-        hit = self._memo.get(n)
-        if hit is None:
-            hit = self._memo[n] = regular_gap_value(n)
-        return hit
-
-    def label(self, word) -> bool:
-        n, x = _numeric_values(word, 2)
-        if n < 1:
-            return False
-        return x == self._t(n)
-
-    def samples(self, width: int) -> Iterator[tuple]:
-        for n in range(1, 2**width):
-            x = self._t(n)
-            if x < 2**width:
-                yield (None, (n, x), True)
-
-
 # ---------------------------------------------------------------------------
 # exact bounded verification
 
@@ -755,53 +637,50 @@ class Counterexample:
 
 
 def _materialize(track0, nums: Sequence[int], width: int) -> tuple[tuple, ...]:
-    if track0 is None:
-        return tuple(
-            tuple((v >> i) & 1 for v in nums) for i in range(width)
-        )
-    return tuple(
-        (track0[i], *(((v >> i) & 1) for v in nums)) for i in range(width)
-    )
+    """The width-symbol word of a sample: track 0 (if any), then nums lsd-first."""
+    tracks = [[(v >> i) & 1 for i in range(width)] for v in nums]
+    if track0 is not None:
+        tracks.insert(0, track0)
+    return tuple(zip(*tracks))
 
 
-def _walk_sample(a: MultiTrackAutomaton, track0, nums: Sequence[int], width: int):
-    q = 0
-    delta = a.delta
-    vals = list(nums)
-    if track0 is None:
-        for _ in range(width):
-            sym = tuple(v & 1 for v in vals)
-            q = delta[q][sym]
-            for j in range(len(vals)):
-                vals[j] >>= 1
-        return a.state_label(q)
-    for i in range(width):
-        sym = (track0[i], *((v & 1) for v in vals))
-        q = delta[q][sym]
-        for j in range(len(vals)):
-            vals[j] >>= 1
-    return a.state_label(q)
+def _next_padding(constrained: bool, sym: tuple, padded: int) -> "int | None":
+    """Padding flag after reading `sym`; None where track 0 stops being a code.
+
+    Unconstrained (bit-only) alphabets never pad, so every word is valid.
+    """
+    if not constrained:
+        return 0
+    if sym[0] == 0:
+        return 1
+    return None if padded else 0
 
 
-def _valid_label_counts(a: MultiTrackAutomaton, width: int, constrained: bool):
-    """Count words of each label at `width`, track 0 restricted to valid codes."""
-    vec = {(0, 0): 1}
-    for _ in range(width):
-        new: dict = defaultdict(int)
-        for (q, padded), c in vec.items():
-            for sym, dst in a.delta[q].items():
-                if constrained:
-                    if sym[0] == 0:
-                        new[(dst, 1)] += c
-                    elif padded == 0:
-                        new[(dst, 0)] += c
-                else:
-                    new[(dst, 0)] += c
-        vec = dict(new)
-    counts: dict = defaultdict(int)
-    for (q, _), c in vec.items():
-        counts[a.state_label(q)] += c
-    return dict(counts)
+def _completion_counts(
+    a: MultiTrackAutomaton, depth: int, constrained: bool
+) -> list[dict]:
+    """table[d][(q, padded)]: label -> number of valid length-d completions.
+
+    A completion from state q with padding flag `padded` is a word that
+    keeps track 0 a valid code; it is counted under the label of the state
+    it ends in.  table[w][(0, 0)] counts the whole width-w universe.
+    """
+    flags = (0, 1) if constrained else (0,)
+    table = [{(q, p): {a.state_label(q): 1} for q in range(a.n_states) for p in flags}]
+    for _ in range(depth):
+        prev = table[-1]
+        cur = {}
+        for q in range(a.n_states):
+            for p in flags:
+                total: dict = defaultdict(int)
+                for sym, dst in a.delta[q].items():
+                    nxt = _next_padding(constrained, sym, p)
+                    if nxt is not None:
+                        for label, c in prev[(dst, nxt)].items():
+                            total[label] += c
+                cur[(q, p)] = dict(total)
+        table.append(cur)
+    return table
 
 
 def _universe_size(oracle: WordOracle, width: int) -> int:
@@ -818,37 +697,14 @@ def _universe_size(oracle: WordOracle, width: int) -> int:
 
 
 def _find_overaccepted(
-    a: MultiTrackAutomaton, oracle: WordOracle, width: int, target
+    a: MultiTrackAutomaton, oracle: WordOracle, table: list, width: int, target
 ) -> "Counterexample | None":
     """First word (DFS order) that A labels `target` but the oracle does not.
 
     Explores only branches that can still reach a `target`-labeled state
-    through a valid-track-0 word, using per-depth reach counts as pruning.
+    through a valid-track-0 word, pruning on the completion counts.
     """
     constrained = oracle.has_instruction_track
-    # table[d] maps (state, padded) -> count of completions of length d
-    table = [{
-        (q, p): 1 if a.state_label(q) == target else 0
-        for q in range(a.n_states)
-        for p in ((0, 1) if constrained else (0,))
-    }]
-    for _ in range(width):
-        prev = table[-1]
-        cur = {}
-        for q in range(a.n_states):
-            for p in (0, 1) if constrained else (0,):
-                total = 0
-                for sym, dst in a.delta[q].items():
-                    if constrained:
-                        if sym[0] == 0:
-                            total += prev.get((dst, 1), 0)
-                        elif p == 0:
-                            total += prev.get((dst, 0), 0)
-                    else:
-                        total += prev.get((dst, 0), 0)
-                cur[(q, p)] = total
-        table.append(cur)
-
     word: list = []
 
     def descend(q: int, padded: int, remaining: int) -> "tuple | None":
@@ -858,17 +714,11 @@ def _find_overaccepted(
                 return w
             return None
         for sym in a.symbols:
-            if constrained:
-                if sym[0] == 0:
-                    nxt = 1
-                elif padded == 0:
-                    nxt = 0
-                else:
-                    continue
-            else:
-                nxt = 0
+            nxt = _next_padding(constrained, sym, padded)
+            if nxt is None:
+                continue
             dst = a.delta[q][sym]
-            if table[remaining - 1].get((dst, nxt), 0) == 0:
+            if table[remaining - 1][(dst, nxt)].get(target, 0) == 0:
                 continue
             word.append(sym)
             hit = descend(dst, nxt, remaining - 1)
@@ -890,35 +740,31 @@ def verify_exhaustive(
 
     Positive side: walk every non-default sample and compare labels.
     Negative side: count words per label (valid track 0 only) and match
-    against the sample tally; a count mismatch means some word A handles
-    wrongly, which a pruned search then materializes.  Together these two
-    sides are exactly word-by-word comparison over the whole universe.
+    against the sample tally; a count mismatch means A labels some
+    default word otherwise, which a pruned search then materializes.
+    Together these two sides are exactly word-by-word comparison over the
+    whole universe.
     """
     if tuple(tuple(t) for t in oracle.tracks) != a.tracks:
         raise ValueError("automaton and oracle alphabets differ")
     if oracle.mode != a.mode:
         raise ValueError("automaton and oracle modes differ")
     default = oracle.default
+    table = _completion_counts(a, depth, oracle.has_instruction_track)
     for width in range(depth + 1):
         tally: dict = defaultdict(int)
         for track0, nums, lbl in oracle.samples(width):
-            got = _walk_sample(a, track0, nums, width)
+            word = _materialize(track0, nums, width)
+            got = a.word_label(word)
             if got != lbl:
-                return Counterexample(_materialize(track0, nums, width), got, lbl)
+                return Counterexample(word, got, lbl)
             tally[lbl] += 1
-        counts = _valid_label_counts(a, width, oracle.has_instruction_track)
         tally[default] += _universe_size(oracle, width) - sum(tally.values())
-        for label in set(counts) | set(tally):
-            if counts.get(label, 0) != tally.get(label, 0):
-                if counts.get(label, 0) > tally.get(label, 0):
-                    return _find_overaccepted(a, oracle, width, label)
-                # some other label is overcounted; find it
-                over = next(
-                    lb
-                    for lb in counts
-                    if counts.get(lb, 0) > tally.get(lb, 0)
-                )
-                return _find_overaccepted(a, oracle, width, over)
+        counts = table[width][(0, 0)]
+        labels = sorted(set(counts) | set(tally))
+        if any(counts.get(lb, 0) != tally[lb] for lb in labels):
+            over = next(lb for lb in labels if counts.get(lb, 0) > tally[lb])
+            return _find_overaccepted(a, oracle, table, width, over)
     return None
 
 

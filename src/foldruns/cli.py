@@ -256,13 +256,14 @@ def _cmd_cf(args) -> int:
 def _cmd_complexity(args) -> int:
     code = _resolve_code(args)
     t = code.effective_length
+    # right_special_count(code, n) scans the window of factor length n + 1
     top = 0
-    while min_code_length(top + 1) <= t:
+    while min_code_length(top + 2) <= t:
         top += 1
     if top == 0:
         raise _UsageError(
             f"code length {t} admits no windowed factor scan; "
-            f"length {min_code_length(1)} covers factor length 1"
+            f"length {min_code_length(2)} covers factor length 1"
         )
     n_to = args.n_to if args.n_to is not None else min(30, top)
     if not 1 <= args.n_from <= n_to:

@@ -216,27 +216,42 @@ class PaperfoldingWord:
         return f"<PaperfoldingWord {body}>"
 
 
-def unfold_once(word: PaperfoldingWord, instruction: int) -> PaperfoldingWord:
-    """One unfolding step: word, then the instruction, then the reversed negation.
+def code_matrix(t: int) -> np.ndarray:
+    """Row r holds the symbols of the r-th code of effective length t.
 
-    The result has length 2*len(word) + 1 and keeps the argument intact.
+    Deterministic order: instruction 0 varies slowest, +1 before -1.
     """
-    if instruction not in (PLUS, MINUS):
-        raise InvalidCodeError(f"instruction must be +1 or -1, got {instruction!r}")
-    w = word.array
-    out = np.empty(2 * w.size + 1, dtype=np.int8)
-    out[: w.size] = w
-    out[w.size] = instruction
-    out[w.size + 1 :] = -w[::-1]
-    return PaperfoldingWord(out)
+    if t < 0:
+        raise ValueError("code length must be nonnegative")
+    idx = np.arange(2**t, dtype=np.int64)
+    out = np.empty((2**t, t), dtype=np.int8)
+    for i in range(t):
+        out[:, i] = np.where((idx >> (t - 1 - i)) & 1, MINUS, PLUS)
+    return out
+
+
+def word_matrix(codes: np.ndarray) -> np.ndarray:
+    """Row r holds the paperfolding word of codes[r] (padding-free rows).
+
+    Builds every row in place in one array: instruction k sits at position
+    2**k - 1, and the block after it is the reversed negation of the block
+    before it.  O(final size) total.
+    """
+    rows, t = codes.shape
+    out = np.empty((rows, 2**t - 1), dtype=np.int8)
+    out[:, 2 ** np.arange(t) - 1] = codes
+    for k in range(1, t):
+        mid = 2**k - 1
+        np.negative(out[:, :mid], out=out[:, 2 * mid : mid : -1])
+    return out
 
 
 def paperfolding_word(code: "FoldCode | str | Sequence[int]") -> PaperfoldingWord:
     """Materialize the full word for a code (2**t - 1 terms, t effective).
 
-    Grows the word in place by repeated unfolding, O(final length) total.
-    Codes longer than MAX_MATERIALIZED_CODE_LEN effective instructions are
-    refused; use paperfolding_term for pointwise access at any size.
+    The one-row case of word_matrix.  Codes longer than
+    MAX_MATERIALIZED_CODE_LEN effective instructions are refused; use
+    paperfolding_term for pointwise access at any size.
     """
     c = as_code(code)
     t = c.effective_length
@@ -245,12 +260,8 @@ def paperfolding_word(code: "FoldCode | str | Sequence[int]") -> PaperfoldingWor
             f"code has {t} effective instructions; materialization is capped at "
             f"{MAX_MATERIALIZED_CODE_LEN} (word would have 2**{t} - 1 terms)"
         )
-    arr = np.empty(2**t - 1, dtype=np.int8)
-    for k, a in enumerate(c.effective):
-        mid = 2**k - 1
-        arr[mid] = a
-        arr[mid + 1 : 2 * mid + 1] = -arr[mid - 1 :: -1] if mid else arr[:0]
-    return PaperfoldingWord(arr)
+    codes = np.array(c.effective, dtype=np.int8).reshape(1, t)
+    return PaperfoldingWord(word_matrix(codes)[0])
 
 
 def paperfolding_term(code: "FoldCode | str | Sequence[int]", n: int) -> int:
@@ -274,11 +285,7 @@ def paperfolding_term(code: "FoldCode | str | Sequence[int]", n: int) -> int:
 def all_codes(t: int) -> Iterator[FoldCode]:
     """All 2**t padding-free codes with exactly t effective instructions.
 
-    Deterministic order: instruction 0 varies slowest, +1 before -1.
+    The rows of code_matrix(t), in its order.
     """
-    if t < 0:
-        raise ValueError("code length must be nonnegative")
-    for bits in range(2**t):
-        yield FoldCode(
-            tuple(PLUS if (bits >> (t - 1 - i)) & 1 == 0 else MINUS for i in range(t))
-        )
+    for row in code_matrix(t).tolist():
+        yield FoldCode(row)

@@ -19,8 +19,10 @@ from .foldcore import (
     InvalidCodeError,
     PaperfoldingWord,
     as_code,
+    code_matrix,
     paperfolding_term,
     paperfolding_word,
+    word_matrix,
 )
 
 WordLike = "PaperfoldingWord | Sequence[int] | np.ndarray"
@@ -125,6 +127,41 @@ def run_decompose(w) -> RunDecomposition:
 def run_length_word(code) -> np.ndarray:
     """The run-length word of the paperfolding word of `code`."""
     return run_decompose(paperfolding_word(code)).lengths
+
+
+class RunCountError(ValueError):
+    """A code whose word does not split into the expected 2**(t-1) runs."""
+
+    def __init__(self, code: FoldCode, runs: int, expected: int):
+        self.witness = (code.to_text(), runs, expected)
+        super().__init__(f"code {code.to_text()} has {runs} runs, expected {expected}")
+
+
+def _family_run_data(t: int):
+    """(codes, words, run lengths, 1-indexed run ends) for every code of length t.
+
+    Row r of each matrix belongs to row r of code_matrix(t).  Requires the
+    uniform run count 2**(t-1); a violation (none exists, but the reshape
+    depends on it) raises RunCountError instead of misaligning rows.
+    """
+    if t < 1:
+        raise ValueError("run data needs t >= 1")
+    codes = code_matrix(t)
+    words = word_matrix(codes)
+    rows = codes.shape[0]
+    boundary = words[:, 1:] != words[:, :-1]
+    counts = 1 + boundary.sum(axis=1)
+    expected = 2 ** (t - 1)
+    if not np.all(counts == expected):
+        r = int(np.flatnonzero(counts != expected)[0])
+        raise RunCountError(FoldCode(codes[r].tolist()), int(counts[r]), expected)
+    bpos = np.nonzero(boundary)[1].astype(np.int32).reshape(rows, expected - 1)
+    ends0 = np.concatenate(
+        [bpos, np.full((rows, 1), words.shape[1] - 1, dtype=np.int32)], axis=1
+    )
+    starts0 = np.concatenate([np.zeros((rows, 1), dtype=np.int32), bpos + 1], axis=1)
+    lengths = (ends0 - starts0 + 1).astype(np.int8)
+    return codes, words, lengths, ends0 + 1
 
 
 def assoc_code(f) -> FoldCode:
@@ -305,12 +342,35 @@ class FactorInventory:
         return f"FactorInventory({self.render()})"
 
 
-def _window_all_true_positions(eq: np.ndarray, size: int) -> np.ndarray:
-    """0-indexed i where eq[i:i+size] is all True."""
-    if eq.size < size:
-        return np.empty(0, dtype=np.int64)
-    cs = np.concatenate([[0], np.cumsum(eq, dtype=np.int64)])
-    return np.flatnonzero(cs[size:] - cs[:-size] == size)
+def _window_hit(eq: np.ndarray, size: int) -> np.ndarray:
+    """hit[r, j]: eq[r, j : j + size] is all True (one row per word)."""
+    if eq.shape[1] < size:
+        return np.zeros((eq.shape[0], 0), dtype=bool)
+    cs = np.zeros((eq.shape[0], eq.shape[1] + 1), dtype=np.int32)
+    np.cumsum(eq, axis=1, out=cs[:, 1:])
+    return (cs[:, size:] - cs[:, :-size]) == size
+
+
+def _periodic_windows(rows: np.ndarray, extra: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, hit) per period p, hit[r, j] iff rows[r, j : j + 2p + extra] has period p.
+
+    extra = 0 finds squares zz with |z| = p, extra = 1 overlaps axaxa with
+    |ax| = p; every row is scanned at once.
+    """
+    m = rows.shape[1]
+    for p in range(1, (m - extra) // 2 + 1):
+        yield p, _window_hit(rows[:, p:] == rows[:, :-p], p + extra)
+
+
+def _square_factors(rows: np.ndarray) -> set[tuple[int, ...]]:
+    """The distinct square factors found in any row."""
+    found: set = set()
+    for q, hit in _periodic_windows(rows, 0):
+        if hit.any():
+            pos = np.argwhere(hit)
+            windows = rows[pos[:, 0:1], pos[:, 1:2] + np.arange(2 * q)]
+            found.update(map(tuple, np.unique(windows, axis=0).tolist()))
+    return found
 
 
 def find_overlaps(w) -> list[tuple[int, int]]:
@@ -319,27 +379,17 @@ def find_overlaps(w) -> list[tuple[int, int]]:
     An overlap of period p at position i is w[i..i+2p] with w[i+j] equal to
     w[i+j+p] for 0 <= j <= p, i.e. the shape a.x.a.x.a with |a.x| = p.
     """
-    arr = _word_array(w)
-    m = arr.size
-    hits = []
-    for p in range(1, (m - 1) // 2 + 1):
-        eq = arr[p:] == arr[:-p]
-        for i in _window_all_true_positions(eq, p + 1):
-            hits.append((int(i) + 1, p))
-    hits.sort()
-    return hits
+    row = _word_array(w).reshape(1, -1)
+    return sorted(
+        (int(j) + 1, p)
+        for p, hit in _periodic_windows(row, 1)
+        for j in np.flatnonzero(hit[0])
+    )
 
 
 def find_squares(w) -> FactorInventory:
     """The distinct square factors (words of shape zz, z nonempty) of w."""
-    arr = _word_array(w)
-    m = arr.size
-    found = set()
-    for q in range(1, m // 2 + 1):
-        eq = arr[q:] == arr[:-q]
-        for i in _window_all_true_positions(eq, q):
-            found.add(tuple(int(v) for v in arr[i : i + 2 * q]))
-    return FactorInventory(found)
+    return FactorInventory(_square_factors(_word_array(w).reshape(1, -1)))
 
 
 def square_occurrences(w, z) -> list[int]:

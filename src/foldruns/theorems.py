@@ -12,8 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foldcore import MINUS, PLUS, FoldCode, all_codes, paperfolding_word
+from .foldcore import FoldCode, all_codes, code_matrix, paperfolding_word
 from .runs import (
+    RunCountError,
+    _family_run_data,
+    _periodic_windows,
+    _square_factors,
     find_palindromes,
     find_squares,
     min_code_length,
@@ -84,74 +88,11 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# family matrices: all codes of one length, words and run data side by side
-
-
-def _code_matrix(t: int) -> np.ndarray:
-    """Row r = symbols of the r-th code of effective length t (all_codes order)."""
-    if t == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    idx = np.arange(2**t, dtype=np.int64)
-    out = np.empty((2**t, t), dtype=np.int8)
-    for i in range(t):
-        bit = (idx >> (t - 1 - i)) & 1
-        out[:, i] = np.where(bit == 1, MINUS, PLUS)
-    return out
-
-
-def _word_matrix(codes: np.ndarray) -> np.ndarray:
-    """Row r = the paperfolding word of codes[r], all rows unfolded in step."""
-    rows, t = codes.shape
-    if t == 0:
-        return np.zeros((rows, 0), dtype=np.int8)
-    w = codes[:, 0:1].copy()
-    for k in range(1, t):
-        m = w.shape[1]
-        nxt = np.empty((rows, 2 * m + 1), dtype=np.int8)
-        nxt[:, :m] = w
-        nxt[:, m] = codes[:, k]
-        nxt[:, m + 1 :] = -w[:, ::-1]
-        w = nxt
-    return w
-
-
-def _family_run_data(t: int):
-    """(codes, words, run lengths, 1-indexed ends) for every code of length t.
-
-    Requires the uniform run count 2**(t-1); a violation (none exists, but
-    the reshape depends on it) raises instead of silently misaligning rows.
-    """
-    if t < 1:
-        raise ValueError("run data needs t >= 1")
-    codes = _code_matrix(t)
-    words = _word_matrix(codes)
-    rows = codes.shape[0]
-    if t == 1:
-        lengths = np.ones((rows, 1), dtype=np.int8)
-        ends = np.ones((rows, 1), dtype=np.int32)
-        return codes, words, lengths, ends
-    boundary = words[:, 1:] != words[:, :-1]
-    counts = 1 + boundary.sum(axis=1)
-    expected = 2 ** (t - 1)
-    if not np.all(counts == expected):
-        r = int(np.flatnonzero(counts != expected)[0])
-        raise ValueError(
-            f"code {_row_code(codes, r).to_text()} has {int(counts[r])} runs, "
-            f"expected {expected}"
-        )
-    bpos = np.nonzero(boundary)[1].astype(np.int32).reshape(rows, expected - 1)
-    ends0 = np.concatenate(
-        [bpos, np.full((rows, 1), words.shape[1] - 1, dtype=np.int32)], axis=1
-    )
-    starts0 = np.concatenate(
-        [np.zeros((rows, 1), dtype=np.int32), bpos + 1], axis=1
-    )
-    lengths = (ends0 - starts0 + 1).astype(np.int8)
-    return codes, words, lengths, ends0 + 1
+# family matrices: rows of code_matrix(t) and their run data
 
 
 def _row_code(codes: np.ndarray, r: int) -> FoldCode:
-    return FoldCode(tuple(int(v) for v in codes[r]))
+    return FoldCode(codes[r].tolist())
 
 
 def _spread_codes(length: int, count: int) -> list[FoldCode]:
@@ -166,7 +107,7 @@ def _spread_codes(length: int, count: int) -> list[FoldCode]:
         if v not in picks:
             picks.append(v)
         i += 1
-    codes = _code_matrix(length)
+    codes = code_matrix(length)
     return [_row_code(codes, r) for r in picks[:count]]
 
 
@@ -178,21 +119,11 @@ def prop1(L: int = 12) -> CheckReport:
     """Every code of effective length 1 <= t <= L yields exactly 2**(t-1) runs."""
     bound = f"codes t<={L}"
     for t in range(1, L + 1):
-        codes = _code_matrix(t)
-        words = _word_matrix(codes)
-        if t == 1:
-            counts = np.ones(codes.shape[0], dtype=np.int64)
-        else:
-            counts = 1 + (words[:, 1:] != words[:, :-1]).sum(axis=1)
-        expected = 2 ** (t - 1)
-        bad = np.flatnonzero(counts != expected)
-        if bad.size:
-            r = int(bad[0])
+        try:
+            _family_run_data(t)
+        except RunCountError as exc:
             return CheckReport(
-                name="prop1",
-                bound=bound,
-                passed=False,
-                witness=(_row_code(codes, r).to_text(), int(counts[r]), expected),
+                name="prop1", bound=bound, passed=False, witness=exc.witness
             )
     return CheckReport(name="prop1", bound=bound, passed=True)
 
@@ -242,24 +173,12 @@ def thm3(L: int = 12) -> CheckReport:
 # named checks: factors of run-length words
 
 
-def _window_hit(eq: np.ndarray, size: int) -> np.ndarray:
-    """Boolean matrix: window of `size` consecutive True entries starts here."""
-    if eq.shape[1] < size:
-        return np.zeros((eq.shape[0], 0), dtype=bool)
-    cs = np.zeros((eq.shape[0], eq.shape[1] + 1), dtype=np.int32)
-    np.cumsum(eq, axis=1, out=cs[:, 1:])
-    return (cs[:, size:] - cs[:, :-size]) == size
-
-
 def overlapfree(L: int = 10) -> CheckReport:
     """Run-length words of all codes with t <= L contain no overlap axaxa."""
     bound = f"codes t<={L}"
     for t in range(1, L + 1):
         codes, _, lengths, _ = _family_run_data(t)
-        m = lengths.shape[1]
-        for p in range(1, (m - 1) // 2 + 1):
-            eq = lengths[:, p:] == lengths[:, :-p]
-            hit = _window_hit(eq, p + 1)
+        for p, hit in _periodic_windows(lengths, 1):
             if hit.any():
                 r, j = map(int, np.argwhere(hit)[0])
                 return CheckReport(
@@ -276,28 +195,12 @@ def overlapfree(L: int = 10) -> CheckReport:
     return CheckReport(name="overlapfree", bound=bound, passed=True)
 
 
-def _family_square_inventory(t: int) -> set[tuple[int, ...]]:
-    _, _, lengths, _ = _family_run_data(t)
-    m = lengths.shape[1]
-    found: set = set()
-    for q in range(1, m // 2 + 1):
-        eq = lengths[:, q:] == lengths[:, :-q]
-        hit = _window_hit(eq, q)
-        if not hit.any():
-            continue
-        pos = np.argwhere(hit)
-        windows = lengths[pos[:, 0:1], pos[:, 1:2] + np.arange(2 * q)]
-        for row in np.unique(windows, axis=0):
-            found.add(tuple(int(v) for v in row))
-    return found
-
-
 def squares_only(L: int = 10) -> CheckReport:
     """The union of square factors over all codes with t <= L is the known trio."""
     bound = f"codes t<={L}"
     found: set = set()
     for t in range(1, L + 1):
-        found |= _family_square_inventory(t)
+        found |= _square_factors(_family_run_data(t)[2])
     if found == set(EXPECTED_SQUARES):
         return CheckReport(name="squares_only", bound=bound, passed=True)
     extra = sorted(found - EXPECTED_SQUARES)

@@ -47,6 +47,7 @@ from foldruns import (
     verify_exhaustive,
 )
 from foldruns.cli import run
+from mutants import mutated_transition
 
 REGULAR_PREFIX_16 = "++-++--+++--+--+"
 WORD_1111 = "++-++--+++--+--"
@@ -207,7 +208,7 @@ def test_mutation_sensitivity():
     for q in range(sp.n_states):
         sym = symbols[q % len(symbols)]
         dst = (sp.delta[q][sym] + 1) % sp.n_states
-        mutant = sp.with_mutated_transition(q, sym, dst)
+        mutant = mutated_transition(sp, q, sym, dst)
         cex = verify_exhaustive(mutant, sp_oracle, depth=6)
         assert cex is not None, f"edge {q} --{sym}--> {dst} escaped"
         # the report must be genuine: mutant and oracle really disagree
@@ -222,7 +223,7 @@ def test_mutation_sensitivity():
         caught = False
         for sym in rl_symbols:
             dst = (rl.delta[q][sym] + 1) % rl.n_states
-            mutant = rl.with_mutated_transition(q, sym, dst)
+            mutant = mutated_transition(rl, q, sym, dst)
             if verify_exhaustive(mutant, rl_oracle, depth=6) is not None:
                 caught = True
                 break

@@ -1,6 +1,8 @@
 """Multi-track machines: inference, verification, minimization, formats."""
 
 import io
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from foldruns import (
     accepted_second_values,
     all_codes,
     build_semantic_automaton,
+    is_valid_code,
     combine_value_acceptors,
     decode_inputs,
     encode_inputs,
@@ -33,9 +36,6 @@ from foldruns import (
     infer_automaton,
     lnk_accepts,
     minimize,
-    oracle_ep,
-    oracle_rl,
-    oracle_sp,
     paperfolding_word,
     read_automaton,
     regular_gap_value,
@@ -49,6 +49,8 @@ from foldruns import (
     verify_exhaustive,
     write_automaton,
 )
+from foldruns.automata import INSTRUCTION_TRACK, _universe_size
+from mutants import mutated_label, mutated_transition
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=0, max_size=5).map(
     tuple
@@ -80,28 +82,85 @@ def test_encode_rejects_narrow_widths():
         encode_inputs("+", (4,), 2)
 
 
-def test_oracle_sp_matches_decomposition():
+def _label(oracle, code, *nums):
+    width = max([len(code)] + [v.bit_length() for v in nums])
+    return oracle.label(encode_inputs(code, nums, width))
+
+
+def test_code_family_oracles_match_decomposition():
+    sp, ep, rl = StartRelationOracle(), EndRelationOracle(), RunLengthOracle()
     for t in range(1, 7):
         for code in all_codes(t):
             dec = run_decompose(paperfolding_word(code))
-            assert oracle_sp(code, 0, 0)
+            assert _label(sp, code, 0, 0)
             for n in range(1, dec.count + 1):
-                assert oracle_sp(code, n, dec.start(n))
-                assert not oracle_sp(code, n, dec.start(n) + 1)
-                assert oracle_ep(code, n, dec.end(n))
-                assert oracle_rl(code, n) == dec.length(n)
-            assert not oracle_sp(code, dec.count + 1, 1)
+                assert _label(sp, code, n, dec.start(n))
+                assert not _label(sp, code, n, dec.start(n) + 1)
+                assert _label(ep, code, n, dec.end(n))
+                assert _label(rl, code, n) == dec.length(n)
+            assert not _label(sp, code, dec.count + 1, 1)
 
 
 def test_oracle_edge_conventions():
+    sp, ep, rl = StartRelationOracle(), EndRelationOracle(), RunLengthOracle()
     # empty code: start relation keeps the virtual origin, end does not
-    assert oracle_sp("", 0, 0)
-    assert not oracle_ep("", 0, 0)
-    assert oracle_ep("+", 0, 0)
-    with pytest.raises(IndexError):
-        oracle_rl("+", 2)
-    with pytest.raises(IndexError):
-        oracle_rl("", 1)
+    assert _label(sp, "", 0, 0)
+    assert not _label(ep, "", 0, 0)
+    assert _label(ep, "+", 0, 0)
+    # the length function is 1 at the virtual run 0 and 0 off the run range
+    assert _label(rl, "+", 0) == 1
+    assert _label(rl, "+", 2) == 0
+    assert _label(rl, "", 1) == 0
+
+
+def _valid_universe(tracks, width):
+    """Every width-symbol word whose instruction track, if any, is a valid code."""
+    coded = tracks[0] == INSTRUCTION_TRACK
+    for word in itertools.product(itertools.product(*tracks), repeat=width):
+        if not coded or is_valid_code([sym[0] for sym in word]):
+            yield word
+
+
+def _sample_word(track0, nums, width):
+    bits = [tuple((v >> i) & 1 for v in nums) for i in range(width)]
+    if track0 is None:
+        return tuple(bits)
+    return tuple((track0[i],) + bits[i] for i in range(width))
+
+
+SELF_CHECKED_ORACLES = [
+    (StartRelationOracle, 4),
+    (EndRelationOracle, 4),
+    (RunLengthOracle, 4),
+    (lambda: ValueSliceOracle(RunLengthOracle(), 1), 4),
+    (lambda: ValueSliceOracle(RunLengthOracle(), 2), 4),
+    (lambda: ValueSliceOracle(RunLengthOracle(), 3), 4),
+    (RegularStartOracle, 6),
+    (RegularEndOracle, 6),
+    (RegularLengthOracle, 6),
+    (GapOracle, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "make, max_width",
+    SELF_CHECKED_ORACLES,
+    ids=["sp", "ep", "rl", "rl=1", "rl=2", "rl=3", "rs", "re", "rlen", "gap"],
+)
+def test_oracle_samples_are_the_non_default_universe(make, max_width):
+    # samples(width) must list each non-default word of the valid universe
+    # exactly once, with the label label() gives it
+    oracle = make()
+    for width in range(max_width + 1):
+        got = [
+            (_sample_word(track0, nums, width), lbl)
+            for track0, nums, lbl in oracle.samples(width)
+        ]
+        assert len({w for w, _ in got}) == len(got)
+        universe = list(_valid_universe(oracle.tracks, width))
+        assert len(universe) == _universe_size(oracle, width)
+        want = {w: oracle.label(w) for w in universe}
+        assert dict(got) == {w: v for w, v in want.items() if v != oracle.default}
 
 
 def test_lnk_accepts():
@@ -163,9 +222,9 @@ def test_container_validation():
 
 def test_mutations_produce_different_machines():
     a = _two_state()
-    assert a.with_mutated_label(0) != a
-    assert a.with_mutated_transition(0, (1,), 0) != a
-    assert a.with_mutated_transition(0, (1,), 1) == a
+    assert mutated_label(a, 0) != a
+    assert mutated_transition(a, 0, (1,), 0) != a
+    assert mutated_transition(a, 0, (1,), 1) == a
 
 
 def test_output_mode_container():
@@ -176,7 +235,7 @@ def test_output_mode_container():
     )
     assert a.mode == "output"
     assert a.output([(1,)]) == 9
-    assert a.with_mutated_label(1).output([(1,)]) != 9
+    assert mutated_label(a, 1).output([(1,)]) != 9
 
 
 def test_build_semantic_automaton_bit_parity():
@@ -274,11 +333,49 @@ def test_infer_rejects_bad_depths():
 
 
 def test_mutated_transition_is_caught(sp_machine):
-    mutated = sp_machine.with_mutated_transition(
-        1, sp_machine.symbols[0], (1 + 3) % sp_machine.n_states
+    mutated = mutated_transition(
+        sp_machine, 1, sp_machine.symbols[0], (1 + 3) % sp_machine.n_states
     )
     cex = verify_exhaustive(mutated, StartRelationOracle(), depth=6)
     assert cex is not None
+
+
+@pytest.mark.parametrize(
+    "fixture, make_oracle",
+    [("sp_machine", StartRelationOracle), ("rl_machine", RunLengthOracle)],
+)
+def test_verifier_matches_brute_force_on_mutants(request, fixture, make_oracle):
+    # verify_exhaustive must report exactly when some word of the valid
+    # universe up to length 4 separates machine and oracle, and every
+    # counterexample must be such a word with both true labels
+    machine = request.getfixturevalue(fixture)
+    oracle = make_oracle()
+    truth = {
+        w: oracle.label(w)
+        for width in range(5)
+        for w in _valid_universe(oracle.tracks, width)
+    }
+    rng = random.Random(20261017)
+    mutants = [machine]
+    for _ in range(12):
+        q = rng.randrange(machine.n_states)
+        sym = rng.choice(machine.symbols)
+        mutants.append(
+            mutated_transition(machine, q, sym, rng.randrange(machine.n_states))
+        )
+    mutants += [mutated_label(machine, q) for q in rng.sample(range(machine.n_states), 6)]
+    outcomes = set()
+    for m in mutants:
+        separated = any(m.word_label(w) != v for w, v in truth.items())
+        cex = verify_exhaustive(m, oracle, 4)
+        assert (cex is not None) == separated
+        if cex is not None:
+            assert cex.word in truth
+            assert cex.automaton_label == m.word_label(cex.word)
+            assert cex.oracle_label == truth[cex.word]
+            assert cex.automaton_label != cex.oracle_label
+        outcomes.add(separated)
+    assert outcomes == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +466,7 @@ def test_gap_wellformedness_catches_mutation(tt_machine):
     # the rest (padding-only differences) by exhaustive comparison
     check_hits = 0
     for q in range(tt_machine.n_states):
-        mutated = tt_machine.with_mutated_label(q)
+        mutated = mutated_label(tt_machine, q)
         if any(not r.passed for r in gap_wellformedness(mutated, depth=10)):
             check_hits += 1
         else:

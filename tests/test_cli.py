@@ -238,6 +238,18 @@ def test_complexity_usage_errors(capsys):
     ) == 2
 
 
+def test_complexity_window_covers_right_extensions(capsys):
+    # the right-special column needs the window of n + 1, so the last row
+    # of the default range and an --n-to just past it are both bounded by it
+    assert run(["complexity", "--code", "+-+-+-+-+-+"]) == 0
+    out = lines_of(capsys)
+    assert out[-1].split("\t")[0] == "24"
+    assert run(["complexity", "--regular", "--length", "12", "--n-to", "50"]) == 0
+    assert lines_of(capsys)[-1].split("\t")[0] == "50"
+    assert run(["complexity", "--regular", "--length", "12", "--n-to", "51"]) == 2
+    assert "max factor length is 50" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # infer / dot round trip
 

@@ -18,8 +18,8 @@ from foldruns import (
     negate,
     paperfolding_term,
     paperfolding_word,
-    unfold_once,
 )
+from foldruns.foldcore import code_matrix, word_matrix
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=10).map(
     tuple
@@ -94,15 +94,25 @@ def test_word_length_formula(code):
 
 
 @given(codes_st, st.sampled_from((PLUS, MINUS)))
-def test_unfold_once_shape(code, instruction):
-    w = paperfolding_word(code)
-    u = unfold_once(w, instruction)
-    m = len(w)
-    assert len(u) == 2 * m + 1
-    assert u.terms[:m] == w.terms
-    assert u[m + 1] == instruction
-    for j in range(1, m + 1):
-        assert u[m + 1 + j] == -u[m + 1 - j]
+def test_unfolding_recurrence(code, instruction):
+    # P_{f.a} = P_f . a . -reverse(P_f)
+    w = paperfolding_word(code).terms
+    mirrored = tuple(-v for v in reversed(w))
+    assert paperfolding_word(code + (instruction,)).terms == w + (instruction,) + mirrored
+
+
+def test_unfolding_rejects_non_instructions():
+    with pytest.raises(InvalidCodeError):
+        paperfolding_word((PLUS, 2))
+
+
+def test_family_matrices_match_single_words():
+    for t in range(0, 7):
+        codes = code_matrix(t)
+        assert codes.tolist() == [list(c.symbols) for c in all_codes(t)]
+        assert word_matrix(codes).tolist() == [
+            list(paperfolding_word(c).terms) for c in all_codes(t)
+        ]
 
 
 @given(codes_st)

@@ -22,6 +22,7 @@ from foldruns import (
     squares_present,
     thm3,
 )
+from mutants import mutated_label
 
 SP_NAMES = [
     "sp-functional",
@@ -147,7 +148,7 @@ def test_sp_suite_names_and_verdicts(sp_machine):
 
 def test_sp_suite_catches_every_label_mutation(sp_machine):
     for q in range(sp_machine.n_states):
-        mutated = sp_machine.with_mutated_label(q)
+        mutated = mutated_label(sp_machine, q)
         reports = sp_suite(L=5, machine=mutated)
         assert any(not r.passed for r in reports), f"state {q} escaped"
 
