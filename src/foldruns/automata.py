@@ -141,35 +141,11 @@ class MultiTrackAutomaton:
             raise ValueError("output() is for function mode; use accepts()")
         return self.outputs[self.run(word)]
 
-    def reachable_states(self) -> list[int]:
-        """States in breadth-first discovery order (symbols in product order)."""
-        seen = [False] * self.n_states
-        seen[0] = True
-        order = [0]
-        queue = deque([0])
-        while queue:
-            q = queue.popleft()
-            for sym in self.symbols:
-                dst = self.delta[q][sym]
-                if not seen[dst]:
-                    seen[dst] = True
-                    order.append(dst)
-                    queue.append(dst)
-        return order
-
     def bfs_renumbered(self) -> "MultiTrackAutomaton":
         """Same behavior, states renamed in BFS order, unreachable dropped."""
-        order = self.reachable_states()
-        rename = {old: new for new, old in enumerate(order)}
-        delta = [
-            {sym: rename[self.delta[old][sym]] for sym in self.symbols}
-            for old in order
-        ]
-        if self.outputs is None:
-            acc = [rename[q] for q in self.accepting if q in rename]
-            return MultiTrackAutomaton(self.tracks, delta, accepting=acc)
-        outs = [self.outputs[old] for old in order]
-        return MultiTrackAutomaton(self.tracks, delta, outputs=outs)
+        return build_semantic_automaton(
+            self.tracks, 0, self.step, self.state_label, self.mode
+        )
 
     def dead_states(self) -> frozenset[int]:
         """States from which no accepting (or nonzero-output) state is reachable."""
@@ -783,8 +759,9 @@ def infer_automaton(
     Observation-table learning: access words with pairwise distinct
     residual signatures become states; the table is closed under one-symbol
     extensions; counterexamples from bounded verification contribute all
-    their suffixes as new experiments.  The returned machine is minimized
-    and certified against the oracle on every word of length <= sample_depth.
+    their suffixes as new experiments.  The hypothesis is verified against
+    the oracle on every word of length <= sample_depth; the returned machine
+    is its minimization, proven equivalent to it at every length.
     """
     if sample_depth < 1 or test_depth < 1:
         raise ValueError("depths must be >= 1")
@@ -847,10 +824,10 @@ def infer_automaton(
             ce = verify_exhaustive(hypothesis, oracle, sample_depth)
         if ce is None:
             final = minimize(hypothesis)
-            check = verify_exhaustive(final, oracle, sample_depth)
-            if check is not None:
+            separating = equivalent(hypothesis, final)
+            if separating is not None:
                 raise InferenceError(
-                    f"minimization changed behavior on {check.word!r}"
+                    f"minimization changed behavior on {separating!r}"
                 )
             return final
         # feed every suffix of the counterexample into the experiment set
@@ -873,28 +850,20 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     Hopcroft partition refinement over the reachable part, with the initial
     partition given by state labels (acceptance bit or output value).
     """
-    reach = a.reachable_states()
-    idx = {q: i for i, q in enumerate(reach)}
-    n = len(reach)
-    labels = [a.state_label(q) for q in reach]
-    delta = [
-        {sym: idx[a.delta[q][sym]] for sym in a.symbols} for q in reach
-    ]
-
+    a = a.bfs_renumbered()
     groups: dict = defaultdict(set)
-    for i, lb in enumerate(labels):
-        groups[lb].add(i)
-    partition: list[set] = [s for s in groups.values()]
-    part_of = [0] * n
+    for q in range(a.n_states):
+        groups[a.state_label(q)].add(q)
+    partition: list[set] = list(groups.values())
+    part_of = [0] * a.n_states
     for gid, s in enumerate(partition):
         for q in s:
             part_of[q] = gid
 
     inverse: list[dict] = [defaultdict(set) for _ in a.symbols]
-    sym_index = {sym: j for j, sym in enumerate(a.symbols)}
-    for q in range(n):
-        for sym, dst in delta[q].items():
-            inverse[sym_index[sym]][dst].add(q)
+    for q in range(a.n_states):
+        for j, sym in enumerate(a.symbols):
+            inverse[j][a.delta[q][sym]].add(q)
 
     worklist = set(range(len(partition)))
     while worklist:
@@ -925,40 +894,22 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
                 else:
                     worklist.add(new_gid if len(keep) <= len(split) else gid)
 
-    reps = [min(s) for s in partition]
-    new_delta = []
-    new_labels = []
-    for gid, rep in enumerate(reps):
-        new_delta.append(
-            {sym: part_of[delta[rep][sym]] for sym in a.symbols}
-        )
-        new_labels.append(labels[rep])
-    init_gid = part_of[0]
-    # renumber so the initial block is state 0, then canonicalize by BFS
-    order = [init_gid] + [g for g in range(len(partition)) if g != init_gid]
-    pos = {g: i for i, g in enumerate(order)}
-    delta2 = [
-        {sym: pos[new_delta[g][sym]] for sym in a.symbols} for g in order
-    ]
-    labels2 = [new_labels[g] for g in order]
-    if a.outputs is None:
-        out = MultiTrackAutomaton(
-            a.tracks,
-            delta2,
-            accepting=[i for i, v in enumerate(labels2) if v],
-        )
-    else:
-        out = MultiTrackAutomaton(a.tracks, delta2, outputs=labels2)
-    return out.bfs_renumbered()
+    # the quotient: block g behaves like any of its members
+    rep = [min(s) for s in partition]
+    return build_semantic_automaton(
+        a.tracks,
+        part_of[0],
+        lambda g, sym: part_of[a.delta[rep[g]][sym]],
+        lambda g: a.state_label(rep[g]),
+        a.mode,
+    )
 
 
-def equivalent(
-    a: MultiTrackAutomaton, b: MultiTrackAutomaton, depth: "int | None" = None
-) -> "tuple | None":
-    """None if no word of length <= depth separates them, else the shortest one.
+def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> "tuple | None":
+    """None if the machines label every word alike, else a shortest separating word.
 
-    Breadth-first over the product, so the first separating word found is
-    shortest; depth None explores the whole (finite) product graph.
+    Breadth-first over the whole (finite) product graph, so the first
+    separating word found is shortest and None holds at every length.
     """
     if a.tracks != b.tracks:
         raise ValueError("automata read different alphabets")
@@ -971,8 +922,6 @@ def equivalent(
         (qa, qb), word = queue.popleft()
         if a.state_label(qa) != b.state_label(qb):
             return word
-        if depth is not None and len(word) >= depth:
-            continue
         for sym in a.symbols:
             nxt = (a.delta[qa][sym], b.delta[qb][sym])
             if nxt not in seen:
@@ -1142,42 +1091,31 @@ def specialize_regular(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     return minimize(built)
 
 
-def build_tt(
-    limit: int, sample_depth: int = 10, test_depth: int = 6
-) -> MultiTrackAutomaton:
-    """Infer and sanity-check the automaton for the gap sequence t(n).
+def build_tt(sample_depth: int = 10, test_depth: int = 6) -> MultiTrackAutomaton:
+    """Infer the automaton for the gap sequence t(n) and check it is well formed.
 
-    `limit` must cover every index certified by inference (2**sample_depth),
-    mirroring the idea that a guessed machine is only as good as the data
-    bound it was certified against.
+    Raises InferenceError when any gap_wellformedness check fails at
+    `sample_depth`, the bound inference certified.
     """
-    if limit < 2**sample_depth:
-        raise ValueError(
-            f"limit {limit} below the certification range 2**{sample_depth}"
-        )
-    oracle = GapOracle()
-    machine = infer_automaton(oracle, sample_depth, test_depth)
-    report = gap_wellformedness(machine, depth=sample_depth)
-    bad = [r for r in report if not r.passed]
+    machine = infer_automaton(GapOracle(), sample_depth, test_depth)
+    bad = [r for r in gap_wellformedness(machine, depth=sample_depth) if not r.passed]
     if bad:
         raise InferenceError(f"gap automaton failed checks: {bad}")
     return machine
 
 
-def accepted_numeric_values(
-    a: MultiTrackAutomaton, code, width: int
+def _free_track_values(
+    a: MultiTrackAutomaton, fixed: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    """All numeric-track tuples accepted with track 0 fixed to the padded code.
+    """Sorted values of tracks 1.. over the accepted words with track 0 = `fixed`.
 
+    Every free track is a bit track read lsd-first over len(fixed) symbols.
     Backward feasibility pruning keeps the walk proportional to the number
     of accepted assignments, so full extraction stays cheap even when the
-    numeric tracks could range over 4**width combinations.
+    free tracks could range over 4**width combinations.
     """
-    if a.mode != "accept" or not a.tracks or a.tracks[0] != INSTRUCTION_TRACK:
-        raise ValueError("needs a relation automaton with an instruction track 0")
-    c = as_code(code)
-    track0 = c.padded(width).symbols
-    numeric = tuple(itertools.product(*a.tracks[1:]))
+    width = len(fixed)
+    free = tuple(itertools.product(*a.tracks[1:]))
     feasible = [set() for _ in range(width + 1)]
     feasible[width] = set(a.accepting)
     for i in range(width - 1, -1, -1):
@@ -1185,28 +1123,31 @@ def accepted_numeric_values(
         feasible[i] = {
             q
             for q in range(a.n_states)
-            if any(a.delta[q][(track0[i], *ns)] in nxt for ns in numeric)
+            if any(a.delta[q][(fixed[i], *bits)] in nxt for bits in free)
         }
     hits: list[tuple[int, ...]] = []
-    k = len(a.tracks) - 1
 
     def descend(q: int, i: int, vals: tuple[int, ...]) -> None:
         if i == width:
-            if q in a.accepting:
-                hits.append(vals)
+            hits.append(vals)  # feasible[width] holds only accepting states
             return
-        for ns in numeric:
-            dst = a.delta[q][(track0[i], *ns)]
+        for bits in free:
+            dst = a.delta[q][(fixed[i], *bits)]
             if dst in feasible[i + 1]:
-                descend(
-                    dst,
-                    i + 1,
-                    tuple(v | (b << i) for v, b in zip(vals, ns)),
-                )
+                descend(dst, i + 1, tuple(v | (b << i) for v, b in zip(vals, bits)))
 
     if 0 in feasible[0]:
-        descend(0, 0, (0,) * k)
+        descend(0, 0, (0,) * len(free[0]))
     return sorted(hits)
+
+
+def accepted_numeric_values(
+    a: MultiTrackAutomaton, code, width: int
+) -> list[tuple[int, ...]]:
+    """All numeric-track tuples accepted with track 0 fixed to the padded code."""
+    if a.mode != "accept" or not a.tracks or a.tracks[0] != INSTRUCTION_TRACK:
+        raise ValueError("needs a relation automaton with an instruction track 0")
+    return _free_track_values(a, as_code(code).padded(width).symbols)
 
 
 def accepted_second_values(
@@ -1215,34 +1156,28 @@ def accepted_second_values(
     """All x with (n, x) accepted by a two-numeric-track acceptor at `width`."""
     if a.mode != "accept" or a.tracks != (BIT_TRACK, BIT_TRACK):
         raise ValueError("needs a two-bit-track relation automaton")
-    hits = []
-
-    def descend(q, i, x):
-        if i == width:
-            if q in a.accepting:
-                hits.append(x)
-            return
-        nb = (n >> i) & 1
-        for xb in (0, 1):
-            descend(a.delta[q][(nb, xb)], i + 1, x | (xb << i))
-
-    descend(0, 0, 0)
-    return sorted(hits)
+    if not 0 <= n < 2**width:
+        raise ValueError(f"width {width} cannot carry the index {n}")
+    return [x for (x,) in _free_track_values(a, [(n >> i) & 1 for i in range(width)])]
 
 
 def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
     """Bounded totality/functionality/monotonicity/range checks for t(n).
 
-    Returns CheckReports; the range check compares outputs against the
-    complement of H enumerated from the regular run ends.
+    Returns CheckReports.  The expected gaps come from sieving the
+    complement of H out of the regular run ends up to 2**depth - 1;
+    totality is demanded exactly for the n whose t(n) fits the width.
     """
     from .theorems import CheckReport  # theorems depends on this module
 
-    # totality can only be demanded where the value itself fits the width
     top = 2**depth - 1
-    n_max = 1
-    while regular_gap_value(n_max + 1) <= top:
-        n_max += 1
+    h_set = {1}
+    m = 1
+    while (e := regular_run_end(m) + 1) <= top:
+        h_set.add(e)
+        m += 1
+    gaps = [y for y in range(1, top + 1) if y not in h_set]
+    n_max = len(gaps)
     values: dict[int, list[int]] = {}
     for n in range(1, n_max + 1):
         values[n] = accepted_second_values(a, n, depth)
@@ -1264,17 +1199,9 @@ def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
         (i + 1 for i in range(len(seq) - 1) if seq[i] >= seq[i + 1]), None
     )
     out.append(report("gap-increasing", nondec is None, nondec))
-    # range: accepted x-values through half, vs the sieve of H
+    # range: accepted x-values vs the sieved gaps up to the largest of them
     upper = seq[-1] if seq else 0
-    h_set = {1}
-    m = 1
-    while True:
-        e = regular_run_end(m) + 1
-        if e > upper:
-            break
-        h_set.add(e)
-        m += 1
-    expected = [y for y in range(1, upper + 1) if y not in h_set]
+    expected = [y for y in gaps if y <= upper]
     got = sorted(set(seq))
     out.append(
         report(

@@ -139,11 +139,7 @@ def _cmd_runs(args) -> int:
 
 def _build_target(name: str, sample_depth: int, test_depth: int):
     if name == "tt":
-        return build_tt(
-            limit=max(2**sample_depth, 1024),
-            sample_depth=sample_depth,
-            test_depth=test_depth,
-        )
+        return build_tt(sample_depth=sample_depth, test_depth=test_depth)
     oracle = {
         "sp": StartRelationOracle,
         "ep": EndRelationOracle,

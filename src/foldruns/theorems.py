@@ -28,9 +28,9 @@ from .runs import (
     subword_complexity,
 )
 from .automata import (
+    GapOracle,
     StartRelationOracle,
     accepted_numeric_values,
-    build_tt,
     gap_wellformedness,
     infer_automaton,
     regular_gap_value,
@@ -154,10 +154,11 @@ def thm3(L: int = 12) -> CheckReport:
     """
     bound = f"codes t<={L}"
     for t in range(2, L + 1):
-        for code in all_codes(t):
-            ends = run_decompose(paperfolding_word(code)).ends
+        codes, _, _, ends = _family_run_data(t)
+        for r in range(codes.shape[0]):
+            code = _row_code(codes, r)
             predicted = predicted_end_positions(code)
-            head = ends[: predicted.size]
+            head = ends[r, : predicted.size]
             if not np.array_equal(head, predicted):
                 j = int(np.flatnonzero(head != predicted)[0])
                 return CheckReport(
@@ -428,15 +429,20 @@ def sp_suite(
     def note(name: str, witness: tuple) -> None:
         failures.setdefault(name, witness)
 
+    def family(t: int):
+        """(code, word, run starts) per code of length t; the empty code has none."""
+        if t == 0:
+            yield FoldCode(()), None, []
+            return
+        codes, words, lengths, ends = _family_run_data(t)
+        starts = (ends - lengths + 1).tolist()
+        for r in range(codes.shape[0]):
+            yield _row_code(codes, r), words[r], starts[r]
+
     for t in range(0, L + 1):
-        for code in all_codes(t):
+        for code, word, starts in family(t):
             text = code.to_text() if t else "(empty)"
-            word = paperfolding_word(code) if t >= 1 else None
-            dec = run_decompose(word) if t >= 1 else None
-            semantic: dict[int, list[int]] = {0: [0]}
-            if dec is not None:
-                for n in range(1, dec.count + 1):
-                    semantic[n] = [dec.start(n)]
+            semantic = {0: [0], **{n: [x] for n, x in enumerate(starts, start=1)}}
             last = 2 ** (t - 1) if t >= 1 else 0
             for width in (t, t + 1, t + 2):
                 pairs = accepted_numeric_values(machine, code, width=width)
@@ -478,7 +484,7 @@ def sp_suite(
                     note("sp-last-run-exists", (text, width, last))
                 if by_n.get(last):
                     x_last = by_n[last][0]
-                    tail = word.array[x_last - 1 :]
+                    tail = word[x_last - 1 :]
                     if tail.size and not np.all(tail == tail[0]):
                         note("sp-tail-constant", (text, width, x_last))
                 xs = [
@@ -655,7 +661,7 @@ def regular_suite(
     )
 
     if tt_machine is None:
-        tt_machine = build_tt(limit=max(N, 2**10))
+        tt_machine = infer_automaton(GapOracle())
     reports.extend(gap_wellformedness(tt_machine, depth=tt_depth))
     return reports
 

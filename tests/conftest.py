@@ -65,4 +65,4 @@ def rl_machine():
 
 @pytest.fixture(scope="session")
 def tt_machine():
-    return build_tt(limit=1024, sample_depth=10, test_depth=6)
+    return build_tt(sample_depth=10, test_depth=6)

@@ -177,7 +177,7 @@ def test_relation_machines_verified():
 @pytest.mark.acceptance(9, "regular-code derived sequences and the gap machine")
 def test_regular_sequences_and_gaps():
     start = time.monotonic()
-    tt = build_tt(limit=1024, sample_depth=10, test_depth=6)
+    tt = build_tt(sample_depth=10, test_depth=6)
     reports = regular_suite(N=10**5, tt_machine=tt, tt_depth=10)
     assert len(reports) == 10
     failed = [str(r) for r in reports if not r.passed]

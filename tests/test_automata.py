@@ -49,6 +49,7 @@ from foldruns import (
     verify_exhaustive,
     write_automaton,
 )
+import foldruns.automata as automata
 from foldruns.automata import INSTRUCTION_TRACK, _universe_size
 from mutants import mutated_label, mutated_transition
 
@@ -288,7 +289,7 @@ def test_minimize_is_idempotent(sp_machine):
 
 def test_equivalent_finds_empty_word_separation(sp_machine, ep_machine):
     # the two relations already disagree on the all-empty input
-    assert equivalent(sp_machine, ep_machine, depth=4) == ()
+    assert equivalent(sp_machine, ep_machine) == ()
     assert equivalent(sp_machine, sp_machine) is None
 
 
@@ -330,6 +331,19 @@ def test_infer_rejects_bad_depths():
         infer_automaton(StartRelationOracle(), sample_depth=0)
     with pytest.raises(InferenceError):
         infer_automaton(StartRelationOracle(), sample_depth=6, max_rounds=1)
+
+
+def test_infer_rejects_a_minimization_that_changes_behavior(monkeypatch):
+    # the equivalence certificate must catch any label flip in the
+    # minimized machine, whichever state it hits
+    real_minimize = automata.minimize
+    machine = infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
+    for q in range(machine.n_states):
+        monkeypatch.setattr(
+            automata, "minimize", lambda a, q=q: mutated_label(real_minimize(a), q)
+        )
+        with pytest.raises(InferenceError, match="minimization changed behavior"):
+            infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
 
 
 def test_mutated_transition_is_caught(sp_machine):
@@ -487,6 +501,33 @@ def test_accepted_numeric_values_matches_semantics(sp_machine):
                 dec = run_decompose(paperfolding_word(code))
                 want |= {(n, dec.start(n)) for n in range(1, dec.count + 1)}
             assert pairs == want
+
+
+def test_accepted_second_values_matches_brute_force(tt_machine):
+    # the pruned walk must list exactly the x < 2**8 whose (n, x) word is
+    # accepted, on the gap machine and on every single-label mutant of it
+    width = 8
+    machines = [tt_machine] + [
+        mutated_label(tt_machine, q) for q in range(tt_machine.n_states)
+    ]
+    for m in machines:
+        for n in range(1, 2**width):
+            want = [
+                x
+                for x in range(2**width)
+                if m.accepts(tuple(((n >> i) & 1, (x >> i) & 1) for i in range(width)))
+            ]
+            assert accepted_second_values(m, n, width) == want, (m, n)
+
+
+def test_accepted_second_values_rejects_indices_outside_the_width(tt_machine):
+    with pytest.raises(ValueError):
+        accepted_second_values(tt_machine, 2**8, 8)
+    with pytest.raises(ValueError):
+        accepted_second_values(tt_machine, -1, 8)
+    # the largest index that fits is accepted as input; its value does not fit
+    assert regular_gap_value(2**8 - 1) >= 2**8
+    assert accepted_second_values(tt_machine, 2**8 - 1, 8) == []
 
 
 def test_accepted_numeric_values_validates_inputs(sp_machine, rl_machine):
