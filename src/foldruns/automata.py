@@ -16,15 +16,17 @@ line-oriented text serialization plus DOT export.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .runs import (
     _family_run_data,
+    _regular_gaps,
+    _regular_run_data,
     regular_run_end,
-    regular_run_length,
-    regular_run_start,
+    regular_run_span,
     run_span,
 )
 from .foldcore import FoldCode, InvalidCodeError, as_code, is_valid_code
@@ -486,82 +488,84 @@ class RunLengthOracle(_CodeFamilyOracle):
     value_at_zero = 1
 
 
-class _FunctionGraphOracle(WordOracle):
-    """(n, x): x = f(n) for an index function f on n >= 1, on two bit tracks."""
+class _RegularOracle(WordOracle):
+    """n -> f(n) for an index function f of the regular sequence, n >= 1.
+
+    Subclasses choose f by `column` of (run start, run end, run length,
+    gap t(n)).  Relation-mode oracles read the graph (n, x) on two bit
+    tracks; a function-mode oracle reads n and outputs f(n), 0 at n = 0.
+    `samples` reads one run or gap table per width; `label` evaluates f
+    pointwise, so a large index builds no table.
+    """
 
     tracks = (BIT_TRACK, BIT_TRACK)
-    mode = "accept"
+    column: int
     zero_relates: bool = False
 
     def _value(self, n: int) -> int:
-        raise NotImplementedError
+        if self.column == 3:
+            return regular_gap_value(n)
+        s, e = regular_run_span(n)
+        return (s, e, e - s + 1)[self.column]
 
-    def label(self, word) -> bool:
-        _, (n, x) = decode_raw(word, 2)
+    def label(self, word):
+        _, nums = decode_raw(word, len(self.tracks))
+        n = nums[0]
+        if self.mode == "output":
+            return self._value(n) if n else 0
         if n == 0:
-            return self.zero_relates and x == 0
-        return x == self._value(n)
+            return self.zero_relates and nums[1] == 0
+        return nums[1] == self._value(n)
+
+    def _table(self, width: int) -> list[int]:
+        """f(1), f(2), ... over every n < 2**width whose sample fits the width."""
+        top = 2**width - 1
+        if self.column == 3:
+            return _regular_gaps(top).tolist()  # t(n) <= top forces n <= top
+        lengths, ends = _regular_run_data(top)
+        values = (ends - lengths + 1, ends, lengths)[self.column]
+        if self.mode == "accept":
+            values = values[values <= top]
+        return values.tolist()
 
     def samples(self, width: int) -> Iterator[tuple]:
+        relation = self.mode == "accept"
         if self.zero_relates:
             yield (None, (0, 0), True)
-        for n in range(1, 2**width):
-            x = self._value(n)
-            if x < 2**width:
-                yield (None, (n, x), True)
+        for n, v in enumerate(self._table(width), start=1):
+            yield (None, (n, v), True) if relation else (None, (n,), v)
 
 
-class RegularStartOracle(_FunctionGraphOracle):
+class RegularStartOracle(_RegularOracle):
     """(n, x): x is the start of run n of the regular sequence; (0,0) accepted."""
 
     name = "regular-run-start"
+    column = 0
     zero_relates = True
 
-    def _value(self, n: int) -> int:
-        return regular_run_start(n)
 
-
-class RegularEndOracle(_FunctionGraphOracle):
+class RegularEndOracle(_RegularOracle):
     """(n, x): x is the end of run n of the regular sequence; (0,0) accepted."""
 
     name = "regular-run-end"
+    column = 1
     zero_relates = True
 
-    def _value(self, n: int) -> int:
-        return regular_run_end(n)
 
-
-class GapOracle(_FunctionGraphOracle):
-    """(n, x): x = t(n), the n-th positive integer missing from H."""
-
-    name = "regular-gaps"
-
-    def __init__(self):
-        self._memo: dict[int, int] = {}
-
-    def _value(self, n: int) -> int:
-        hit = self._memo.get(n)
-        if hit is None:
-            hit = self._memo[n] = regular_gap_value(n)
-        return hit
-
-
-class RegularLengthOracle(WordOracle):
+class RegularLengthOracle(_RegularOracle):
     """n -> length of run n of the regular sequence, 0 at n = 0."""
 
     tracks = (BIT_TRACK,)
     mode = "output"
     name = "regular-run-length"
+    column = 2
 
-    def label(self, word) -> int:
-        _, (n,) = decode_raw(word, 1)
-        if n == 0:
-            return 0
-        return regular_run_length(n)
 
-    def samples(self, width: int) -> Iterator[tuple]:
-        for n in range(1, 2**width):
-            yield (None, (n,), regular_run_length(n))
+class GapOracle(_RegularOracle):
+    """(n, x): x = t(n), the n-th positive integer missing from H."""
+
+    name = "regular-gaps"
+    column = 3
 
 
 class ValueSliceOracle(WordOracle):
@@ -1170,13 +1174,7 @@ def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
     """
     from .theorems import CheckReport  # theorems depends on this module
 
-    top = 2**depth - 1
-    h_set = {1}
-    m = 1
-    while (e := regular_run_end(m) + 1) <= top:
-        h_set.add(e)
-        m += 1
-    gaps = [y for y in range(1, top + 1) if y not in h_set]
+    gaps = _regular_gaps(2**depth - 1).tolist()
     n_max = len(gaps)
     values: dict[int, list[int]] = {}
     for n in range(1, n_max + 1):
@@ -1254,13 +1252,22 @@ def read_automaton(source) -> MultiTrackAutomaton:
     Grammar, one record per line: `tracks k`; k lines `track i s1 s2 ...`;
     `mode accept|output`; `state id value` for every state, 0 initial and
     ids consecutive; `trans src s1;..;sk dst`, exhaustive over states and
-    symbols.  Errors carry the 1-based line number.
+    symbols.  Errors carry the 1-based line number.  Malformed input of any
+    kind raises AutomatonFormatError; only opening a path can raise OSError.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="ascii") as fh:
+        with open(source, "rb") as fh:
             text = fh.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise AutomatonFormatError(
+                f"byte {text[exc.start]:#04x} is not ASCII", line=line
+            ) from None
     lines = text.splitlines()
 
     def fail(i, msg):
@@ -1294,9 +1301,15 @@ def read_automaton(source) -> MultiTrackAutomaton:
         if parts[1] != str(want):
             fail(i, f"tracks out of order: expected index {want}, got {parts[1]}")
         try:
-            tracks.append(tuple(int(s) for s in parts[2:]))
+            track = tuple(int(s) for s in parts[2:])
         except ValueError:
             fail(i, f"non-integer symbol in track {want}")
+        seen: set = set()
+        for s in track:
+            if s in seen:
+                fail(i, f"symbol {s} repeated in track {want}")
+            seen.add(s)
+        tracks.append(track)
     i, parts = next_line()
     if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("accept", "output"):
         fail(i, f"expected 'mode accept|output', got {lines[i]!r}")
@@ -1332,6 +1345,13 @@ def read_automaton(source) -> MultiTrackAutomaton:
             f"state ids must be 0..{n - 1}, got {sorted(labels)}", line=pos
         )
 
+    alphabet = math.prod(len(t) for t in tracks)
+    if alphabet > len(lines):
+        # every (state, symbol) pair needs a trans line of its own
+        raise AutomatonFormatError(
+            f"{alphabet} symbols need more transition lines than the file has",
+            line=pos,
+        )
     symbols = tuple(itertools.product(*tracks))
     symbol_set = set(symbols)
     delta = [dict() for _ in range(n)]

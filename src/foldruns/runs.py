@@ -20,7 +20,6 @@ from .foldcore import (
     PaperfoldingWord,
     as_code,
     code_matrix,
-    paperfolding_term,
     paperfolding_word,
     word_matrix,
 )
@@ -214,32 +213,32 @@ def run_span(code, n: int) -> tuple[int, int]:
         raise InvalidCodeError("run queries need at least one instruction")
     if not 1 <= n <= 2 ** (t - 1):
         raise IndexError(f"run index {n} outside 1..{2 ** (t - 1)}")
-    return _span(eff, n)
+    return _span(eff, t, n)
 
 
-def _span(f: tuple[int, ...], n: int) -> tuple[int, int]:
-    t = len(f)
+def _span(f: tuple[int, ...], t: int, n: int) -> tuple[int, int]:
+    # run n of the word of the first t instructions of f, g = f[:t-1]
     if t == 1:
         return (1, 1)
-    g = f[:-1]
-    a = f[-1]
+    a = f[t - 1]
     m = 2 ** (t - 1) - 1  # length of the word of g
     half = 2 ** (t - 2)  # run count of the word of g
-    last = paperfolding_term(FoldCode(g), m)
+    # P_g opens with g[0] and, once unfolded, closes with its mirror -g[0]
+    last = f[0] if t == 2 else -f[0]
     if a == last:
         # middle symbol extends the last run of P_g up to position m+1
         if n < half:
-            return _span(g, n)
+            return _span(f, t - 1, n)
         if n == half:
-            return (_span(g, half)[0], m + 1)
-        s, e = _span(g, 2 * half + 1 - n)
+            return (_span(f, t - 1, half)[0], m + 1)
+        s, e = _span(f, t - 1, 2 * half + 1 - n)
         return (2 * m + 2 - e, 2 * m + 2 - s)
     # middle symbol opens a run that merges with the mirrored last run
     if n <= half:
-        return _span(g, n)
+        return _span(f, t - 1, n)
     if n == half + 1:
-        return (m + 1, 2 * m + 2 - _span(g, half)[0])
-    s, e = _span(g, 2 * half + 1 - n)
+        return (m + 1, 2 * m + 2 - _span(f, t - 1, half)[0])
+    s, e = _span(f, t - 1, 2 * half + 1 - n)
     return (2 * m + 2 - e, 2 * m + 2 - s)
 
 
@@ -256,23 +255,6 @@ def run_length(code, n: int) -> int:
     return e - s + 1
 
 
-def _regular_span(k: int, n: int) -> tuple[int, int]:
-    # run n of the all-ones code of length k; the word of (1,)*j ends in +1
-    # only for j = 1, so every level with k >= 3 takes the merge branch
-    if k == 1:
-        return (1, 1)
-    m = 2 ** (k - 1) - 1
-    half = 2 ** (k - 2)
-    if k == 2:
-        return (1, 2) if n == 1 else (3, 3)
-    if n <= half:
-        return _regular_span(k - 1, n)
-    if n == half + 1:
-        return (m + 1, 2 * m + 2 - _regular_span(k - 1, half)[0])
-    s, e = _regular_span(k - 1, 2 * half + 1 - n)
-    return (2 * m + 2 - e, 2 * m + 2 - s)
-
-
 def regular_run_span(n: int) -> tuple[int, int]:
     """(start, end) of run n of the regular (all +1 instructions) sequence.
 
@@ -281,7 +263,33 @@ def regular_run_span(n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise IndexError("run index must be >= 1")
-    return _regular_span(n.bit_length() + 2, n)
+    k = n.bit_length() + 2
+    return _span((1,) * k, k, n)
+
+
+def _regular_run_data(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(run lengths, 1-indexed run ends) of runs 1..count of the regular sequence.
+
+    Read off one all-ones word with at least `count` runs.  Its last run is
+    already complete: for t >= 2 the word of (1,)*t ends in -1, and the
+    next instruction is +1.
+    """
+    dec = run_decompose(paperfolding_word((1,) * max(2, (count - 1).bit_length() + 1)))
+    return dec.lengths[:count], dec.ends[:count]
+
+
+def _regular_gaps(top: int) -> np.ndarray:
+    """The sorted values t(n) <= top: the complement of H = {1} U {h(m)+1}.
+
+    The run table spans a word of length 2**t - 1 >= top, so every run end
+    h(m) < top is in it.
+    """
+    t = max(2, top.bit_length())
+    _, ends = _regular_run_data(2 ** (t - 1))
+    in_h = np.zeros(top + 2, dtype=bool)
+    in_h[1] = True
+    in_h[ends[ends < top] + 1] = True
+    return np.flatnonzero(~in_h[1 : top + 1]) + 1
 
 
 def regular_run_start(n: int) -> int:
@@ -404,18 +412,23 @@ def square_occurrences(w, z) -> list[int]:
     return [int(i) + 1 for i in np.flatnonzero((wins == zz).all(axis=1))]
 
 
+def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]:
+    """The distinct palindromic factors of length <= max_len found in any row."""
+    found: set = set()
+    for size in range(1, min(max_len, rows.shape[1]) + 1):
+        wins = np.lib.stride_tricks.sliding_window_view(rows, size, axis=1)
+        pal = (wins == wins[..., ::-1]).all(axis=2)
+        if pal.any():
+            found.update(map(tuple, np.unique(wins[pal], axis=0).tolist()))
+    return found
+
+
 def find_palindromes(w, max_len: int) -> FactorInventory:
     """The distinct palindromic factors of w with length <= max_len."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    arr = _word_array(w)
-    found = set()
-    for size in range(1, min(max_len, arr.size) + 1):
-        wins = np.lib.stride_tricks.sliding_window_view(arr, size)
-        pal = (wins == wins[:, ::-1]).all(axis=1)
-        for i in np.flatnonzero(pal):
-            found.add(tuple(int(v) for v in wins[i]))
-    return FactorInventory(found, max_length=max_len)
+    rows = _word_array(w).reshape(1, -1)
+    return FactorInventory(_palindromic_factors(rows, max_len), max_length=max_len)
 
 
 # Factor scans must stay inside the prefix window where every factor of the

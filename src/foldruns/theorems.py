@@ -12,18 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foldcore import FoldCode, all_codes, code_matrix, paperfolding_word
+from .foldcore import FoldCode, all_codes, code_matrix
 from .runs import (
     RunCountError,
     _family_run_data,
+    _palindromic_factors,
     _periodic_windows,
+    _regular_gaps,
+    _regular_run_data,
     _square_factors,
-    find_palindromes,
     find_squares,
     min_code_length,
     predicted_end_positions,
     right_special_count,
-    run_decompose,
     run_length_word,
     subword_complexity,
 )
@@ -278,9 +279,7 @@ def palindromes(L: int = 9, max_len: int = 7) -> CheckReport:
     one of length k - 2, so absence at 6 and 7 rules out everything longer.
     """
     bound = f"codes t={L}, factor len<={max_len}"
-    found: set = set()
-    for code in all_codes(L):
-        found |= set(find_palindromes(run_length_word(code), max_len))
+    found = _palindromic_factors(_family_run_data(L)[2], max_len)
     if found == set(EXPECTED_PALINDROMES):
         return CheckReport(name="palindromes", bound=bound, passed=True)
     extra = sorted(found - EXPECTED_PALINDROMES)
@@ -387,12 +386,7 @@ def right_special_exactly_four(
 # the start-relation suite (machine facts cross-checked against words)
 
 
-def sp_suite(
-    L: int = 8,
-    machine=None,
-    sample_depth: int = 8,
-    test_depth: int = 5,
-) -> list[CheckReport]:
+def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     """Eight structural checks of the run-start relation automaton.
 
     For every valid code with t <= L, the accepted (n, x) pairs are pulled
@@ -411,9 +405,7 @@ def sp_suite(
     if L < 2:
         raise ValueError("sp_suite needs L >= 2")
     if machine is None:
-        machine = infer_automaton(
-            StartRelationOracle(), sample_depth=sample_depth, test_depth=test_depth
-        )
+        machine = infer_automaton(StartRelationOracle(), sample_depth=8, test_depth=5)
     names = [
         "sp-functional",
         "sp-accepts-origin",
@@ -520,7 +512,6 @@ def regular_suite(
     N: int = 10**5,
     sum_bound: "int | None" = None,
     tt_machine=None,
-    tt_depth: int = 10,
 ) -> list[CheckReport]:
     """Index sweeps for the all-ones specializations plus tt well-formedness.
 
@@ -537,14 +528,9 @@ def regular_suite(
     if sum_bound is None:
         sum_bound = min(N, 10**4)
 
-    # one regular word covers every indexed lookup below; t(2k) sits near
+    # one run table covers every indexed lookup below; t(2k) sits near
     # 4.2k, so 5x the sum bound leaves the composition lookups in range
-    need_runs = max(N, 5 * sum_bound + 16)
-    t = max(2, (need_runs - 1).bit_length() + 1)
-    word = paperfolding_word((1,) * t)
-    dec = run_decompose(word)
-    g = dec.lengths.astype(np.int64)  # g[i] = length of run i+1
-    h = dec.ends.astype(np.int64)  # h[i] = end of run i+1
+    g, h = _regular_run_data(max(N, 5 * sum_bound + 16))  # run i+1: g[i], h[i]
 
     reports = []
     ns = np.arange(1, N + 1, dtype=np.int64)
@@ -593,13 +579,7 @@ def regular_suite(
         )
     )
 
-    # sieve the complement of H = {1} U {h(n)+1 : n >= 1}
-    sieve_top = int(h[3 * sum_bound]) + 2
-    in_h = np.zeros(sieve_top + 1, dtype=bool)
-    in_h[1] = True
-    hp = h[h + 1 <= sieve_top] + 1
-    in_h[hp] = True
-    tvals = np.flatnonzero(~in_h[1:]) + 1  # tvals[k] = t(k+1)
+    tvals = _regular_gaps(int(h[3 * sum_bound]) + 2)  # tvals[k] = t(k+1)
     if tvals.size < 2 * sum_bound:
         raise RuntimeError("sieve window too small for the requested sum bound")
 
@@ -662,7 +642,7 @@ def regular_suite(
 
     if tt_machine is None:
         tt_machine = infer_automaton(GapOracle())
-    reports.extend(gap_wellformedness(tt_machine, depth=tt_depth))
+    reports.extend(gap_wellformedness(tt_machine))
     return reports
 
 

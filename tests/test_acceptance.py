@@ -178,7 +178,7 @@ def test_relation_machines_verified():
 def test_regular_sequences_and_gaps():
     start = time.monotonic()
     tt = build_tt(sample_depth=10, test_depth=6)
-    reports = regular_suite(N=10**5, tt_machine=tt, tt_depth=10)
+    reports = regular_suite(N=10**5, tt_machine=tt)
     assert len(reports) == 10
     failed = [str(r) for r in reports if not r.passed]
     assert not failed, failed

@@ -51,6 +51,7 @@ from foldruns import (
 )
 import foldruns.automata as automata
 from foldruns.automata import INSTRUCTION_TRACK, _universe_size
+from foldruns.runs import _regular_gaps
 from mutants import mutated_label, mutated_transition
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=0, max_size=5).map(
@@ -455,13 +456,21 @@ def test_gap_values_frozen(tt_machine):
 
 def test_gap_oracle_agrees_with_search():
     oracle = GapOracle()
-    for n in (1, 2, 3, 5, 8, 13):
+    for n in (1, 2, 3, 5, 8, 13, 5000, 2**20 + 3):
         x = regular_gap_value(n)
         width = max(n.bit_length(), x.bit_length())
         word = tuple(((n >> i) & 1, (x >> i) & 1) for i in range(width))
         assert oracle.label(word)
         wrong = tuple(((n >> i) & 1, ((x + 1) >> i) & 1) for i in range(width + 1))
         assert not oracle.label(wrong)
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3, 100, 1023])
+def test_gap_table_matches_search(top):
+    want = []
+    while (x := regular_gap_value(len(want) + 1)) <= top:
+        want.append(x)
+    assert _regular_gaps(top).tolist() == want
 
 
 def test_gap_wellformedness_reports(tt_machine):
@@ -559,6 +568,70 @@ def test_read_reports_line_numbers():
 def test_read_rejects_bad_header():
     with pytest.raises(AutomatonFormatError):
         read_automaton(io.StringIO("spokes 3\n"))
+
+
+def test_read_rejects_impossible_alphabets():
+    # 2**40 symbols cannot all have transitions in a 43-line file
+    header = "tracks 40\n" + "".join(f"track {i} 0 1\n" for i in range(40))
+    with pytest.raises(AutomatonFormatError, match="symbols need more"):
+        read_automaton(io.StringIO(header + "mode accept\nstate 0 1\n"))
+    with pytest.raises(AutomatonFormatError, match="symbol 0 repeated in track 0"):
+        read_automaton(io.StringIO("tracks 1\ntrack 0 0 0\nmode accept\n"))
+
+
+def _written(machine) -> str:
+    buf = io.StringIO()
+    write_automaton(machine, buf)
+    return buf.getvalue()
+
+
+def _read_or_format_error(text: str) -> None:
+    try:
+        read_automaton(io.StringIO(text))
+    except AutomatonFormatError:
+        pass
+
+
+FORMAT_TOKENS = st.sampled_from(
+    ["tracks", "track", "mode", "accept", "output", "state", "trans",
+     "0", "1", "-1", "2", "40", "0;0", "1;1", "-1;0", ";", "x"]
+)
+EDITED_LINE = st.one_of(
+    st.lists(FORMAT_TOKENS | st.text(max_size=4), max_size=6).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_read_raises_only_format_errors_on_any_text(text):
+    _read_or_format_error(text)
+
+
+# one relation-mode and one function-mode machine, each a few dozen lines
+EDIT_BASES = (
+    _written(valid_code_length_automaton()),
+    _written(
+        build_semantic_automaton(
+            ((0, 1),), 0, lambda s, sym: s ^ sym[0], lambda s: s + 1, mode="output"
+        )
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EDIT_BASES), st.data())
+def test_read_raises_only_format_errors_on_line_edits(text, data):
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(("replace", "delete", "duplicate")))
+    if edit == "replace":
+        lines[i] = data.draw(EDITED_LINE)
+    elif edit == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    _read_or_format_error("\n".join(lines) + "\n")
 
 
 def test_dot_output_shape(sp_machine):

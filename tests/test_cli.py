@@ -289,6 +289,9 @@ def test_dot_source_validation(tmp_path):
     assert run(["dot"]) == 2
     assert run(["dot", "--target", "sp", "--in", "x"]) == 2
     assert run(["dot", "--in", str(tmp_path / "missing.aut")]) == 2
+    non_ascii = tmp_path / "non-ascii.aut"
+    non_ascii.write_bytes(b"tracks 1\ntrack 0 0 1\nmode accept\nstate 0 \xe9\n")
+    assert run(["dot", "--in", str(non_ascii)]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from foldruns import (
     window_bound,
 )
 
+from foldruns.runs import _family_run_data, _palindromic_factors, _regular_run_data
+
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=10).map(
     tuple
 )
@@ -140,6 +142,14 @@ def test_regular_fast_path_matches_generic():
     assert regular_run_length(5) == dec.length(5)
 
 
+def test_regular_run_table_matches_pointwise_spans():
+    lengths, ends = _regular_run_data(2**12)
+    assert lengths.size == ends.size == 2**12
+    for n in range(1, 2**12 + 1):
+        s, e = regular_run_span(n)
+        assert (int(lengths[n - 1]), int(ends[n - 1])) == (e - s + 1, e)
+
+
 def test_regular_fast_path_reaches_huge_indices():
     # O(log n): far beyond anything materializable
     n = 10**12 + 7
@@ -177,6 +187,18 @@ def test_palindromes_for_1111():
 
 def test_palindromes_tiny_word():
     assert find_palindromes((2,), 1) == {(2,)}
+
+
+def test_batched_palindromes_match_a_per_word_scan():
+    rows = _family_run_data(6)[2]
+    want = {
+        w
+        for row in rows.tolist()
+        for k in range(1, 6)
+        for i in range(len(row) - k + 1)
+        if (w := tuple(row[i : i + k])) == w[::-1]
+    }
+    assert _palindromic_factors(rows, 5) == want
 
 
 def test_window_bound_formula():
