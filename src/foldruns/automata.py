@@ -8,15 +8,20 @@ output value to each state (function mode).
 
 The module provides the semantic oracles the relations are defined by,
 an observation-table learner that reconstructs automata from oracle
-queries, an exact bounded verifier, Hopcroft minimization, product
-equivalence, specialization to the all-ones instruction sequence, and a
-line-oriented text serialization plus DOT export.
+queries, an exact bounded verifier, Hopcroft minimization, and a
+line-oriented text serialization plus DOT export.  Derived machines come
+from one algebra: `product` (synchronous, with a label combiner),
+`project` (existential, by subset construction), `pad_closure` (the
+leading-zero closure) and `shortest_word` (emptiness with a witness).
+Equivalence is the shortest word of a product, value combination a
+product, and the all-ones specialization a projection of a padded product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -151,20 +156,9 @@ class MultiTrackAutomaton:
 
     def dead_states(self) -> frozenset[int]:
         """States from which no accepting (or nonzero-output) state is reachable."""
-        if self.outputs is None:
-            live = set(self.accepting)
-        else:
-            live = {q for q, v in enumerate(self.outputs) if v != 0}
-        changed = True
-        while changed:
-            changed = False
-            for q in range(self.n_states):
-                if q not in live and any(
-                    dst in live for dst in self.delta[q].values()
-                ):
-                    live.add(q)
-                    changed = True
-        return frozenset(set(range(self.n_states)) - live)
+        labeled = {q for q in range(self.n_states) if self.state_label(q)}
+        live = _backward_reach(self, labeled, self.symbols)
+        return frozenset(range(self.n_states)) - live
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiTrackAutomaton):
@@ -845,7 +839,7 @@ def infer_automaton(
 
 
 # ---------------------------------------------------------------------------
-# minimization and equivalence
+# minimization
 
 
 def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
@@ -909,29 +903,124 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     )
 
 
+# ---------------------------------------------------------------------------
+# the automaton algebra: products, projections and closures
+
+
+def product(
+    machines: Sequence[MultiTrackAutomaton], combine: Callable, mode: str = "accept"
+) -> MultiTrackAutomaton:
+    """Synchronous product of machines over one alphabet, labeled by `combine`.
+
+    A state's label is `combine` of the component labels; one machine gives
+    a label map, e.g. the complement with `operator.not_`.
+    """
+    tracks = machines[0].tracks
+    if any(m.tracks != tracks for m in machines):
+        raise ValueError("automata read different alphabets")
+    return build_semantic_automaton(
+        tracks,
+        (0,) * len(machines),
+        lambda state, sym: tuple(m.delta[q][sym] for m, q in zip(machines, state)),
+        lambda state: combine(*(m.state_label(q) for m, q in zip(machines, state))),
+        mode,
+    )
+
+
+def _join(mode: str, labels: Iterable):
+    """The label of a set of states: any acceptance, or the one nonzero output."""
+    if mode == "accept":
+        return any(labels)
+    values = sorted(set(labels) - {0})
+    if len(values) > 1:
+        raise InferenceError(
+            f"projection is not single-valued: outputs {values} all reachable"
+        )
+    return values[0] if values else 0
+
+
+def project(a: MultiTrackAutomaton, track: int) -> MultiTrackAutomaton:
+    """Existential projection of `track`, determinized by subset construction.
+
+    A word takes the _join of the labels of its extensions on `track`.
+    """
+    free = a.tracks[track]
+    return build_semantic_automaton(
+        a.tracks[:track] + a.tracks[track + 1 :],
+        frozenset([0]),
+        lambda states, sym: frozenset(
+            a.delta[q][sym[:track] + (f,) + sym[track:]] for q in states for f in free
+        ),
+        lambda states: _join(a.mode, (a.state_label(q) for q in states)),
+        a.mode,
+    )
+
+
+def _backward_reach(
+    a: MultiTrackAutomaton, targets: Iterable[int], symbols: Sequence[tuple]
+) -> set[int]:
+    """The states with a path over `symbols` into `targets`, targets included."""
+    reach = set(targets)
+    while True:
+        more = {q for q in range(a.n_states) for s in symbols if a.delta[q][s] in reach}
+        if more <= reach:
+            return reach
+        reach |= more
+
+
+def pad_closure(a: MultiTrackAutomaton, tracks: Sequence[int]) -> MultiTrackAutomaton:
+    """Each state takes the _join of the labels it reaches while `tracks` read 0.
+
+    The leading-zero fix-up after a projection: the projected track may
+    need a longer word than the remaining tracks spell.
+    """
+    padding = [s for s in a.symbols if not any(s[i] for i in tracks)]
+    states = range(a.n_states)
+    reach = {
+        v: _backward_reach(a, [q for q in states if a.state_label(q) == v], padding)
+        for v in {a.state_label(q) for q in states} - {0}
+    }
+    return build_semantic_automaton(
+        a.tracks,
+        0,
+        a.step,
+        lambda q: _join(a.mode, (v for v, back in reach.items() if q in back)),
+        a.mode,
+    )
+
+
+def shortest_word(a: MultiTrackAutomaton) -> "tuple | None":
+    """The shortest, then least in symbol order, word with a non-default label.
+
+    BFS numbering orders the states by their shortest-least access words,
+    and each state's access word extends that of the first state with an
+    edge into it.  None when every reachable label is the default.
+    """
+    a = a.bfs_renumbered()
+    q = next((q for q in range(a.n_states) if a.state_label(q)), None)
+    if q is None:
+        return None
+    word = []
+    while q:
+        q, sym = next(
+            (p, sym) for p in range(q) for sym in a.symbols if a.delta[p][sym] == q
+        )
+        word.append(sym)
+    return tuple(reversed(word))
+
+
+# ---------------------------------------------------------------------------
+# derived machines: equivalence, value combination, specialization
+
+
 def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> "tuple | None":
     """None if the machines label every word alike, else a shortest separating word.
 
-    Breadth-first over the whole (finite) product graph, so the first
-    separating word found is shortest and None holds at every length.
+    An emptiness check on the finite product, so None holds at every length.
     """
-    if a.tracks != b.tracks:
-        raise ValueError("automata read different alphabets")
     if a.mode != b.mode:
         raise ValueError("cannot compare accept mode with output mode")
-    start = (0, 0)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (qa, qb), word = queue.popleft()
-        if a.state_label(qa) != b.state_label(qb):
-            return word
-        for sym in a.symbols:
-            nxt = (a.delta[qa][sym], b.delta[qb][sym])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (sym,)))
-    return None
+    return shortest_word(product([a, b], operator.ne))
 
 
 def combine_value_acceptors(
@@ -947,30 +1036,16 @@ def combine_value_acceptors(
     """
     if len(acceptors) != len(values) or not acceptors:
         raise ValueError("need one value per acceptor")
-    tracks = acceptors[0].tracks
-    for m in acceptors:
-        if m.tracks != tracks:
-            raise ValueError("acceptors read different alphabets")
-        if m.mode != "accept":
-            raise ValueError("components must be relation-mode automata")
+    if any(m.mode != "accept" for m in acceptors):
+        raise ValueError("components must be relation-mode automata")
 
-    def step(state, sym):
-        return tuple(m.delta[q][sym] for m, q in zip(acceptors, state))
-
-    def classify(state):
-        hits = [v for m, q, v in zip(acceptors, state, values) if q in m.accepting]
+    def combine(*accepted):
+        hits = [v for v, hit in zip(values, accepted) if hit]
         if len(hits) > 1:
-            raise ValueError(f"acceptors overlap at product state {state}")
+            raise ValueError(f"acceptors overlap: values {hits} accept one word")
         return hits[0] if hits else default
 
-    initial = tuple(0 for _ in acceptors)
-    return minimize(
-        build_semantic_automaton(tracks, initial, step, classify, mode="output")
-    )
-
-
-# ---------------------------------------------------------------------------
-# specialization to the all-ones instruction sequence
+    return minimize(product(acceptors, combine, mode="output"))
 
 
 def specialize_regular(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
@@ -983,116 +1058,38 @@ def specialize_regular(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     accepted too, mirroring the (n,x) = (0,0) base clause; in function mode
     off-domain words keep the default output 0.
 
-    The construction runs the original machine nondeterministically over
-    the guessed instruction bits, closes acceptance under zero-padding of
-    the numeric tracks (a valid guess may extend past the written word),
-    determinizes, and minimizes.
+    minimize(project(pad_closure(product([a, guard])))): the guard accepts
+    that shape of track 0 and n, the closure lets the code run past the
+    written word, and the projection guesses it.  In relation mode one more
+    product adds the all-zero words.
     """
     if len(a.tracks) < 2 or a.tracks[0] != INSTRUCTION_TRACK:
         raise ValueError("track 0 must be the instruction track")
-    rest = a.tracks[1:]
-    rest_symbols = tuple(itertools.product(*rest))
 
-    # nfa state: (q, phase, prev_n_bit, flag_2n_le_x, n_positive)
-    start = (0, 0, 0, True, False)
+    # guard state: (padding, last n bit, 2n <= x so far, n > 0 so far) with
+    # x = 2**t - 1, or None once track 0 leaves 1^t 0*.  Bit i of 2n is bit
+    # i - 1 of n; its top bit, the last n bit, lies past the word.
+    def guard(state, sym):
+        if state is None or sym[0] == -1 or (state[0] and sym[0] == 1):
+            return None
+        _, prev, le, positive = state
+        x, n = sym[0], sym[1]
+        return (x == 0, n, prev < x or (prev == x and le), positive or n == 1)
 
-    def moves(state, rsym, choices):
-        q, phase, prev, flag, npos = state
-        out = []
-        for f in choices if phase == 0 else ((0,) if 0 in a.tracks[0] else ()):
-            sym = (f, *rsym)
-            q2 = a.delta[q][sym]
-            xbit = 1 if f == 1 else 0
-            u = prev  # this position's bit of 2n is the previous n-bit
-            if u < xbit:
-                flag2 = True
-            elif u > xbit:
-                flag2 = False
-            else:
-                flag2 = flag
-            nbit = rsym[0]
-            out.append((q2, 0 if f == 1 else 1, nbit, flag2, nbit == 1 or npos))
-        return out
-
-    def is_hit(state, value_mode_value=None) -> bool:
-        q, _, prev, flag, npos = state
-        if not (npos and flag and prev == 0):
-            return False
-        if a.outputs is None:
-            return q in a.accepting
-        return a.outputs[q] == value_mode_value
-
-    zero_rsym = tuple(0 for _ in rest)
-
-    def zero_closure(targets_value=None) -> frozenset:
-        # states from which some all-zero-numeric continuation hits acceptance
-        hits = set()
-        all_states = set()
-        frontier = [start]
-        seen = {start}
-        # enumerate the reachable nfa state space first
-        while frontier:
-            st = frontier.pop()
-            all_states.add(st)
-            for rsym in rest_symbols:
-                for nx in moves(st, rsym, (1, 0)):
-                    if nx not in seen:
-                        seen.add(nx)
-                        frontier.append(nx)
-        edges = defaultdict(set)
-        for st in all_states:
-            for nx in moves(st, zero_rsym, (1, 0)):
-                edges[st].add(nx)
-        closure = {st for st in all_states if is_hit(st, targets_value)}
-        changed = True
-        while changed:
-            changed = False
-            for st in all_states:
-                if st not in closure and edges[st] & closure:
-                    closure.add(st)
-                    changed = True
-        return frozenset(closure)
-
-    if a.outputs is None:
-        zc = zero_closure()
-
-        def step(dstate, rsym):
-            subset, allzero = dstate
-            nxt = set()
-            for st in subset:
-                nxt.update(moves(st, rsym, (1, 0)))
-            return (frozenset(nxt), allzero and rsym == zero_rsym)
-
-        def classify(dstate):
-            subset, allzero = dstate
-            return allzero or bool(subset & zc)
-
-        built = build_semantic_automaton(
-            rest, (frozenset([start]), True), step, classify, mode="accept"
-        )
-        return minimize(built)
-
-    value_range = sorted(set(a.outputs) - {0})
-    closures = {v: zero_closure(v) for v in value_range}
-
-    def step(subset, rsym):
-        nxt = set()
-        for st in subset:
-            nxt.update(moves(st, rsym, (1, 0)))
-        return frozenset(nxt)
-
-    def classify(subset):
-        hits = [v for v in value_range if subset & closures[v]]
-        if len(hits) > 1:
-            raise InferenceError(
-                f"projection is not single-valued: outputs {hits} all reachable"
-            )
-        return hits[0] if hits else 0
-
-    built = build_semantic_automaton(
-        rest, frozenset([start]), step, classify, mode="output"
+    guard_machine = build_semantic_automaton(
+        a.tracks,
+        (False, 0, True, False),
+        guard,
+        lambda state: state is not None and state[1:] == (0, True, True),
     )
-    return minimize(built)
+    guarded = product([a, guard_machine], lambda v, ok: v if ok else 0, a.mode)
+    specialized = project(pad_closure(guarded, range(1, len(a.tracks))), 0)
+    if a.mode == "accept":
+        all_zero = build_semantic_automaton(
+            specialized.tracks, True, lambda ok, sym: ok and not any(sym), bool
+        )
+        specialized = product([specialized, all_zero], operator.or_)
+    return minimize(specialized)
 
 
 def build_tt(sample_depth: int = 10, test_depth: int = 6) -> MultiTrackAutomaton:

@@ -8,10 +8,11 @@ switch to one JSON object per line with --format json-lines.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
-from .foldcore import PLUS, FoldCode, InvalidCodeError
+from .foldcore import MAX_MATERIALIZED_CODE_LEN, PLUS, FoldCode, InvalidCodeError
 from .runs import (
     find_overlaps,
     find_palindromes,
@@ -43,7 +44,6 @@ from .contfrac import (
 )
 from .theorems import SUITES, run_suite
 
-MAX_GEN_LENGTH = 24
 MAX_SWEEP_LENGTH = 12
 
 
@@ -71,8 +71,8 @@ def _resolve_code(args) -> FoldCode:
             raise _UsageError("--code and --regular are mutually exclusive")
         if args.length is None:
             raise _UsageError("--regular needs --length")
-        if not 1 <= args.length <= MAX_GEN_LENGTH:
-            raise _UsageError(f"--length must be in 1..{MAX_GEN_LENGTH}")
+        if not 1 <= args.length <= MAX_MATERIALIZED_CODE_LEN:
+            raise _UsageError(f"--length must be in 1..{MAX_MATERIALIZED_CODE_LEN}")
         return FoldCode((PLUS,) * args.length)
     if args.code is None:
         raise _UsageError("provide --code or --regular --length")
@@ -82,9 +82,21 @@ def _resolve_code(args) -> FoldCode:
         code = FoldCode.from_text(args.code)
     except InvalidCodeError as exc:
         raise _UsageError(str(exc))
-    if code.effective_length > MAX_GEN_LENGTH:
-        raise _UsageError(f"codes longer than {MAX_GEN_LENGTH} are not materialized")
+    if code.effective_length > MAX_MATERIALIZED_CODE_LEN:
+        raise _UsageError(
+            f"codes longer than {MAX_MATERIALIZED_CODE_LEN} are not materialized"
+        )
     return code
+
+
+def _output(path):
+    """The --out file, or stdout; open it before the work so a bad path fails fast."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(str(exc))
 
 
 def _word_text(word) -> str:
@@ -159,12 +171,9 @@ def _check_depths(args) -> None:
 
 def _cmd_infer(args) -> int:
     _check_depths(args)
-    machine = _build_target(args.target, args.sample_depth, args.test_depth)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_automaton(machine, fh)
-    else:
-        write_automaton(machine, sys.stdout)
+    with _output(args.out) as fh:
+        machine = _build_target(args.target, args.sample_depth, args.test_depth)
+        write_automaton(machine, fh)
     return 0
 
 
@@ -280,24 +289,23 @@ def _cmd_complexity(args) -> int:
 def _cmd_dot(args) -> int:
     if (args.target is None) == (args.source is None):
         raise _UsageError("provide exactly one of --target or --in")
+    machine = None
     if args.target is not None:
         _check_depths(args)
-        machine = _build_target(args.target, args.sample_depth, args.test_depth)
     else:
         try:
             machine = read_automaton(args.source)
         except (OSError, AutomatonFormatError) as exc:
             raise _UsageError(str(exc))
-    text = to_dot(machine)
-    if args.format == "json-lines":
-        text = "".join(
-            _json_line({"dot": line}) + "\n" for line in text.splitlines()
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as fh:
+        if machine is None:
+            machine = _build_target(args.target, args.sample_depth, args.test_depth)
+        text = to_dot(machine)
+        if args.format == "json-lines":
+            text = "".join(
+                _json_line({"dot": line}) + "\n" for line in text.splitlines()
+            )
+        fh.write(text)
     return 0
 
 

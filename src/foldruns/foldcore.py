@@ -18,9 +18,10 @@ MINUS = -1
 PAD = 0
 
 # Materializing a word for a code with more effective instructions than
-# this would allocate 2**30 - 1 terms; single-term queries stay available
-# at any size through paperfolding_term.
-MAX_MATERIALIZED_CODE_LEN = 30
+# this is refused: at 24 the word has 2**24 - 1 terms and its run
+# decomposition peaks near 320 MiB, doubling with each instruction.
+# Single-term queries stay available at any size through paperfolding_term.
+MAX_MATERIALIZED_CODE_LEN = 24
 
 _CHAR_TO_SYMBOL = {"+": PLUS, "-": MINUS, "0": PAD}
 _SYMBOL_TO_CHAR = {PLUS: "+", MINUS: "-", PAD: "0"}

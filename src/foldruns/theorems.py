@@ -323,15 +323,10 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
     return CheckReport(name="no_triple_extension", bound=bound, passed=True)
 
 
-def complexity(
-    n_range: tuple[int, int] = (6, 30), L: int = 14, sample: int = 16
+def _spread_count_check(
+    name: str, count, expected, n_range: tuple[int, int], L: int, sample: int
 ) -> CheckReport:
-    """Distinct length-n factor count of run-length words equals 4n + 4.
-
-    Runs on a fixed spread of codes of effective length L; the windowed
-    scan underneath guarantees every length-n factor appears in the scanned
-    prefix, so the count is a property of the family, not the sample.
-    """
+    """count(code, n) == expected(n) on _spread_codes(L, sample), n in range."""
     lo, hi = n_range
     need = min_code_length(hi)
     if L < need:
@@ -342,15 +337,25 @@ def complexity(
     bound = f"n={lo}..{hi}, codes len {L}, sample {sample}"
     for code in _spread_codes(L, sample):
         for n in range(lo, hi + 1):
-            got = subword_complexity(code, n)
-            if got != 4 * n + 4:
-                return CheckReport(
-                    name="complexity",
-                    bound=bound,
-                    passed=False,
-                    witness=(code.to_text(), n, got, 4 * n + 4),
-                )
-    return CheckReport(name="complexity", bound=bound, passed=True)
+            got, want = count(code, n), expected(n)
+            if got != want:
+                witness = (code.to_text(), n, got, want)
+                return CheckReport(name, bound, passed=False, witness=witness)
+    return CheckReport(name=name, bound=bound, passed=True)
+
+
+def complexity(
+    n_range: tuple[int, int] = (6, 30), L: int = 14, sample: int = 16
+) -> CheckReport:
+    """Distinct length-n factor count of run-length words equals 4n + 4.
+
+    Runs on a fixed spread of codes of effective length L; the windowed
+    scan underneath guarantees every length-n factor appears in the scanned
+    prefix, so the count is a property of the family, not the sample.
+    """
+    return _spread_count_check(
+        "complexity", subword_complexity, lambda n: 4 * n + 4, n_range, L, sample
+    )
 
 
 def right_special_exactly_four(
@@ -361,25 +366,10 @@ def right_special_exactly_four(
     At n = 5 the true count is five, so ranges that include 5 fail with the
     witnessing count; the default range starts at 6 where the claim holds.
     """
-    lo, hi = n_range
-    need = min_code_length(hi)
-    if L < need:
-        raise ValueError(
-            f"codes of length {L} are too short for factor length {hi}: "
-            f"minimum required length is {need}"
-        )
-    bound = f"n={lo}..{hi}, codes len {L}, sample {sample}"
-    for code in _spread_codes(L, sample):
-        for n in range(lo, hi + 1):
-            got = right_special_count(code, n)
-            if got != 4:
-                return CheckReport(
-                    name="right_special_exactly_four",
-                    bound=bound,
-                    passed=False,
-                    witness=(code.to_text(), n, got, 4),
-                )
-    return CheckReport(name="right_special_exactly_four", bound=bound, passed=True)
+    name = "right_special_exactly_four"
+    return _spread_count_check(
+        name, right_special_count, lambda n: 4, n_range, L, sample
+    )
 
 
 # ---------------------------------------------------------------------------

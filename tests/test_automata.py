@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import operator
 import random
 
 import pytest
@@ -50,7 +51,15 @@ from foldruns import (
     write_automaton,
 )
 import foldruns.automata as automata
-from foldruns.automata import INSTRUCTION_TRACK, _universe_size
+from foldruns.automata import (
+    BIT_TRACK,
+    INSTRUCTION_TRACK,
+    _universe_size,
+    pad_closure,
+    product,
+    project,
+    shortest_word,
+)
 from foldruns.runs import _regular_gaps
 from mutants import mutated_label, mutated_transition
 
@@ -318,6 +327,173 @@ def test_minimize_preserves_language(dfa):
     assert minimize(m) == m
 
 
+# ---------------------------------------------------------------------------
+# the automaton algebra against brute force on small two-track machines
+
+TWO_BITS = (BIT_TRACK, BIT_TRACK)
+TWO_BIT_SYMBOLS = tuple(itertools.product(*TWO_BITS))
+
+# random_dfas on the four two-bit symbols, with an output in 0..2 per state
+random_two_track = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.tuples(*[st.integers(0, n - 1)] * len(TWO_BIT_SYMBOLS)),
+            min_size=n,
+            max_size=n,
+        ),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.sampled_from(("accept", "output")),
+    )
+)
+
+
+def _two_track(spec):
+    rows, labels, mode = spec
+    delta = [dict(zip(TWO_BIT_SYMBOLS, row)) for row in rows]
+    if mode == "accept":
+        accepting = [q for q, v in enumerate(labels) if v]
+        return MultiTrackAutomaton(TWO_BITS, delta, accepting=accepting)
+    return MultiTrackAutomaton(TWO_BITS, delta, outputs=labels)
+
+
+def _words(symbols, max_len):
+    """Every word up to max_len, shortest first, then in symbol order."""
+    for k in range(max_len + 1):
+        yield from itertools.product(symbols, repeat=k)
+
+
+def _brute_join(mode, labels):
+    """The join of a label set, or None where outputs disagree."""
+    labels = set(labels)
+    if mode == "accept":
+        return any(labels)
+    values = labels - {0}
+    return None if len(values) > 1 else max(values, default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_two_track, random_two_track)
+def test_product_labels_every_word_by_the_combiner(spec_a, spec_b):
+    a, b = _two_track(spec_a), _two_track(spec_b)
+    both = product([a, b], lambda x, y: (int(x) + 2 * int(y)) % 3, mode="output")
+    complement = product([a], operator.not_)
+    for w in _words(TWO_BIT_SYMBOLS, 4):
+        la, lb = a.word_label(w), b.word_label(w)
+        assert both.output(w) == (int(la) + 2 * int(lb)) % 3
+        assert complement.accepts(w) == (not la)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_two_track, st.sampled_from((0, 1)))
+def test_project_joins_every_extension(spec, track):
+    a = _two_track(spec)
+    expected = {}
+    for k in range(5):
+        for w in itertools.product(BIT_TRACK, repeat=k):
+            labels = []
+            for ext in itertools.product(BIT_TRACK, repeat=k):
+                pairs = zip(w, ext) if track == 1 else zip(ext, w)
+                labels.append(a.word_label(tuple(pairs)))
+            expected[tuple((s,) for s in w)] = _brute_join(a.mode, labels)
+    if None in expected.values():
+        with pytest.raises(InferenceError, match="not single-valued"):
+            project(a, track)
+        return
+    try:
+        projected = project(a, track)
+    except InferenceError:
+        assert a.mode == "output"  # outputs may disagree only past length 4
+        return
+    assert projected.tracks == (BIT_TRACK,)
+    for w, want in expected.items():
+        assert projected.word_label(w) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_two_track, st.sampled_from(((0,), (1,), (0, 1))))
+def test_pad_closure_joins_the_padded_continuations(spec, tracks):
+    # n states: every state is reached within n - 1 symbols, and every
+    # padding path reaches what it can within n - 1 more, so this is exact
+    a = _two_track(spec)
+    n = a.n_states
+    padding = [s for s in TWO_BIT_SYMBOLS if not any(s[i] for i in tracks)]
+    expected = {
+        w: _brute_join(a.mode, (a.word_label(w + z) for z in _words(padding, n - 1)))
+        for w in _words(TWO_BIT_SYMBOLS, n - 1)
+    }
+    if None in expected.values():
+        with pytest.raises(InferenceError, match="not single-valued"):
+            pad_closure(a, tracks)
+        return
+    closed = pad_closure(a, tracks)
+    for w, want in expected.items():
+        assert closed.word_label(w) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_two_track)
+def test_shortest_word_is_the_first_labeled_word(spec):
+    a = _two_track(spec)
+    first = next(
+        (w for w in _words(TWO_BIT_SYMBOLS, a.n_states - 1) if a.word_label(w)), None
+    )
+    assert shortest_word(a) == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_two_track)
+def test_dead_states_match_reachability(spec):
+    a = _two_track(spec)
+    words = list(_words(TWO_BIT_SYMBOLS, a.n_states - 1))
+    dead = {
+        q
+        for q in range(a.n_states)
+        if not any(a.state_label(a.run(w, start=q)) for w in words)
+    }
+    assert a.dead_states() == dead
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_two_track, random_two_track)
+def test_equivalent_returns_the_first_separating_word(spec_a, spec_b):
+    a = _two_track(spec_a)
+    b = _two_track((*spec_b[:2], spec_a[2]))
+    first = next(
+        (w for w in _words(TWO_BIT_SYMBOLS, 3) if a.word_label(w) != b.word_label(w)),
+        None,
+    )
+    got = equivalent(a, b)
+    if first is not None:
+        assert got == first
+    elif got is not None:
+        assert len(got) > 3 and a.word_label(got) != b.word_label(got)
+
+
+def test_algebra_error_paths(sp_machine, rl_machine):
+    code_length = valid_code_length_automaton()
+    with pytest.raises(ValueError, match="overlap"):
+        combine_value_acceptors([code_length, code_length], (1, 2))
+    with pytest.raises(ValueError, match="different alphabets"):
+        equivalent(sp_machine, code_length)
+    with pytest.raises(ValueError, match="accept mode with output mode"):
+        equivalent(rl_machine, code_length)
+    with pytest.raises(ValueError, match="different alphabets"):
+        product([sp_machine, code_length], operator.and_)
+    # track 1 chooses between outputs 1 and 2 on the same track-0 word
+    fork = MultiTrackAutomaton(
+        TWO_BITS,
+        [{s: 1 + s[1] for s in TWO_BIT_SYMBOLS}]
+        + [{s: q for s in TWO_BIT_SYMBOLS} for q in (1, 2)],
+        outputs=[0, 1, 2],
+    )
+    with pytest.raises(InferenceError, match="not single-valued"):
+        project(fork, 1)
+    with pytest.raises(ValueError, match="instruction track"):
+        specialize_regular(_two_state())
+    with pytest.raises(ValueError, match="instruction track"):
+        specialize_regular(fork)
+
+
 @settings(max_examples=40, deadline=None)
 @given(codes_st, st.integers(0, 31), st.integers(0, 31), st.integers(1, 3))
 def test_acceptance_is_padding_invariant(sp_machine, code, n, x, extra):
@@ -401,21 +577,21 @@ def test_specialized_start_machine_matches_direct_inference(sp_machine):
     specialized = specialize_regular(sp_machine)
     direct = infer_automaton(RegularStartOracle(), sample_depth=8, test_depth=5)
     assert specialized.n_states == direct.n_states == 12
-    assert equivalent(specialized, direct) is None
+    assert specialized == direct
 
 
 def test_specialized_end_machine_matches_direct_inference(ep_machine):
     specialized = specialize_regular(ep_machine)
     direct = infer_automaton(RegularEndOracle(), sample_depth=8, test_depth=5)
     assert specialized.n_states == direct.n_states == 10
-    assert equivalent(specialized, direct) is None
+    assert specialized == direct
 
 
 def test_specialized_length_machine_matches_direct_inference(rl_machine):
     specialized = specialize_regular(rl_machine)
     direct = infer_automaton(RegularLengthOracle(), sample_depth=8, test_depth=5)
     assert specialized.n_states == direct.n_states == 12
-    assert equivalent(specialized, direct) is None
+    assert specialized == direct
 
 
 def test_value_slices_combine_back_to_the_length_machine(rl_machine):
@@ -427,7 +603,7 @@ def test_value_slices_combine_back_to_the_length_machine(rl_machine):
     ]
     combined = combine_value_acceptors(slices, (1, 2, 3), default=0)
     assert combined.n_states == rl_machine.n_states == 31
-    assert equivalent(combined, rl_machine) is None
+    assert combined == rl_machine
 
 
 def test_regular_machines_match_fast_path_lookups():

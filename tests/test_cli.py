@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from foldruns import CheckReport, read_automaton
+from foldruns import (
+    CheckReport,
+    read_automaton,
+    valid_code_length_automaton,
+    write_automaton,
+)
 from foldruns.cli import entrypoint, run
 
 RUN_TABLE_1111 = [
@@ -292,6 +297,25 @@ def test_dot_source_validation(tmp_path):
     non_ascii = tmp_path / "non-ascii.aut"
     non_ascii.write_bytes(b"tracks 1\ntrack 0 0 1\nmode accept\nstate 0 \xe9\n")
     assert run(["dot", "--in", str(non_ascii)]) == 2
+
+
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    # a bad --out path is a usage error, reported before any inference runs
+    def no_work(*args):
+        raise AssertionError("the work started before --out was opened")
+
+    monkeypatch.setattr("foldruns.cli._build_target", no_work)
+    machine = tmp_path / "machine.aut"
+    write_automaton(valid_code_length_automaton(), str(machine))
+    out = str(tmp_path / "missing" / "x.out")
+    for argv in (
+        ["infer", "--target", "sp", "--out", out],
+        ["dot", "--target", "sp", "--out", out],
+        ["dot", "--in", str(machine), "--out", out],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x.out" in err
 
 
 # ---------------------------------------------------------------------------

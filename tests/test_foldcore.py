@@ -165,8 +165,9 @@ def test_as_code_accepts_text_sequences_and_codes():
 
 
 def test_materialization_limit():
-    with pytest.raises(MaterializationLimitError):
-        paperfolding_word((PLUS,) * 31)
+    for t in (25, 31):
+        with pytest.raises(MaterializationLimitError):
+            paperfolding_word((PLUS,) * t)
 
 
 def test_word_equality_and_array_dtype():

@@ -34,6 +34,7 @@ from foldruns import (
 )
 
 from foldruns.runs import _family_run_data, _palindromic_factors, _regular_run_data
+from foldruns.theorems import _spread_codes
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=10).map(
     tuple
@@ -206,6 +207,43 @@ def test_window_bound_formula():
     assert window_bound(30) == 13 * 92
     assert min_code_length(1) == 8
     assert min_code_length(30) == 12
+
+
+def _factor_keys(runs, n):
+    """Each length-n factor of each row, as one base-4 integer (runs are 1..3)."""
+    windows = np.lib.stride_tricks.sliding_window_view(runs, n, axis=-1)
+    return windows.astype(np.int64) @ (4 ** np.arange(n, dtype=np.int64))
+
+
+def _assert_window_holds_every_factor(codes, lengths, ends, n):
+    # the factors of runs that end inside window_bound(n) must be all the
+    # factors of the word without its last run, which the next instruction
+    # can lengthen
+    whole = _factor_keys(lengths[:, :-1], n)
+    inside = (ends <= window_bound(n)).sum(axis=1)
+    for code, keys, k in zip(codes, whole, inside.tolist()):
+        assert k < lengths.shape[1]
+        missing = np.setdiff1d(keys, keys[: k - n + 1])
+        assert missing.size == 0, f"code {code}, n={n}: {missing.size} factors outside"
+
+
+def test_window_bound_holds_every_factor_of_the_length_10_family():
+    codes, _, lengths, ends = _family_run_data(10)
+    ns = [n for n in range(1, 31) if min_code_length(n) <= 10]
+    assert ns == list(range(1, 13))
+    for n in ns:
+        _assert_window_holds_every_factor(codes.tolist(), lengths, ends, n)
+
+
+def test_window_bound_holds_every_factor_of_the_complexity_sample():
+    # the codes and factor lengths complexity() and right_special_exactly_four()
+    # read through the window
+    for code in _spread_codes(14, 16):
+        dec = run_decompose(paperfolding_word(code))
+        for n in range(6, 31):
+            _assert_window_holds_every_factor(
+                [code.to_text()], dec.lengths[None, :], dec.ends[None, :], n
+            )
 
 
 def test_subword_complexity_examples():
