@@ -26,6 +26,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .runs import (
     _family_run_data,
     _regular_gaps,
@@ -38,6 +40,7 @@ from .foldcore import FoldCode, InvalidCodeError, as_code, is_valid_code
 
 INSTRUCTION_TRACK = (-1, 0, 1)
 BIT_TRACK = (0, 1)
+SAMPLE_BLOCK_ROWS = 2**15
 
 
 class InferenceError(RuntimeError):
@@ -60,9 +63,16 @@ class MultiTrackAutomaton:
     (relation mode) or `outputs` (function mode) must be given.  State ids
     are 0..n-1 with 0 initial; construction validates completeness and
     determinism so downstream algorithms can assume both.
+
+    `delta` is the construction and serialization view.  The array view is
+    `table`, an immutable int32[n_states, n_symbols] successor table whose
+    columns are numbered by `columns`, and `labels`, the state labels as a
+    vector.
     """
 
-    __slots__ = ("tracks", "symbols", "delta", "accepting", "outputs")
+    __slots__ = (
+        "tracks", "symbols", "delta", "accepting", "outputs", "table", "labels"
+    )
 
     def __init__(
         self,
@@ -107,6 +117,13 @@ class MultiTrackAutomaton:
                 raise ValueError("outputs must assign exactly one value per state")
             self.accepting = None
             self.outputs = outs
+        self.table = np.array(
+            [[edges[sym] for sym in self.symbols] for edges in self.delta],
+            dtype=np.int32,
+        )
+        self.labels = np.array([self.state_label(q) for q in range(n)])
+        self.table.setflags(write=False)
+        self.labels.setflags(write=False)
 
     @property
     def mode(self) -> str:
@@ -124,6 +141,21 @@ class MultiTrackAutomaton:
         if self.outputs is None:
             return q in self.accepting
         return self.outputs[q]
+
+    def columns(self, values: Sequence) -> np.ndarray:
+        """Table columns of the symbols whose track j reads values[j].
+
+        Mixed radix in `symbols` order: track 0 is the most significant
+        digit and a value's digit is its index in its track, so instructions
+        -1, 0, 1 read 0, 1, 2 and bits read themselves.  Arrays broadcast.
+        """
+        col = 0
+        for track, v in zip(self.tracks, values):
+            lo = min(track)
+            digit = np.zeros(max(track) - lo + 1, dtype=np.intp)
+            digit[np.subtract(track, lo)] = range(len(track))
+            col = col * len(track) + digit[np.subtract(v, lo)]
+        return col
 
     def step(self, q: int, symbol: tuple) -> int:
         return self.delta[q][symbol]
@@ -369,8 +401,11 @@ class WordOracle:
 
     `label(word)` is the machine's required verdict on any product word.
     `samples(width)` enumerates, exactly once each, every width-`width`
-    input whose label differs from the default (False or 0), as
-    (track0 | None, numeric values, label) triples.
+    input whose label differs from the default (False or 0).  It yields
+    blocks of at most SAMPLE_BLOCK_ROWS samples, one row per sample:
+    (track0 int8[N, width] | None, numeric values int64[N, m], labels[N]).
+    Rows come in strictly increasing order of (code length, code rank in
+    code_matrix order, numeric values), which the verifier checks.
     """
 
     tracks: tuple = ()
@@ -390,6 +425,19 @@ class WordOracle:
 
     def samples(self, width: int) -> Iterator[tuple]:
         raise NotImplementedError
+
+
+def _row_blocks(count: int) -> Iterator[np.ndarray]:
+    """Row indices 0..count-1 in runs of at most SAMPLE_BLOCK_ROWS."""
+    for lo in range(0, count, SAMPLE_BLOCK_ROWS):
+        yield np.arange(lo, min(lo + SAMPLE_BLOCK_ROWS, count))
+
+
+def _value_block(track0, n: np.ndarray, values: np.ndarray, relation: bool) -> tuple:
+    """A sample block: the graph (n, value) in relation mode, else n -> value."""
+    if relation:
+        return track0, np.stack([n, values], axis=1), np.ones(len(n), dtype=bool)
+    return track0, n[:, None], values
 
 
 class _CodeFamilyOracle(WordOracle):
@@ -427,27 +475,30 @@ class _CodeFamilyOracle(WordOracle):
         return v is not None and nums[1] == v
 
     def _family(self, t: int) -> tuple:
-        """(codes, column values) of every code of length t, as Python lists."""
+        """(codes, values) of every code of length t; values[c, n] is for run n.
+
+        Column 0 holds the value at the virtual run n = 0; t = 0 is the
+        empty code alone.
+        """
         hit = self._rows.get(t)
         if hit is None:
-            codes, _, lengths, ends = _family_run_data(t)
-            column = (ends - lengths + 1, ends, lengths)[self.column]
-            hit = self._rows[t] = ([tuple(c) for c in codes.tolist()], column.tolist())
+            codes, column = np.zeros((1, 0), np.int8), np.zeros((1, 0), np.int32)
+            if t:
+                codes, _, lengths, ends = _family_run_data(t)
+                column = (ends - lengths + 1, ends, lengths)[self.column]
+            zero = np.full((len(codes), 1), self.value_at_zero, dtype=np.int32)
+            hit = self._rows[t] = (codes, np.hstack([zero, column]))
         return hit
 
     def samples(self, width: int) -> Iterator[tuple]:
-        relation = self.mode == "accept"
-        zero = (0, self.value_at_zero) if relation else (0,)
-        zero_label = True if relation else self.value_at_zero
-        if self.empty_code_relates:
-            yield ((0,) * width, zero, zero_label)
-        for t in range(1, width + 1):
-            pad = (0,) * (width - t)
-            for code, values in zip(*self._family(t)):
-                track0 = code + pad
-                yield (track0, zero, zero_label)
-                for n, v in enumerate(values, start=1):
-                    yield (track0, (n, v), True) if relation else (track0, (n,), v)
+        for t in range(0 if self.empty_code_relates else 1, width + 1):
+            codes, values = self._family(t)
+            per_code = values.shape[1]
+            for rows in _row_blocks(len(codes) * per_code):
+                code, n = np.divmod(rows, per_code)
+                track0 = np.zeros((len(rows), width), dtype=np.int8)
+                track0[:, :t] = codes[code]
+                yield _value_block(track0, n, values[code, n], self.mode == "accept")
 
 
 class StartRelationOracle(_CodeFamilyOracle):
@@ -511,23 +562,24 @@ class _RegularOracle(WordOracle):
             return self.zero_relates and nums[1] == 0
         return nums[1] == self._value(n)
 
-    def _table(self, width: int) -> list[int]:
+    def _table(self, width: int) -> np.ndarray:
         """f(1), f(2), ... over every n < 2**width whose sample fits the width."""
         top = 2**width - 1
         if self.column == 3:
-            return _regular_gaps(top).tolist()  # t(n) <= top forces n <= top
+            return _regular_gaps(top)  # t(n) <= top forces n <= top
         lengths, ends = _regular_run_data(top)
         values = (ends - lengths + 1, ends, lengths)[self.column]
         if self.mode == "accept":
             values = values[values <= top]
-        return values.tolist()
+        return values
 
     def samples(self, width: int) -> Iterator[tuple]:
-        relation = self.mode == "accept"
-        if self.zero_relates:
-            yield (None, (0, 0), True)
-        for n, v in enumerate(self._table(width), start=1):
-            yield (None, (n, v), True) if relation else (None, (n,), v)
+        values = self._table(width).astype(np.int64)
+        n = np.arange(1, len(values) + 1)
+        if self.zero_relates:  # (0, 0) comes first
+            n, values = np.concatenate(([0], n)), np.concatenate(([0], values))
+        for rows in _row_blocks(len(n)):
+            yield _value_block(None, n[rows], values[rows], self.mode == "accept")
 
 
 class RegularStartOracle(_RegularOracle):
@@ -585,9 +637,11 @@ class ValueSliceOracle(WordOracle):
         return self.base.label(word) == self.value
 
     def samples(self, width: int) -> Iterator[tuple]:
-        for track0, nums, lbl in self.base.samples(width):
-            if lbl == self.value:
-                yield (track0, nums, True)
+        for track0, nums, labels in self.base.samples(width):
+            keep = labels == self.value
+            if keep.any():
+                track0 = None if track0 is None else track0[keep]
+                yield track0, nums[keep], np.ones(np.count_nonzero(keep), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -596,26 +650,65 @@ class ValueSliceOracle(WordOracle):
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A word where automaton and oracle disagree."""
+    """A word where automaton and oracle disagree.
+
+    `has_instruction_track` tells how to read the word: track 0 carries
+    instructions, or every track carries a number (a bit-only alphabet).
+    """
 
     word: tuple
     automaton_label: object
     oracle_label: object
+    has_instruction_track: bool = True
 
     def __str__(self) -> str:
-        raw, nums = decode_raw(self.word)
+        if self.has_instruction_track:
+            raw, nums = decode_raw(self.word)
+            decoded = f"track0={raw}, values={nums}"
+        else:
+            _, nums = decode_raw(self.word, len(self.word[0]) if self.word else 0)
+            decoded = f"values={nums}"
         return (
-            f"word {self.word} (track0={raw}, values={nums}): "
+            f"word {self.word} ({decoded}): "
             f"automaton says {self.automaton_label}, oracle says {self.oracle_label}"
         )
 
 
-def _materialize(track0, nums: Sequence[int], width: int) -> tuple[tuple, ...]:
-    """The width-symbol word of a sample: track 0 (if any), then nums lsd-first."""
-    tracks = [[(v >> i) & 1 for i in range(width)] for v in nums]
+def _row_word(track0, nums: np.ndarray, width: int, r: int) -> tuple[tuple, ...]:
+    """The width-symbol word of sample row r: track 0 (if any), nums lsd-first."""
+    tracks = [[(v >> i) & 1 for i in range(width)] for v in nums[r].tolist()]
     if track0 is not None:
-        tracks.insert(0, track0)
+        tracks.insert(0, track0[r].tolist())
     return tuple(zip(*tracks))
+
+
+def _sample_keys(track0, nums: np.ndarray, width: int) -> np.ndarray:
+    """Each row's enumeration key (code length, code rank, values) as one int64.
+
+    A code of length t and code_matrix rank r is code number 2**t - 1 + r
+    in (length, rank) order; each value, below 2**width, follows as a
+    width-bit digit.
+    """
+    key = np.zeros(len(nums), dtype=np.int64)
+    if track0 is not None:
+        t = np.count_nonzero(track0, axis=1)
+        minus = (track0 == -1).astype(np.int64) @ (1 << np.arange(width)[::-1])
+        key = (1 << t) - 1 + (minus >> (width - t))
+    for v in nums.T:
+        key = (key << width) | v
+    return key
+
+
+def _final_states(a: MultiTrackAutomaton, track0, nums: np.ndarray, width: int):
+    """The state each row's word leads to, by one table gather per position."""
+    numeric = np.ascontiguousarray(nums.T)
+    q = np.zeros(len(nums), dtype=np.intp)
+    for i in range(width):
+        symbol = [(v >> i) & 1 for v in numeric]
+        if track0 is not None:
+            symbol.insert(0, track0[:, i])
+        q = a.table[q, a.columns(symbol)]
+    return q
 
 
 def _next_padding(constrained: bool, sym: tuple, padded: int) -> "int | None":
@@ -704,7 +797,7 @@ def _find_overaccepted(
     w = descend(0, 0, width)
     if w is None:
         return None
-    return Counterexample(w, target, oracle.label(w))
+    return Counterexample(w, target, oracle.label(w), constrained)
 
 
 def verify_exhaustive(
@@ -712,27 +805,52 @@ def verify_exhaustive(
 ) -> "Counterexample | None":
     """Compare A with the oracle on every valid-track-0 word of length <= depth.
 
-    Positive side: walk every non-default sample and compare labels.
-    Negative side: count words per label (valid track 0 only) and match
-    against the sample tally; a count mismatch means A labels some
-    default word otherwise, which a pruned search then materializes.
-    Together these two sides are exactly word-by-word comparison over the
-    whole universe.
+    Positive side: walk every block of non-default samples through the
+    dense table, one gather per position, and compare the labels as
+    vectors.  The samples of a width must come in strictly increasing key
+    order, so none is counted twice.  Negative side: count words per label
+    (valid track 0 only) and match against the sample tally; a count
+    mismatch means A labels some default word otherwise, which a pruned
+    search then materializes.  Together these two sides are exactly
+    word-by-word comparison over the whole universe.
     """
     if tuple(tuple(t) for t in oracle.tracks) != a.tracks:
         raise ValueError("automaton and oracle alphabets differ")
     if oracle.mode != a.mode:
         raise ValueError("automaton and oracle modes differ")
     default = oracle.default
-    table = _completion_counts(a, depth, oracle.has_instruction_track)
+    constrained = oracle.has_instruction_track
+    numeric = len(a.tracks) - constrained
+    if (depth + 1 if constrained else 0) + depth * numeric > 63:
+        raise ValueError(f"sample keys at depth {depth} do not fit in int64")
+    table = _completion_counts(a, depth, constrained)
     for width in range(depth + 1):
         tally: dict = defaultdict(int)
-        for track0, nums, lbl in oracle.samples(width):
-            word = _materialize(track0, nums, width)
-            got = a.word_label(word)
-            if got != lbl:
-                return Counterexample(word, got, lbl)
-            tally[lbl] += 1
+        last = np.array([-1])
+        for track0, nums, expected in oracle.samples(width):
+            if nums.size and not 0 <= nums.min() <= nums.max() < 2**width:
+                raise InferenceError(
+                    f"{oracle.name}: a sample value does not fit width {width}"
+                )
+            keys = np.concatenate([last, _sample_keys(track0, nums, width)])
+            if np.any(keys[1:] <= keys[:-1]):
+                raise InferenceError(
+                    f"{oracle.name}: samples at width {width} repeat or are "
+                    "out of order"
+                )
+            last = keys[-1:]
+            got = a.labels[_final_states(a, track0, nums, width)]
+            bad = np.flatnonzero(got != expected)
+            if len(bad):
+                r = bad[0]
+                return Counterexample(
+                    _row_word(track0, nums, width, r),
+                    got[r].item(),
+                    expected[r].item(),
+                    constrained,
+                )
+            for lbl, count in zip(*np.unique(expected, return_counts=True)):
+                tally[lbl.item()] += int(count)
         tally[default] += _universe_size(oracle, width) - sum(tally.values())
         counts = table[width][(0, 0)]
         labels = sorted(set(counts) | set(tally))
@@ -1111,35 +1229,27 @@ def _free_track_values(
     """Sorted values of tracks 1.. over the accepted words with track 0 = `fixed`.
 
     Every free track is a bit track read lsd-first over len(fixed) symbols.
-    Backward feasibility pruning keeps the walk proportional to the number
-    of accepted assignments, so full extraction stays cheap even when the
+    Backward feasibility (one state vector per position) prunes a forward
+    frontier walk to the prefixes that still reach acceptance, so the walk
+    stays proportional to the number of accepted assignments even when the
     free tracks could range over 4**width combinations.
     """
     width = len(fixed)
-    free = tuple(itertools.product(*a.tracks[1:]))
-    feasible = [set() for _ in range(width + 1)]
-    feasible[width] = set(a.accepting)
+    free = np.array(list(itertools.product(*a.tracks[1:])), dtype=np.int64)
+    # succ[:, i, j]: successors on (fixed[i], free symbol j)
+    fixed_track = np.array(fixed, dtype=np.int64).reshape(width, 1)
+    succ = a.table[:, a.columns([fixed_track, *free.T])]
+    feasible = [a.labels]
     for i in range(width - 1, -1, -1):
-        nxt = feasible[i + 1]
-        feasible[i] = {
-            q
-            for q in range(a.n_states)
-            if any(a.delta[q][(fixed[i], *bits)] in nxt for bits in free)
-        }
-    hits: list[tuple[int, ...]] = []
-
-    def descend(q: int, i: int, vals: tuple[int, ...]) -> None:
-        if i == width:
-            hits.append(vals)  # feasible[width] holds only accepting states
-            return
-        for bits in free:
-            dst = a.delta[q][(fixed[i], *bits)]
-            if dst in feasible[i + 1]:
-                descend(dst, i + 1, tuple(v | (b << i) for v, b in zip(vals, bits)))
-
-    if 0 in feasible[0]:
-        descend(0, 0, (0,) * len(free[0]))
-    return sorted(hits)
+        feasible.insert(0, feasible[0][succ[:, i]].any(axis=1))
+    # the frontier: state and free-track values of each feasible prefix
+    q = np.zeros(int(feasible[0][0]), dtype=np.int32)
+    vals = np.zeros((len(q), free.shape[1]), dtype=np.int64)
+    for i in range(width):
+        dst = succ[q, i]
+        rows, js = np.nonzero(feasible[i + 1][dst])
+        q, vals = dst[rows, js], vals[rows] | (free[js] << i)
+    return sorted(map(tuple, vals.tolist()))
 
 
 def accepted_numeric_values(

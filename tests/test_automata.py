@@ -139,6 +139,20 @@ def _sample_word(track0, nums, width):
     return tuple((track0[i],) + bits[i] for i in range(width))
 
 
+def _sample_rows(oracle, width):
+    """(word, label) of every sample, the blocks flattened into rows."""
+    return [
+        (
+            _sample_word(
+                None if track0 is None else track0[r].tolist(), nums[r].tolist(), width
+            ),
+            lbl,
+        )
+        for track0, nums, labels in oracle.samples(width)
+        for r, lbl in enumerate(labels.tolist())
+    ]
+
+
 SELF_CHECKED_ORACLES = [
     (StartRelationOracle, 4),
     (EndRelationOracle, 4),
@@ -163,10 +177,7 @@ def test_oracle_samples_are_the_non_default_universe(make, max_width):
     # exactly once, with the label label() gives it
     oracle = make()
     for width in range(max_width + 1):
-        got = [
-            (_sample_word(track0, nums, width), lbl)
-            for track0, nums, lbl in oracle.samples(width)
-        ]
+        got = _sample_rows(oracle, width)
         assert len({w for w, _ in got}) == len(got)
         universe = list(_valid_universe(oracle.tracks, width))
         assert len(universe) == _universe_size(oracle, width)
@@ -231,6 +242,28 @@ def test_container_validation():
         MultiTrackAutomaton(((0, 1),), [{(0,): 0, (1,): 0}])
 
 
+def test_dense_table_matches_delta(sp_machine, rl_machine):
+    # the table's columns follow `symbols`, also for a track listed out of
+    # order; labels is the state_label vector; both arrays are read-only
+    symbols = list(itertools.product((1, -1, 0), BIT_TRACK))
+    shuffled = MultiTrackAutomaton(
+        ((1, -1, 0), BIT_TRACK),
+        [{sym: (q + sym[0] + 2 * sym[1]) % 3 for sym in symbols} for q in range(3)],
+        outputs=[0, 5, 7],
+    )
+    for a in (sp_machine, rl_machine, shuffled, _two_state()):
+        assert a.table.shape == (a.n_states, len(a.symbols))
+        cols = a.columns([[sym[j] for sym in a.symbols] for j in range(len(a.tracks))])
+        assert cols.tolist() == list(range(len(a.symbols)))
+        for q in range(a.n_states):
+            assert a.table[q].tolist() == [a.delta[q][sym] for sym in a.symbols]
+        assert a.labels.tolist() == [a.state_label(q) for q in range(a.n_states)]
+        with pytest.raises(ValueError):
+            a.table[0, 0] = 0
+        with pytest.raises(ValueError):
+            a.labels[0] = 0
+
+
 def test_mutations_produce_different_machines():
     a = _two_state()
     assert mutated_label(a, 0) != a
@@ -289,6 +322,29 @@ def test_verification_separates_wrong_oracle(sp_machine):
     assert isinstance(cex, Counterexample)
     assert cex.automaton_label != cex.oracle_label
     assert "automaton says" in str(cex)
+
+
+def test_counterexample_text_decodes_both_alphabet_shapes():
+    coded = Counterexample(((1, 0, 1), (-1, 1, 0)), True, False)
+    assert str(coded) == (
+        "word ((1, 0, 1), (-1, 1, 0)) (track0=(1, -1), values=(2, 1)): "
+        "automaton says True, oracle says False"
+    )
+    bits = Counterexample(((1, 0), (0, 1)), True, False, has_instruction_track=False)
+    assert str(bits) == (
+        "word ((1, 0), (0, 1)) (values=(1, 2)): automaton says True, oracle says False"
+    )
+    empty = Counterexample((), 1, 0, has_instruction_track=False)
+    assert str(empty) == "word () (values=()): automaton says 1, oracle says 0"
+
+
+def test_verifier_records_the_alphabet_shape(sp_machine):
+    cex = verify_exhaustive(sp_machine, EndRelationOracle(), depth=6)
+    assert cex.has_instruction_track
+    rs = infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
+    cex = verify_exhaustive(rs, RegularEndOracle(), depth=6)
+    assert cex is not None and not cex.has_instruction_track
+    assert str(cex).startswith(f"word {cex.word} (values=")
 
 
 def test_minimize_is_idempotent(sp_machine):
@@ -523,6 +579,139 @@ def test_infer_rejects_a_minimization_that_changes_behavior(monkeypatch):
             infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
 
 
+class _RepeatingOracle(RunLengthOracle):
+    """Run lengths with one sample repeated: in a block, or as a block of its own."""
+
+    def __init__(self, across_blocks: bool):
+        super().__init__()
+        self.across_blocks = across_blocks
+
+    def samples(self, width):
+        for track0, nums, labels in super().samples(width):
+            if width == 3 and self.across_blocks:
+                yield track0, nums, labels
+                yield track0[-1:], nums[-1:], labels[-1:]
+            elif width == 3:
+                again = [0, *range(len(nums))]
+                yield track0[again], nums[again], labels[again]
+            else:
+                yield track0, nums, labels
+
+
+class _OverflowingOracle(RegularLengthOracle):
+    """Regular run lengths with one sample index too wide for its width."""
+
+    def samples(self, width):
+        for track0, nums, labels in super().samples(width):
+            if width == 2:
+                nums = nums.copy()
+                nums[-1, 0] = 4
+            yield track0, nums, labels
+
+
+@pytest.mark.parametrize("across_blocks", [False, True])
+def test_verifier_rejects_a_repeated_sample(rl_machine, across_blocks):
+    # a repeated sample would raise the tally twice and could hide one
+    # overaccepted word, so it is an error, whatever the machine
+    oracle = _RepeatingOracle(across_blocks)
+    with pytest.raises(InferenceError, match="run-length: samples at width 3 repeat"):
+        verify_exhaustive(rl_machine, oracle, 4)
+    assert verify_exhaustive(rl_machine, RunLengthOracle(), 4) is None
+
+
+def test_verifier_rejects_samples_outside_the_width():
+    machine = infer_automaton(RegularLengthOracle(), sample_depth=6, test_depth=4)
+    with pytest.raises(InferenceError, match="does not fit width 2"):
+        verify_exhaustive(machine, _OverflowingOracle(), 4)
+
+
+def test_verifier_rejects_depths_whose_keys_overflow(sp_machine, rl_machine):
+    # keys take depth + 1 bits for the code and depth bits per value
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        verify_exhaustive(sp_machine, StartRelationOracle(), 21)
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        verify_exhaustive(rl_machine, RunLengthOracle(), 32)
+
+
+def test_sample_blocks_may_split_anywhere(monkeypatch, rl_machine):
+    # a block boundary may fall inside the rows of one code; the rows, the
+    # verdicts and the counterexamples do not depend on where it falls
+    oracles = [
+        StartRelationOracle(),
+        RunLengthOracle(),
+        ValueSliceOracle(RunLengthOracle(), 2),
+        GapOracle(),
+    ]
+
+    def all_rows():
+        return [_sample_rows(oracle, width) for oracle in oracles for width in range(7)]
+
+    whole = all_rows()
+    mutant = mutated_transition(rl_machine, 2, rl_machine.symbols[1], 0)
+    cex = verify_exhaustive(mutant, RunLengthOracle(), 6)
+    assert cex is not None
+    monkeypatch.setattr(automata, "SAMPLE_BLOCK_ROWS", 5)
+    for oracle in oracles:
+        assert all(len(nums) <= 5 for _, nums, _ in oracle.samples(6))
+    assert all_rows() == whole
+    assert verify_exhaustive(rl_machine, RunLengthOracle(), 6) is None
+    assert verify_exhaustive(mutant, RunLengthOracle(), 6) == cex
+
+
+# counterexample words verify_exhaustive hands the learner at depths 6/4,
+# in order: the learner path is pinned to these
+LEARNER_COUNTEREXAMPLES = {
+    "sp": [
+        ((1, 0, 1), (1, 1, 1)),
+        ((1, 1, 0), (1, 1, 0), (1, 0, 1)),
+        ((1, 1, 1), (1, 0, 0)),
+        ((1, 1, 1), (1, 1, 0), (-1, 0, 1)),
+    ],
+    "ep": [
+        ((1, 1, 0), (1, 0, 1)),
+        ((1, 0, 0), (-1, 0, 0)),
+        ((-1, 1, 0), (-1, 0, 1)),
+        ((1, 0, 1), (1, 1, 1), (1, 0, 0)),
+        ((-1, 0, 0), (-1, 0, 1), (-1, 1, 1)),
+    ],
+    "rl": [
+        ((1, 1), (1, 0)),
+        ((1, 0), (1, 0), (1, 1)),
+        ((1, 1), (1, 0), (-1, 0)),
+        ((1, 0), (1, 1), (1, 1), (-1, 0)),
+    ],
+    "gap": [
+        ((1, 0), (0, 1)),
+        ((1, 1), (1, 1), (0, 1)),
+        ((0, 0), (0, 1), (1, 0), (1, 1), (0, 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("sp", StartRelationOracle),
+        ("ep", EndRelationOracle),
+        ("rl", RunLengthOracle),
+        ("gap", GapOracle),
+    ],
+)
+def test_learner_sees_the_pinned_counterexamples(monkeypatch, name, make):
+    real = automata.verify_exhaustive
+    seen = []
+
+    def recording(a, oracle, depth):
+        cex = real(a, oracle, depth)
+        if cex is not None:
+            seen.append(cex.word)
+        return cex
+
+    monkeypatch.setattr(automata, "verify_exhaustive", recording)
+    infer_automaton(make(), sample_depth=6, test_depth=4)
+    assert seen == LEARNER_COUNTEREXAMPLES[name]
+
+
 def test_mutated_transition_is_caught(sp_machine):
     mutated = mutated_transition(
         sp_machine, 1, sp_machine.symbols[0], (1 + 3) % sp_machine.n_states
@@ -531,9 +720,32 @@ def test_mutated_transition_is_caught(sp_machine):
     assert cex is not None
 
 
+@pytest.fixture(scope="module")
+def regular_length_machine():
+    return infer_automaton(RegularLengthOracle(), sample_depth=8, test_depth=5)
+
+
+@pytest.fixture(scope="module")
+def length_two_machine():
+    return infer_automaton(
+        ValueSliceOracle(RunLengthOracle(), 2), sample_depth=8, test_depth=5
+    )
+
+
 @pytest.mark.parametrize(
     "fixture, make_oracle",
-    [("sp_machine", StartRelationOracle), ("rl_machine", RunLengthOracle)],
+    [
+        ("sp_machine", StartRelationOracle),
+        ("rl_machine", RunLengthOracle),
+        ("regular_length_machine", RegularLengthOracle),
+        ("length_two_machine", lambda: ValueSliceOracle(RunLengthOracle(), 2)),
+    ],
+    ids=[
+        "sp_machine-StartRelationOracle",
+        "rl_machine-RunLengthOracle",
+        "regular_length_machine-RegularLengthOracle",
+        "length_two_machine-ValueSliceOracle",
+    ],
 )
 def test_verifier_matches_brute_force_on_mutants(request, fixture, make_oracle):
     # verify_exhaustive must report exactly when some word of the valid
