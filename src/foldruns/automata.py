@@ -352,44 +352,50 @@ def valid_code_length_automaton() -> MultiTrackAutomaton:
     )
 
 
+def _least_true(ok, lo: int, hi: int) -> int:
+    """The least x >= 1 with ok(x), for ok False up to some x and True from there.
+
+    (lo, hi] is a guessed bracket.  It is used only when ok(hi) holds and
+    ok(lo) does not (lo < 1 counts as not); otherwise doubling from 1 finds
+    one, so a wrong guess costs time, never exactness.
+    """
+    if (lo >= 1 and ok(lo)) or not ok(hi):
+        lo, hi = 0, 1
+        while not ok(hi):
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def regular_gap_value(n: int) -> int:
     """t(n): the n-th positive integer outside H = {run_end(m)+1} U {1}.
 
     Works by binary search on the counting function of the complement,
-    using only the O(log) regular run-end recursion, so arbitrary indices
-    are fine.  The minimal y reaching count n is never itself in H.
+    using only the O(log) regular run-end recursion and its monotonicity,
+    so arbitrary indices are fine.  The minimal y reaching count n is never
+    itself in H.
     """
     if n < 1:
         raise IndexError("gap index must be >= 1")
 
     def ends_upto(z: int) -> int:
-        # number of m >= 1 with regular_run_end(m) <= z
+        # number of m >= 1 with regular_run_end(m) <= z; run_end(m) is 2m - 1
+        # or 2m, so the first m past z is z // 2 + 1 or z // 2 + 2
         if z < 2:
             return 0
-        lo, hi = 1, 1
-        while regular_run_end(hi) <= z:
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if regular_run_end(mid) <= z:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        past = _least_true(lambda m: regular_run_end(m) > z, z // 2, (z + 1) // 2 + 1)
+        return past - 1
 
     def not_in_h_count(y: int) -> int:
         return y - 1 - ends_upto(y - 1)
 
-    lo, hi = 1, 4
-    while not_in_h_count(hi) < n:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if not_in_h_count(mid) >= n:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # not_in_h_count(y) is within one of (y - 1) / 2, so t(n) is within 2 of 2n
+    return _least_true(lambda y: not_in_h_count(y) >= n, 2 * n - 2, 2 * n + 2)
 
 
 # ---------------------------------------------------------------------------

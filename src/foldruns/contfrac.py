@@ -156,7 +156,7 @@ def predicted_cf(eps: Sequence[int]) -> tuple[int, ...]:
     if len(e) < 1 or any(x not in (1, -1) for x in e):
         raise ValueError(f"signs must be a nonempty +1/-1 sequence, got {list(eps)!r}")
     runs = run_decompose(paperfolding_word((1,) + e))
-    doubled = [2 * int(r) for r in runs.lengths]
+    doubled = (2 * runs.lengths).tolist()
     doubled[-1] += 1
     return (0, 1, *doubled)
 

@@ -9,7 +9,6 @@ object analyzed by the factor operations in the second half of this module.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -136,6 +135,11 @@ class RunCountError(ValueError):
         super().__init__(f"code {code.to_text()} has {runs} runs, expected {expected}")
 
 
+# Cells of the boundary matrix handled at once by _family_run_data: bounds the
+# int64 index temporaries of np.nonzero to a few MiB at any t.
+_RUN_BLOCK_CELLS = 2**18
+
+
 def _family_run_data(t: int):
     """(codes, words, run lengths, 1-indexed run ends) for every code of length t.
 
@@ -147,20 +151,24 @@ def _family_run_data(t: int):
         raise ValueError("run data needs t >= 1")
     codes = code_matrix(t)
     words = word_matrix(codes)
-    rows = codes.shape[0]
-    boundary = words[:, 1:] != words[:, :-1]
-    counts = 1 + boundary.sum(axis=1)
+    rows, width = words.shape
     expected = 2 ** (t - 1)
-    if not np.all(counts == expected):
-        r = int(np.flatnonzero(counts != expected)[0])
-        raise RunCountError(FoldCode(codes[r].tolist()), int(counts[r]), expected)
-    bpos = np.nonzero(boundary)[1].astype(np.int32).reshape(rows, expected - 1)
-    ends0 = np.concatenate(
-        [bpos, np.full((rows, 1), words.shape[1] - 1, dtype=np.int32)], axis=1
-    )
-    starts0 = np.concatenate([np.zeros((rows, 1), dtype=np.int32), bpos + 1], axis=1)
-    lengths = (ends0 - starts0 + 1).astype(np.int8)
-    return codes, words, lengths, ends0 + 1
+    ends = np.empty((rows, expected), dtype=np.int32)
+    ends[:, -1] = width
+    lengths = np.empty((rows, expected), dtype=np.int8)
+    step = max(1, _RUN_BLOCK_CELLS // width)
+    for a in range(0, rows, step):
+        block = words[a : a + step]
+        boundary = block[:, 1:] != block[:, :-1]
+        counts = 1 + boundary.sum(axis=1)
+        bad = np.flatnonzero(counts != expected)
+        if bad.size:
+            r = int(bad[0])
+            code = FoldCode(codes[a + r].tolist())
+            raise RunCountError(code, int(counts[r]), expected)
+        ends[a : a + step, :-1] = np.nonzero(boundary)[1].reshape(len(block), -1) + 1
+        lengths[a : a + step] = np.diff(ends[a : a + step], axis=1, prepend=0)
+    return codes, words, lengths, ends
 
 
 def assoc_code(f) -> FoldCode:
@@ -462,6 +470,51 @@ def _windowed_run_prefix(code, n: int) -> np.ndarray:
     return runs.lengths[:k]
 
 
+def _window_ids(rows: np.ndarray, m: int) -> np.ndarray:
+    """ids[r, j] names rows[r, j : j + m]; ids are equal exactly when windows are.
+
+    Prefix doubling after Karp, Miller and Rosenberg (STOC 1972): a length-m
+    window is the pair of its two overlapping length-h windows, h = ceil(m/2),
+    at offsets 0 and m - h.  Each level renames the pairs to 0..K-1 in
+    lexicographic order of the windows, so keys stay below K**2 and no width
+    of symbols or factor length can overflow.
+    """
+    if m < 1:
+        raise ValueError("window length must be >= 1")
+    r, width = rows.shape
+    cols = width - m + 1
+    if cols < 1 or r == 0:
+        return np.zeros((r, max(cols, 0)), dtype=np.intp)
+    if m == 1:
+        keys = rows.astype(np.int64) - int(rows.min())
+    else:
+        h = (m + 1) // 2
+        half = _window_ids(rows, h)
+        base = int(half.max()) + 1
+        keys = half[:, :cols] * base + half[:, m - h : m - h + cols]
+    top = int(keys.max()) + 1
+    if top > 4 * keys.size:
+        # a sparse key range: sort rather than build a table as large as it
+        return np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+    # factors are few, so the range is small and a presence table ranks the
+    # keys in linear time, several times faster than the sort
+    seen = np.zeros(top, dtype=bool)
+    seen[keys] = True
+    return (np.cumsum(seen) - 1)[keys]
+
+
+def _right_extensions(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, follows) over the length-n windows of run-length rows that have a next run.
+
+    ids are the _window_ids of those windows; follows[i, s] is True when the
+    factor with id i is followed by run length s (1..3) somewhere.
+    """
+    ids = _window_ids(rows, n)[:, :-1]
+    follows = np.zeros((int(ids.max(initial=-1)) + 1, 4), dtype=bool)
+    follows[ids, rows[:, n:]] = True
+    return ids, follows
+
+
 def subword_complexity(f, n: int) -> int:
     """Number of distinct length-n factors of the run-length word of f.
 
@@ -469,18 +522,22 @@ def subword_complexity(f, n: int) -> int:
     is a property of paperfolding sequences at large, not of the truncation.
     """
     prefix = _windowed_run_prefix(f, n)
-    return len({tuple(prefix[i : i + n]) for i in range(len(prefix) - n + 1)})
+    return int(_window_ids(prefix[None, :], n).max(initial=-1)) + 1
 
 
 def right_extension_map(f, n: int) -> dict[tuple[int, ...], frozenset[int]]:
     """Each windowed length-n factor mapped to its observed right extensions."""
     prefix = _windowed_run_prefix(f, n + 1)
-    ext = defaultdict(set)
-    for i in range(len(prefix) - n):
-        ext[tuple(prefix[i : i + n])].add(int(prefix[i + n]))
-    return {w: frozenset(s) for w, s in ext.items()}
+    ids, follows = _right_extensions(prefix[None, :], n)
+    present, first = np.unique(ids, return_index=True)
+    word = prefix.tolist()
+    return {
+        tuple(word[p : p + n]): frozenset(np.flatnonzero(ext).tolist())
+        for p, ext in zip(first.tolist(), follows[present])
+    }
 
 
 def right_special_count(f, n: int) -> int:
     """Count of length-n factors with at least two distinct right extensions."""
-    return sum(1 for s in right_extension_map(f, n).values() if len(s) >= 2)
+    _, follows = _right_extensions(_windowed_run_prefix(f, n + 1)[None, :], n)
+    return int(np.count_nonzero(follows.sum(axis=1) >= 2))

@@ -20,6 +20,7 @@ from .runs import (
     _periodic_windows,
     _regular_gaps,
     _regular_run_data,
+    _right_extensions,
     _square_factors,
     find_squares,
     min_code_length,
@@ -297,23 +298,13 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
     bound = f"codes t<={L}, factor len 2..{max_factor_len}"
     for t in range(2, L + 1):
         codes, _, lengths, _ = _family_run_data(t)
-        m = lengths.shape[1]
-        arr = lengths.astype(np.int64)
-        for n in range(2, min(max_factor_len, m - 1) + 1):
-            pow4 = 4 ** np.arange(n, dtype=np.int64)
-            windows = np.lib.stride_tricks.sliding_window_view(arr, n, axis=1)
-            ids = windows @ pow4
-            keys = np.unique(ids[:, :-1] * 4 + arr[:, n:])
-            fids = keys >> 2
-            uniq, counts = np.unique(fids, return_counts=True)
-            bad = np.flatnonzero(counts >= 3)
+        for n in range(2, min(max_factor_len, lengths.shape[1] - 1) + 1):
+            ids, follows = _right_extensions(lengths, n)
+            bad = np.flatnonzero(follows.sum(axis=1) >= 3)
             if bad.size:
-                fid = int(uniq[bad[0]])
-                factor = tuple((fid >> (2 * i)) & 3 for i in range(n))
-                r, j = map(int, np.argwhere(ids == fid)[0])
-                exts = tuple(
-                    int(k & 3) for k in keys[fids == fid]
-                )
+                r, j = map(int, np.argwhere(ids == bad[0])[0])
+                factor = tuple(lengths[r, j : j + n].tolist())
+                exts = tuple(np.flatnonzero(follows[bad[0]]).tolist())
                 return CheckReport(
                     name="no_triple_extension",
                     bound=bound,

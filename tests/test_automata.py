@@ -54,6 +54,7 @@ import foldruns.automata as automata
 from foldruns.automata import (
     BIT_TRACK,
     INSTRUCTION_TRACK,
+    _least_true,
     _universe_size,
     pad_closure,
     product,
@@ -853,12 +854,21 @@ def test_gap_oracle_agrees_with_search():
         assert not oracle.label(wrong)
 
 
-@pytest.mark.parametrize("top", [0, 1, 2, 3, 100, 1023])
+@pytest.mark.parametrize("top", [0, 1, 2, 3, 100, 1023, 10000])
 def test_gap_table_matches_search(top):
     want = []
     while (x := regular_gap_value(len(want) + 1)) <= top:
         want.append(x)
     assert _regular_gaps(top).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(36, 37), (30, 40), (0, 37), (37, 50), (1, 10), (-5, 0)]
+)
+def test_least_true_is_exact_for_any_bracket(lo, hi):
+    # a bracket that fails its endpoint check falls back to doubling from 1
+    assert _least_true(lambda x: x >= 37, lo, hi) == 37
+    assert _least_true(lambda x: x >= 1, lo, hi) == 1
 
 
 def test_gap_wellformedness_reports(tt_machine):

@@ -1,5 +1,7 @@
 """Run decomposition, predicted boundaries, and factor scans."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,13 @@ from foldruns import (
     window_bound,
 )
 
-from foldruns.runs import _family_run_data, _palindromic_factors, _regular_run_data
+from foldruns import runs
+from foldruns.runs import (
+    _family_run_data,
+    _palindromic_factors,
+    _regular_run_data,
+    _window_ids,
+)
 from foldruns.theorems import _spread_codes
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=10).map(
@@ -285,3 +293,76 @@ def test_complexity_increment_is_four_past_six():
     values = [subword_complexity(code, n) for n in range(6, 16)]
     assert values[0] == 28
     assert all(b - a == 4 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("block_cells", [1, 100, 2**18])
+def test_family_run_data_matches_per_word_decomposition(monkeypatch, block_cells):
+    # blocks of one row, of a few rows, and the default must all agree
+    monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", block_cells)
+    for t in range(1, 8):
+        codes, words, lengths, ends = _family_run_data(t)
+        assert lengths.dtype == np.int8 and ends.dtype == np.int32
+        for code, word, row_lengths, row_ends in zip(codes, words, lengths, ends):
+            dec = run_decompose(paperfolding_word(code.tolist()))
+            assert word.tolist() == paperfolding_word(code.tolist()).array.tolist()
+            assert row_lengths.tolist() == dec.lengths.tolist()
+            assert row_ends.tolist() == dec.ends.tolist()
+
+
+@pytest.mark.parametrize("low, high", [(0, 2), (1, 4), (-128, 128)])
+def test_window_ids_name_windows_exactly(low, high):
+    # equal ids exactly when the slices are equal, numbered 0..K-1 in
+    # lexicographic order; int8 rows cover negative symbols and sparse keys
+    rows = np.random.default_rng(7).integers(low, high, (5, 40), dtype=np.int8)
+    for m in range(1, 43):
+        ids = _window_ids(rows, m)
+        assert ids.shape == (5, max(0, 41 - m))
+        windows = [
+            tuple(row[j : j + m]) for row in rows.tolist() for j in range(41 - m)
+        ]
+        rank = {w: i for i, w in enumerate(sorted(set(windows)))}
+        assert ids.ravel().tolist() == [rank[w] for w in windows]
+
+
+def _windowed_prefix(code, n):
+    dec = run_decompose(paperfolding_word(code))
+    return dec.lengths[dec.ends <= window_bound(n)].tolist()
+
+
+def _reference_complexity(code, n):
+    w = _windowed_prefix(code, n)
+    return len({tuple(w[i : i + n]) for i in range(len(w) - n + 1)})
+
+
+def _reference_extensions(code, n):
+    w = _windowed_prefix(code, n + 1)
+    ext = defaultdict(set)
+    for i in range(len(w) - n):
+        ext[tuple(w[i : i + n])].add(w[i + n])
+    return {k: frozenset(v) for k, v in ext.items()}
+
+
+def _assert_factor_scans_match_reference(code, n):
+    ext = _reference_extensions(code, n)
+    assert subword_complexity(code, n) == _reference_complexity(code, n)
+    assert right_extension_map(code, n) == ext
+    assert right_special_count(code, n) == sum(len(v) >= 2 for v in ext.values())
+
+
+def test_factor_scans_match_reference_on_the_length_10_family():
+    for code in all_codes(10):
+        for n in range(1, 6):
+            _assert_factor_scans_match_reference(code, n)
+
+
+def test_factor_scans_match_reference_on_the_complexity_sample():
+    for code in _spread_codes(14, 16):
+        for n in range(6, 31):
+            _assert_factor_scans_match_reference(code, n)
+
+
+def test_factor_scans_match_reference_past_32():
+    # long factors: no packing of symbols into one integer can overflow
+    code = "+-++-+--+-++--+-"
+    for n in (32, 33, 45):
+        _assert_factor_scans_match_reference(code, n)

@@ -1,5 +1,8 @@
 """Named bounded checks: reports, individual checks, suites, dispatch."""
 
+from collections import defaultdict
+
+import numpy as np
 import pytest
 
 from foldruns import (
@@ -22,6 +25,9 @@ from foldruns import (
     squares_present,
     thm3,
 )
+from foldruns import theorems
+from foldruns.foldcore import FoldCode, code_matrix
+from foldruns.runs import _family_run_data
 from mutants import mutated_label
 
 SP_NAMES = [
@@ -91,6 +97,60 @@ def test_family_checks_pass(check):
     assert report.passed
     assert report.witness is None
     assert "6" in report.bound
+
+
+def _reference_triple(families, max_factor_len):
+    """The witness no_triple_extension should give, from one tuple per window.
+
+    First by factor length, then lexicographically smallest factor, then
+    first occurrence; None when no factor has three right extensions.
+    """
+    for codes, lengths in families:
+        rows = lengths.tolist()
+        for n in range(2, min(max_factor_len, len(rows[0]) - 1) + 1):
+            ext, first = defaultdict(set), {}
+            for r, row in enumerate(rows):
+                for j in range(len(row) - n):
+                    w = tuple(row[j : j + n])
+                    ext[w].add(row[j + n])
+                    first.setdefault(w, (r, j))
+            bad = sorted(w for w, e in ext.items() if len(e) >= 3)
+            if bad:
+                r, j = first[bad[0]]
+                code = FoldCode(codes[r].tolist()).to_text()
+                return (code, bad[0], tuple(sorted(ext[bad[0]])), j + 1)
+    return None
+
+
+def test_no_triple_extension_matches_reference_on_long_factors():
+    families = [_family_run_data(t)[::2] for t in range(2, 9)]
+    assert _reference_triple(families, 40) is None
+    report = no_triple_extension(L=8, max_factor_len=40)
+    assert report.passed and report.witness is None
+
+
+# 32 equal symbols and then two more: factors of length 33 differ only in
+# their last symbol, which a base-4 packing into int64 loses (4**32 wraps)
+_LONG = [2] * 32
+
+
+@pytest.mark.parametrize(
+    "tails",
+    [
+        [(1, 1), (2, 2), (1, 3)],  # no factor extends three ways
+        [(1, 1), (2, 2), (3, 3)],  # (2, 2) extends by 1, 2 and 3
+    ],
+)
+def test_no_triple_extension_on_crafted_rows(monkeypatch, tails):
+    codes = code_matrix(2)[: len(tails)]
+    lengths = np.array([_LONG + list(tail) for tail in tails], dtype=np.int8)
+    monkeypatch.setattr(
+        theorems, "_family_run_data", lambda t: (codes, None, lengths, None)
+    )
+    want = _reference_triple([(codes, lengths)], 40)
+    report = no_triple_extension(L=2, max_factor_len=40)
+    assert report.passed == (want is None)
+    assert report.witness == want
 
 
 def test_squares_present_passes_at_seven():
