@@ -470,14 +470,34 @@ def _windowed_run_prefix(code, n: int) -> np.ndarray:
     return runs.lengths[:k]
 
 
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """Each key's index among the sorted distinct keys, in the shape of keys.
+
+    The same numbers as np.unique(keys, return_inverse=True)[1]; a plain sort
+    and a search among the few distinct keys beat its argsort.
+    """
+    return np.searchsorted(np.unique(keys), keys)
+
+
+def _join_ids(left: np.ndarray, right: np.ndarray, shift: int) -> np.ndarray:
+    """Ids of the windows made of a left window at j and a right window at j + shift.
+
+    left and right are ids of windows of the same rows, each numbered in
+    lexicographic order; the joined ids are ranked in lexicographic order
+    of the (left, right) pairs, so keys stay below K**2 for K distinct ids.
+    """
+    cols = min(left.shape[1], right.shape[1] - shift)
+    base = int(right.max()) + 1
+    return _rank(left[:, :cols] * base + right[:, shift : shift + cols])
+
+
 def _window_ids(rows: np.ndarray, m: int) -> np.ndarray:
     """ids[r, j] names rows[r, j : j + m]; ids are equal exactly when windows are.
 
     Prefix doubling after Karp, Miller and Rosenberg (STOC 1972): a length-m
-    window is the pair of its two overlapping length-h windows, h = ceil(m/2),
-    at offsets 0 and m - h.  Each level renames the pairs to 0..K-1 in
-    lexicographic order of the windows, so keys stay below K**2 and no width
-    of symbols or factor length can overflow.
+    window is the join of its two overlapping length-h windows, h = ceil(m/2),
+    at offsets 0 and m - h, so no width of symbols or factor length can
+    overflow.  Ids are numbered in lexicographic order of the windows.
     """
     if m < 1:
         raise ValueError("window length must be >= 1")
@@ -486,30 +506,23 @@ def _window_ids(rows: np.ndarray, m: int) -> np.ndarray:
     if cols < 1 or r == 0:
         return np.zeros((r, max(cols, 0)), dtype=np.intp)
     if m == 1:
-        keys = rows.astype(np.int64) - int(rows.min())
-    else:
-        h = (m + 1) // 2
-        half = _window_ids(rows, h)
-        base = int(half.max()) + 1
-        keys = half[:, :cols] * base + half[:, m - h : m - h + cols]
-    top = int(keys.max()) + 1
-    if top > 4 * keys.size:
-        # a sparse key range: sort rather than build a table as large as it
-        return np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
-    # factors are few, so the range is small and a presence table ranks the
-    # keys in linear time, several times faster than the sort
-    seen = np.zeros(top, dtype=bool)
-    seen[keys] = True
-    return (np.cumsum(seen) - 1)[keys]
+        return _rank(rows)
+    h = (m + 1) // 2
+    half = _window_ids(rows, h)
+    return _join_ids(half, half, m - h)
 
 
-def _right_extensions(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, follows) over the length-n windows of run-length rows that have a next run.
+def _right_extensions(
+    rows: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, follows) over the windows of run-length rows that have a next run.
 
-    ids are the _window_ids of those windows; follows[i, s] is True when the
+    ids name the windows of one length n of rows (as _window_ids does) and
+    come back without each row's last window; follows[i, s] is True when the
     factor with id i is followed by run length s (1..3) somewhere.
     """
-    ids = _window_ids(rows, n)[:, :-1]
+    n = rows.shape[1] - ids.shape[1] + 1
+    ids = ids[:, :-1]
     follows = np.zeros((int(ids.max(initial=-1)) + 1, 4), dtype=bool)
     follows[ids, rows[:, n:]] = True
     return ids, follows
@@ -528,7 +541,8 @@ def subword_complexity(f, n: int) -> int:
 def right_extension_map(f, n: int) -> dict[tuple[int, ...], frozenset[int]]:
     """Each windowed length-n factor mapped to its observed right extensions."""
     prefix = _windowed_run_prefix(f, n + 1)
-    ids, follows = _right_extensions(prefix[None, :], n)
+    rows = prefix[None, :]
+    ids, follows = _right_extensions(rows, _window_ids(rows, n))
     present, first = np.unique(ids, return_index=True)
     word = prefix.tolist()
     return {
@@ -539,5 +553,6 @@ def right_extension_map(f, n: int) -> dict[tuple[int, ...], frozenset[int]]:
 
 def right_special_count(f, n: int) -> int:
     """Count of length-n factors with at least two distinct right extensions."""
-    _, follows = _right_extensions(_windowed_run_prefix(f, n + 1)[None, :], n)
+    rows = _windowed_run_prefix(f, n + 1)[None, :]
+    _, follows = _right_extensions(rows, _window_ids(rows, n))
     return int(np.count_nonzero(follows.sum(axis=1) >= 2))

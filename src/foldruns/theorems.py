@@ -16,12 +16,14 @@ from .foldcore import FoldCode, all_codes, code_matrix
 from .runs import (
     RunCountError,
     _family_run_data,
+    _join_ids,
     _palindromic_factors,
     _periodic_windows,
     _regular_gaps,
     _regular_run_data,
     _right_extensions,
     _square_factors,
+    _window_ids,
     find_squares,
     min_code_length,
     predicted_end_positions,
@@ -298,11 +300,14 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
     bound = f"codes t<={L}, factor len 2..{max_factor_len}"
     for t in range(2, L + 1):
         codes, _, lengths, _ = _family_run_data(t)
+        # grow the window one run at a time: one renaming per factor length
+        ones = ids = _window_ids(lengths, 1)
         for n in range(2, min(max_factor_len, lengths.shape[1] - 1) + 1):
-            ids, follows = _right_extensions(lengths, n)
+            ids = _join_ids(ids, ones, n - 1)
+            extended, follows = _right_extensions(lengths, ids)
             bad = np.flatnonzero(follows.sum(axis=1) >= 3)
             if bad.size:
-                r, j = map(int, np.argwhere(ids == bad[0])[0])
+                r, j = map(int, np.argwhere(extended == bad[0])[0])
                 factor = tuple(lengths[r, j : j + n].tolist())
                 exts = tuple(np.flatnonzero(follows[bad[0]]).tolist())
                 return CheckReport(

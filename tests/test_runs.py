@@ -38,6 +38,7 @@ from foldruns import (
 from foldruns import runs
 from foldruns.runs import (
     _family_run_data,
+    _join_ids,
     _palindromic_factors,
     _regular_run_data,
     _window_ids,
@@ -312,8 +313,10 @@ def test_family_run_data_matches_per_word_decomposition(monkeypatch, block_cells
 @pytest.mark.parametrize("low, high", [(0, 2), (1, 4), (-128, 128)])
 def test_window_ids_name_windows_exactly(low, high):
     # equal ids exactly when the slices are equal, numbered 0..K-1 in
-    # lexicographic order; int8 rows cover negative symbols and sparse keys
+    # lexicographic order; int8 rows cover negative symbols and sparse keys.
+    # Growing the windows one symbol at a time with _join_ids gives the same ids.
     rows = np.random.default_rng(7).integers(low, high, (5, 40), dtype=np.int8)
+    ones = grown = _window_ids(rows, 1)
     for m in range(1, 43):
         ids = _window_ids(rows, m)
         assert ids.shape == (5, max(0, 41 - m))
@@ -322,6 +325,9 @@ def test_window_ids_name_windows_exactly(low, high):
         ]
         rank = {w: i for i, w in enumerate(sorted(set(windows)))}
         assert ids.ravel().tolist() == [rank[w] for w in windows]
+        if 1 < m <= 40:
+            grown = _join_ids(grown, ones, m - 1)
+            assert grown.tolist() == ids.tolist()
 
 
 def _windowed_prefix(code, n):
