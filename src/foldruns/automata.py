@@ -8,8 +8,9 @@ output value to each state (function mode).
 
 The module provides the semantic oracles the relations are defined by,
 an observation-table learner that reconstructs automata from oracle
-queries, an exact bounded verifier, Hopcroft minimization, and a
-line-oriented text serialization plus DOT export.  Derived machines come
+queries, an exact bounded verifier, Moore minimization, and a
+line-oriented text serialization plus DOT export.  Every machine is one
+int32 successor table and one label vector.  Derived machines come
 from one algebra: `product` (synchronous, with a label combiner),
 `project` (existential, by subset construction), `pad_closure` (the
 leading-zero closure) and `shortest_word` (emptiness with a witness).
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -58,89 +59,72 @@ class AutomatonFormatError(ValueError):
 class MultiTrackAutomaton:
     """A complete deterministic automaton over a product alphabet.
 
-    `delta` maps every (state, symbol) pair to a successor, where a symbol
-    is a tuple with one component per track.  Exactly one of `accepting`
-    (relation mode) or `outputs` (function mode) must be given.  State ids
-    are 0..n-1 with 0 initial; construction validates completeness and
-    determinism so downstream algorithms can assume both.
-
-    `delta` is the construction and serialization view.  The array view is
-    `table`, an immutable int32[n_states, n_symbols] successor table whose
-    columns are numbered by `columns`, and `labels`, the state labels as a
-    vector.
+    A symbol is a tuple with one component per track; `symbols` lists them
+    all, track 0 most significant.  `table` is the int32[n_states,
+    n_symbols] successor table, one row per state with its successors in
+    `symbols` order (the columns `columns` numbers).  `labels` holds one
+    label per state: the acceptance bit (bool) in accept mode, the output
+    value (int64) in output mode.  State ids are 0..n-1 with 0 initial.
+    Construction validates the shape, the successor range and the labels,
+    so downstream algorithms can assume a complete deterministic machine;
+    both arrays are read-only.
     """
 
-    __slots__ = (
-        "tracks", "symbols", "delta", "accepting", "outputs", "table", "labels"
-    )
+    __slots__ = ("tracks", "symbols", "mode", "table", "labels", "_column")
 
     def __init__(
         self,
         tracks: Sequence[Sequence[int]],
-        delta: Sequence[dict],
-        accepting: "Iterable[int] | None" = None,
-        outputs: "Sequence[int] | None" = None,
+        table,
+        labels: Iterable[int],
+        mode: str = "accept",
     ):
         self.tracks = tuple(tuple(t) for t in tracks)
         if not self.tracks or any(len(t) == 0 for t in self.tracks):
             raise ValueError("need at least one track, none empty")
+        if mode not in ("accept", "output"):
+            raise ValueError(f"mode must be 'accept' or 'output', got {mode!r}")
+        self.mode = mode
         self.symbols = tuple(itertools.product(*self.tracks))
-        if (accepting is None) == (outputs is None):
-            raise ValueError("exactly one of accepting/outputs must be given")
-        n = len(delta)
-        if n == 0:
-            raise ValueError("automaton needs at least one state")
-        symbol_set = set(self.symbols)
-        frozen = []
-        for q, edges in enumerate(delta):
-            if set(edges) != symbol_set:
-                missing = symbol_set - set(edges)
-                extra = set(edges) - symbol_set
-                raise ValueError(
-                    f"state {q} transition table mismatch: "
-                    f"missing {sorted(missing)}, foreign {sorted(extra)}"
-                )
-            for sym, dst in edges.items():
-                if not 0 <= dst < n:
-                    raise ValueError(f"state {q} on {sym} goes to unknown state {dst}")
-            frozen.append(dict(edges))
-        self.delta = tuple(frozen)
-        if accepting is not None:
-            acc = frozenset(int(q) for q in accepting)
-            if any(not 0 <= q < n for q in acc):
-                raise ValueError("accepting set references unknown states")
-            self.accepting = acc
-            self.outputs = None
-        else:
-            outs = tuple(int(v) for v in outputs)
-            if len(outs) != n:
-                raise ValueError("outputs must assign exactly one value per state")
-            self.accepting = None
-            self.outputs = outs
-        self.table = np.array(
-            [[edges[sym] for sym in self.symbols] for edges in self.delta],
-            dtype=np.int32,
-        )
-        self.labels = np.array([self.state_label(q) for q in range(n)])
+        self._column = {sym: j for j, sym in enumerate(self.symbols)}
+        table = np.asarray(table, dtype=np.int64)
+        n = len(table)
+        if n == 0 or table.shape != (n, len(self.symbols)):
+            raise ValueError(
+                f"table of shape {table.shape} needs at least one state and "
+                f"one row of {len(self.symbols)} successors per state"
+            )
+        unknown = np.argwhere((table < 0) | (table >= n))
+        if len(unknown):
+            q, j = unknown[0]
+            raise ValueError(
+                f"state {q} on {self.symbols[j]} goes to unknown state {table[q, j]}"
+            )
+        try:
+            values = np.array([int(v) for v in labels], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a state label does not fit in int64") from None
+        if values.shape != (n,):
+            raise ValueError("labels must assign exactly one value per state")
+        if mode == "accept":
+            if not np.isin(values, (0, 1)).all():
+                raise ValueError("accept-mode labels must be 0 or 1")
+            values = values.astype(bool)
+        self.table = table.astype(np.int32)
+        self.labels = values
         self.table.setflags(write=False)
         self.labels.setflags(write=False)
 
     @property
-    def mode(self) -> str:
-        return "accept" if self.outputs is None else "output"
-
-    @property
     def n_states(self) -> int:
-        return len(self.delta)
+        return len(self.table)
 
     @property
     def initial(self) -> int:
         return 0
 
     def state_label(self, q: int):
-        if self.outputs is None:
-            return q in self.accepting
-        return self.outputs[q]
+        return self.labels.item(q)
 
     def columns(self, values: Sequence) -> np.ndarray:
         """Table columns of the symbols whose track j reads values[j].
@@ -158,48 +142,44 @@ class MultiTrackAutomaton:
         return col
 
     def step(self, q: int, symbol: tuple) -> int:
-        return self.delta[q][symbol]
+        return self.table.item(q, self._column[symbol])
 
     def run(self, word: Iterable[tuple], start: int = 0) -> int:
-        q = start
-        delta = self.delta
+        q, table, column = start, self.table, self._column
         for sym in word:
-            q = delta[q][sym]
+            q = table.item(q, column[sym])
         return q
 
     def word_label(self, word: Iterable[tuple]):
         return self.state_label(self.run(word))
 
     def accepts(self, word: Iterable[tuple]) -> bool:
-        if self.outputs is not None:
+        if self.mode != "accept":
             raise ValueError("accepts() is for relation mode; use output()")
-        return self.run(word) in self.accepting
+        return self.word_label(word)
 
     def output(self, word: Iterable[tuple]) -> int:
-        if self.outputs is None:
+        if self.mode != "output":
             raise ValueError("output() is for function mode; use accepts()")
-        return self.outputs[self.run(word)]
+        return self.word_label(word)
 
     def bfs_renumbered(self) -> "MultiTrackAutomaton":
         """Same behavior, states renamed in BFS order, unreachable dropped."""
-        return build_semantic_automaton(
-            self.tracks, 0, self.step, self.state_label, self.mode
-        )
+        return _closure(self, self.table, 0, self.labels.tolist().__getitem__)
 
     def dead_states(self) -> frozenset[int]:
         """States from which no accepting (or nonzero-output) state is reachable."""
-        labeled = {q for q in range(self.n_states) if self.state_label(q)}
-        live = _backward_reach(self, labeled, self.symbols)
-        return frozenset(range(self.n_states)) - live
+        live = _backward_reach(self.table, self.labels != 0)
+        return frozenset(np.flatnonzero(~live).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiTrackAutomaton):
             return NotImplemented
         return (
             self.tracks == other.tracks
-            and self.delta == other.delta
-            and self.accepting == other.accepting
-            and self.outputs == other.outputs
+            and self.mode == other.mode
+            and np.array_equal(self.table, other.table)
+            and np.array_equal(self.labels, other.labels)
         )
 
     def __repr__(self) -> str:
@@ -225,25 +205,27 @@ def build_semantic_automaton(
     symbols = tuple(itertools.product(*[tuple(t) for t in tracks]))
     index = {initial_state: 0}
     order = [initial_state]
-    delta = []
-    queue = deque([initial_state])
-    while queue:
-        state = queue.popleft()
-        edges = {}
+    table = []
+    for state in order:  # `order` grows as BFS discovers states
+        row = []
         for sym in symbols:
             succ = step(state, sym)
             if succ not in index:
                 index[succ] = len(order)
                 order.append(succ)
-                queue.append(succ)
-            edges[sym] = index[succ]
-        delta.append(edges)
-    labels = [classify(s) for s in order]
-    if mode == "accept":
-        return MultiTrackAutomaton(
-            tracks, delta, accepting=[q for q, v in enumerate(labels) if v]
-        )
-    return MultiTrackAutomaton(tracks, delta, outputs=labels)
+            row.append(index[succ])
+        table.append(row)
+    return MultiTrackAutomaton(tracks, table, [classify(s) for s in order], mode)
+
+
+def _closure(
+    a: MultiTrackAutomaton, table: np.ndarray, start: int, classify: Callable
+) -> MultiTrackAutomaton:
+    """The BFS closure from `start` of a table over a's symbols, labeled by classify."""
+    rows = table.tolist()
+    return build_semantic_automaton(
+        a.tracks, start, lambda q, sym: rows[q][a._column[sym]], classify, a.mode
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -717,43 +699,38 @@ def _final_states(a: MultiTrackAutomaton, track0, nums: np.ndarray, width: int):
     return q
 
 
-def _next_padding(constrained: bool, sym: tuple, padded: int) -> "int | None":
-    """Padding flag after reading `sym`; None where track 0 stops being a code.
+def _padding(a: MultiTrackAutomaton, constrained: bool) -> np.ndarray:
+    """1 for the symbols that pad track 0 (read 0 there), else 0.
 
-    Unconstrained (bit-only) alphabets never pad, so every word is valid.
+    After a padding symbol only padding may follow, or track 0 stops being
+    a code.  Unconstrained (bit-only) alphabets never pad, so every word is
+    valid.
     """
-    if not constrained:
-        return 0
-    if sym[0] == 0:
-        return 1
-    return None if padded else 0
+    return np.array([constrained and sym[0] == 0 for sym in a.symbols], dtype=np.intp)
 
 
 def _completion_counts(
     a: MultiTrackAutomaton, depth: int, constrained: bool
-) -> list[dict]:
-    """table[d][(q, padded)]: label -> number of valid length-d completions.
+) -> tuple[list, list[np.ndarray]]:
+    """(values, counts): counts[d][q, padded, k] counts the valid length-d
+    completions from q that end in a state labeled values[k].
 
-    A completion from state q with padding flag `padded` is a word that
-    keeps track 0 a valid code; it is counted under the label of the state
-    it ends in.  table[w][(0, 0)] counts the whole width-w universe.
+    values lists the distinct state labels in increasing order.  A
+    completion from state q with padding flag `padded` is a word that keeps
+    track 0 a valid code; it is counted under the label of the state it
+    ends in.  counts[w][0, 0] counts the whole width-w universe.  Each
+    depth is one gather of the previous counts by the table and one sum
+    over the symbols each padding flag allows.
     """
-    flags = (0, 1) if constrained else (0,)
-    table = [{(q, p): {a.state_label(q): 1} for q in range(a.n_states) for p in flags}]
+    pads = _padding(a, constrained)
+    allowed = np.stack([np.ones_like(pads), pads])[: 1 + constrained]
+    values, label = np.unique(a.labels, return_inverse=True)
+    first = np.zeros((a.n_states, len(allowed), len(values)), dtype=np.int64)
+    first[np.arange(a.n_states), :, label] = 1
+    counts = [first]
     for _ in range(depth):
-        prev = table[-1]
-        cur = {}
-        for q in range(a.n_states):
-            for p in flags:
-                total: dict = defaultdict(int)
-                for sym, dst in a.delta[q].items():
-                    nxt = _next_padding(constrained, sym, p)
-                    if nxt is not None:
-                        for label, c in prev[(dst, nxt)].items():
-                            total[label] += c
-                cur[(q, p)] = dict(total)
-        table.append(cur)
-    return table
+        counts.append(allowed @ counts[-1][a.table, pads])
+    return values.tolist(), counts
 
 
 def _universe_size(oracle: WordOracle, width: int) -> int:
@@ -770,7 +747,12 @@ def _universe_size(oracle: WordOracle, width: int) -> int:
 
 
 def _find_overaccepted(
-    a: MultiTrackAutomaton, oracle: WordOracle, table: list, width: int, target
+    a: MultiTrackAutomaton,
+    oracle: WordOracle,
+    values: list,
+    counts: list,
+    width: int,
+    target,
 ) -> "Counterexample | None":
     """First word (DFS order) that A labels `target` but the oracle does not.
 
@@ -778,6 +760,9 @@ def _find_overaccepted(
     through a valid-track-0 word, pruning on the completion counts.
     """
     constrained = oracle.has_instruction_track
+    pads = _padding(a, constrained).tolist()
+    rows = a.table.tolist()
+    k = values.index(target)
     word: list = []
 
     def descend(q: int, padded: int, remaining: int) -> "tuple | None":
@@ -786,15 +771,14 @@ def _find_overaccepted(
             if oracle.label(w) != target:
                 return w
             return None
-        for sym in a.symbols:
-            nxt = _next_padding(constrained, sym, padded)
-            if nxt is None:
+        for j, sym in enumerate(a.symbols):
+            if padded and not pads[j]:
                 continue
-            dst = a.delta[q][sym]
-            if table[remaining - 1][(dst, nxt)].get(target, 0) == 0:
+            dst = rows[q][j]
+            if counts[remaining - 1][dst, pads[j], k] == 0:
                 continue
             word.append(sym)
-            hit = descend(dst, nxt, remaining - 1)
+            hit = descend(dst, pads[j], remaining - 1)
             if hit is not None:
                 return hit
             word.pop()
@@ -827,9 +811,15 @@ def verify_exhaustive(
     default = oracle.default
     constrained = oracle.has_instruction_track
     numeric = len(a.tracks) - constrained
-    if (depth + 1 if constrained else 0) + depth * numeric > 63:
-        raise ValueError(f"sample keys at depth {depth} do not fit in int64")
-    table = _completion_counts(a, depth, constrained)
+    # keys take depth + 1 bits for the code and depth bits per value.  The
+    # int64 label counts need the universe below 2**63: with a code track
+    # it is below 2**bits, without one it is 2**bits.
+    bits = (depth + 1 if constrained else 0) + depth * numeric
+    if bits > 63 or (bits == 63 and not constrained):
+        raise ValueError(
+            f"sample keys or label counts at depth {depth} do not fit in int64"
+        )
+    values, counts = _completion_counts(a, depth, constrained)
     for width in range(depth + 1):
         tally: dict = defaultdict(int)
         last = np.array([-1])
@@ -858,11 +848,11 @@ def verify_exhaustive(
             for lbl, count in zip(*np.unique(expected, return_counts=True)):
                 tally[lbl.item()] += int(count)
         tally[default] += _universe_size(oracle, width) - sum(tally.values())
-        counts = table[width][(0, 0)]
-        labels = sorted(set(counts) | set(tally))
-        if any(counts.get(lb, 0) != tally[lb] for lb in labels):
-            over = next(lb for lb in labels if counts.get(lb, 0) > tally[lb])
-            return _find_overaccepted(a, oracle, table, width, over)
+        found = dict(zip(values, counts[width][0, 0].tolist()))
+        labels = sorted(set(found) | set(tally))
+        if any(found.get(lb, 0) != tally[lb] for lb in labels):
+            over = next(lb for lb in labels if found.get(lb, 0) > tally[lb])
+            return _find_overaccepted(a, oracle, values, counts, width, over)
     return None
 
 
@@ -928,18 +918,12 @@ def infer_automaton(
                         access.append(u + (sym,))
                         changed = True
 
-        delta = []
-        for u in access:
-            delta.append({sym: rows[row(u + (sym,))] for sym in symbols})
-        labels = [member(u) for u in access]
-        if oracle.mode == "accept":
-            hypothesis = MultiTrackAutomaton(
-                oracle.tracks,
-                delta,
-                accepting=[q for q, v in enumerate(labels) if v],
-            )
-        else:
-            hypothesis = MultiTrackAutomaton(oracle.tracks, delta, outputs=labels)
+        hypothesis = MultiTrackAutomaton(
+            oracle.tracks,
+            [[rows[row(u + (sym,))] for sym in symbols] for u in access],
+            [member(u) for u in access],
+            oracle.mode,
+        )
 
         ce = verify_exhaustive(hypothesis, oracle, min(test_depth, sample_depth))
         if ce is None:
@@ -969,61 +953,24 @@ def infer_automaton(
 def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Language/output-preserving minimization, canonical BFS numbering.
 
-    Hopcroft partition refinement over the reachable part, with the initial
-    partition given by state labels (acceptance bit or output value).
+    Moore refinement (E. F. Moore, "Gedanken-experiments on sequential
+    machines", 1956): blocks start as the label classes, and each round
+    renames every state's signature, its own block followed by its
+    successors' blocks, until the block count stops growing.  Equal blocks
+    are then equivalent states, so the quotient, closed from the initial
+    state's block, is the minimal machine.
     """
-    a = a.bfs_renumbered()
-    groups: dict = defaultdict(set)
-    for q in range(a.n_states):
-        groups[a.state_label(q)].add(q)
-    partition: list[set] = list(groups.values())
-    part_of = [0] * a.n_states
-    for gid, s in enumerate(partition):
-        for q in s:
-            part_of[q] = gid
-
-    inverse: list[dict] = [defaultdict(set) for _ in a.symbols]
-    for q in range(a.n_states):
-        for j, sym in enumerate(a.symbols):
-            inverse[j][a.delta[q][sym]].add(q)
-
-    worklist = set(range(len(partition)))
-    while worklist:
-        aid = worklist.pop()
-        splitter = set(partition[aid])
-        for j in range(len(a.symbols)):
-            x = set()
-            for dst in splitter:
-                x |= inverse[j].get(dst, set())
-            if not x:
-                continue
-            for gid in {part_of[q] for q in x}:
-                block = partition[gid]
-                inside = block & x
-                outside = block - x
-                if not outside or not inside:
-                    continue
-                keep, split = (inside, outside) if len(inside) <= len(
-                    outside
-                ) else (outside, inside)
-                partition[gid] = split
-                new_gid = len(partition)
-                partition.append(keep)
-                for q in keep:
-                    part_of[q] = new_gid
-                if gid in worklist:
-                    worklist.add(new_gid)
-                else:
-                    worklist.add(new_gid if len(keep) <= len(split) else gid)
-
-    # the quotient: block g behaves like any of its members
-    rep = [min(s) for s in partition]
-    return build_semantic_automaton(
-        a.tracks,
-        part_of[0],
-        lambda g, sym: part_of[a.delta[rep[g]][sym]],
-        lambda g: a.state_label(rep[g]),
-        a.mode,
+    _, block = np.unique(a.labels, return_inverse=True)
+    while True:
+        signature = np.column_stack([block, block[a.table]])
+        _, refined = np.unique(signature, axis=0, return_inverse=True)
+        if refined.max() == block.max():
+            break
+        block = refined
+    # the quotient: block g behaves like its first member
+    _, first = np.unique(block, return_index=True)
+    return _closure(
+        a, block[a.table[first]], block.item(0), a.labels[first].tolist().__getitem__
     )
 
 
@@ -1039,14 +986,18 @@ def product(
     A state's label is `combine` of the component labels; one machine gives
     a label map, e.g. the complement with `operator.not_`.
     """
-    tracks = machines[0].tracks
-    if any(m.tracks != tracks for m in machines):
+    first = machines[0]
+    if any(m.tracks != first.tracks for m in machines):
         raise ValueError("automata read different alphabets")
+    rows = [m.table.tolist() for m in machines]
+    labels = [m.labels.tolist() for m in machines]
     return build_semantic_automaton(
-        tracks,
+        first.tracks,
         (0,) * len(machines),
-        lambda state, sym: tuple(m.delta[q][sym] for m, q in zip(machines, state)),
-        lambda state: combine(*(m.state_label(q) for m, q in zip(machines, state))),
+        lambda state, sym: tuple(
+            r[q][first._column[sym]] for r, q in zip(rows, state)
+        ),
+        lambda state: combine(*(lab[q] for lab, q in zip(labels, state))),
         mode,
     )
 
@@ -1068,28 +1019,31 @@ def project(a: MultiTrackAutomaton, track: int) -> MultiTrackAutomaton:
 
     A word takes the _join of the labels of its extensions on `track`.
     """
+    rows, labels = a.table.tolist(), a.labels.tolist()
     free = a.tracks[track]
     return build_semantic_automaton(
         a.tracks[:track] + a.tracks[track + 1 :],
         frozenset([0]),
         lambda states, sym: frozenset(
-            a.delta[q][sym[:track] + (f,) + sym[track:]] for q in states for f in free
+            rows[q][a._column[sym[:track] + (f,) + sym[track:]]]
+            for q in states
+            for f in free
         ),
-        lambda states: _join(a.mode, (a.state_label(q) for q in states)),
+        lambda states: _join(a.mode, (labels[q] for q in states)),
         a.mode,
     )
 
 
-def _backward_reach(
-    a: MultiTrackAutomaton, targets: Iterable[int], symbols: Sequence[tuple]
-) -> set[int]:
-    """The states with a path over `symbols` into `targets`, targets included."""
-    reach = set(targets)
+def _backward_reach(table: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """States with a path along `table`'s columns into the bool vector `reach`.
+
+    The states of `reach` are included; the result is a bool vector too.
+    """
     while True:
-        more = {q for q in range(a.n_states) for s in symbols if a.delta[q][s] in reach}
-        if more <= reach:
+        more = reach | reach[table].any(axis=1)
+        if np.array_equal(more, reach):
             return reach
-        reach |= more
+        reach = more
 
 
 def pad_closure(a: MultiTrackAutomaton, tracks: Sequence[int]) -> MultiTrackAutomaton:
@@ -1098,18 +1052,18 @@ def pad_closure(a: MultiTrackAutomaton, tracks: Sequence[int]) -> MultiTrackAuto
     The leading-zero fix-up after a projection: the projected track may
     need a longer word than the remaining tracks spell.
     """
-    padding = [s for s in a.symbols if not any(s[i] for i in tracks)]
-    states = range(a.n_states)
+    padding = a.table[
+        :, [j for j, s in enumerate(a.symbols) if not any(s[i] for i in tracks)]
+    ]
     reach = {
-        v: _backward_reach(a, [q for q in states if a.state_label(q) == v], padding)
-        for v in {a.state_label(q) for q in states} - {0}
+        v: _backward_reach(padding, a.labels == v)
+        for v in set(a.labels.tolist()) - {0}
     }
-    return build_semantic_automaton(
-        a.tracks,
+    return _closure(
+        a,
+        a.table,
         0,
-        a.step,
-        lambda q: _join(a.mode, (v for v, back in reach.items() if q in back)),
-        a.mode,
+        lambda q: _join(a.mode, (v for v, back in reach.items() if back[q])),
     )
 
 
@@ -1121,15 +1075,14 @@ def shortest_word(a: MultiTrackAutomaton) -> "tuple | None":
     edge into it.  None when every reachable label is the default.
     """
     a = a.bfs_renumbered()
-    q = next((q for q in range(a.n_states) if a.state_label(q)), None)
-    if q is None:
+    labeled = np.flatnonzero(a.labels)
+    if not len(labeled):
         return None
+    q = labeled[0]
     word = []
     while q:
-        q, sym = next(
-            (p, sym) for p in range(q) for sym in a.symbols if a.delta[p][sym] == q
-        )
-        word.append(sym)
+        q, j = np.argwhere(a.table[:q] == q)[0]
+        word.append(a.symbols[j])
     return tuple(reversed(word))
 
 
@@ -1333,24 +1286,18 @@ def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
 # serialization
 
 
-def _label_field(a: MultiTrackAutomaton, q: int) -> str:
-    if a.outputs is None:
-        return "1" if q in a.accepting else "0"
-    return str(a.outputs[q])
-
-
 def write_automaton(a: MultiTrackAutomaton, destination) -> None:
     """Write the exact text format; see read_automaton for the grammar."""
     lines = [f"tracks {len(a.tracks)}"]
     for i, t in enumerate(a.tracks):
         lines.append(f"track {i} " + " ".join(str(s) for s in t))
     lines.append(f"mode {a.mode}")
-    for q in range(a.n_states):
-        lines.append(f"state {q} {_label_field(a, q)}")
-    for q in range(a.n_states):
-        for sym in a.symbols:
-            packed = ";".join(str(c) for c in sym)
-            lines.append(f"trans {q} {packed} {a.delta[q][sym]}")
+    for q, label in enumerate(a.labels.tolist()):
+        lines.append(f"state {q} {int(label)}")
+    packed = [";".join(str(c) for c in sym) for sym in a.symbols]
+    for q, row in enumerate(a.table.tolist()):
+        for sym, dst in zip(packed, row):
+            lines.append(f"trans {q} {sym} {dst}")
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
@@ -1431,7 +1378,6 @@ def read_automaton(source) -> MultiTrackAutomaton:
     labels = {}
     first_trans = None
     while True:
-        save = pos
         try:
             i, parts = next_line()
         except AutomatonFormatError:
@@ -1449,6 +1395,8 @@ def read_automaton(source) -> MultiTrackAutomaton:
             fail(i, f"state {q} declared twice")
         if mode == "accept" and v not in (0, 1):
             fail(i, f"acceptance value must be 0 or 1, got {v}")
+        if not -(2**63) <= v < 2**63:
+            fail(i, f"state {q} output {v} does not fit in int64")
         labels[q] = v
     n = len(labels)
     if n == 0:
@@ -1459,15 +1407,16 @@ def read_automaton(source) -> MultiTrackAutomaton:
         )
 
     alphabet = math.prod(len(t) for t in tracks)
-    if alphabet > len(lines):
+    if n * alphabet > len(lines):
         # every (state, symbol) pair needs a trans line of its own
         raise AutomatonFormatError(
-            f"{alphabet} symbols need more transition lines than the file has",
+            f"{n} states of {alphabet} symbols need more transition lines "
+            "than the file has",
             line=pos,
         )
     symbols = tuple(itertools.product(*tracks))
-    symbol_set = set(symbols)
-    delta = [dict() for _ in range(n)]
+    column = {sym: j for j, sym in enumerate(symbols)}
+    table = [[-1] * alphabet for _ in range(n)]
     records = [first_trans] if first_trans else []
     while True:
         try:
@@ -1484,41 +1433,37 @@ def read_automaton(source) -> MultiTrackAutomaton:
             fail(i, f"bad transition record {lines[i]!r}")
         if not 0 <= src < n or not 0 <= dst < n:
             fail(i, f"transition references unknown state: {lines[i]!r}")
-        if sym not in symbol_set:
+        if sym not in column:
             fail(i, f"symbol {parts[2]!r} not in the declared alphabet")
-        if sym in delta[src]:
+        if table[src][column[sym]] >= 0:
             fail(i, f"duplicate transition for state {src} on {parts[2]!r}")
-        delta[src][sym] = dst
-    for q in range(n):
-        if len(delta[q]) != len(symbols):
-            missing = sorted(symbol_set - set(delta[q]))[:3]
+        table[src][column[sym]] = dst
+    for q, row in enumerate(table):
+        missing = [sym for sym, dst in zip(symbols, row) if dst < 0]
+        if missing:
             raise AutomatonFormatError(
-                f"state {q} is missing {len(symbols) - len(delta[q])} "
-                f"transitions, e.g. {missing}",
+                f"state {q} is missing {len(missing)} transitions, "
+                f"e.g. {sorted(missing)[:3]}",
                 line=len(lines),
             )
-    if mode == "accept":
-        return MultiTrackAutomaton(
-            tracks, delta, accepting=[q for q, v in labels.items() if v]
-        )
-    return MultiTrackAutomaton(tracks, delta, outputs=[labels[q] for q in range(n)])
+    return MultiTrackAutomaton(tracks, table, [labels[q] for q in range(n)], mode)
 
 
 def to_dot(a: MultiTrackAutomaton) -> str:
     """Deterministic DOT text: states in BFS order, one edge per symbol."""
     canon = a.bfs_renumbered()
     out = ["digraph automaton {", "  rankdir=LR;"]
-    for q in range(canon.n_states):
-        if canon.outputs is None:
-            shape = "doublecircle" if q in canon.accepting else "circle"
+    for q, label in enumerate(canon.labels.tolist()):
+        if canon.mode == "accept":
+            shape = "doublecircle" if label else "circle"
             out.append(f'  q{q} [label="{q}", shape={shape}];')
         else:
-            out.append(f'  q{q} [label="{q}/{canon.outputs[q]}", shape=circle];')
+            out.append(f'  q{q} [label="{q}/{label}", shape=circle];')
     out.append("  start [shape=point];")
     out.append("  start -> q0;")
-    for q in range(canon.n_states):
-        for sym in canon.symbols:
-            packed = ";".join(str(c) for c in sym)
-            out.append(f'  q{q} -> q{canon.delta[q][sym]} [label="{packed}"];')
+    packed = [";".join(str(c) for c in sym) for sym in canon.symbols]
+    for q, row in enumerate(canon.table.tolist()):
+        for sym, dst in zip(packed, row):
+            out.append(f'  q{q} -> q{dst} [label="{sym}"];')
     out.append("}")
     return "\n".join(out) + "\n"

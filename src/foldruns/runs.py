@@ -421,13 +421,27 @@ def square_occurrences(w, z) -> list[int]:
 
 
 def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]:
-    """The distinct palindromic factors of length <= max_len found in any row."""
+    """The distinct palindromic factors of length <= max_len found in any row.
+
+    Windows are named by ids grown one symbol at a time (_join_ids), and
+    one occurrence of each distinct palindromic id is read back as a slice.
+    A window is a palindrome when its ends agree and the window two symbols
+    shorter inside it is one.
+    """
     found: set = set()
-    for size in range(1, min(max_len, rows.shape[1]) + 1):
-        wins = np.lib.stride_tricks.sliding_window_view(rows, size, axis=1)
-        pal = (wins == wins[..., ::-1]).all(axis=2)
-        if pal.any():
-            found.update(map(tuple, np.unique(wins[pal], axis=0).tolist()))
+    r, width = rows.shape
+    ones = ids = _window_ids(rows, 1)
+    inner, pal = np.ones((r, width + 1), dtype=bool), np.ones((r, width), dtype=bool)
+    for size in range(1, min(max_len, width) + 1):
+        if size > 1:
+            ids = _join_ids(ids, ones, size - 1)
+            ends = rows[:, : 1 - size] == rows[:, size - 1 :]
+            inner, pal = pal, inner[:, 1:-1] & ends
+        _, first = np.unique(ids[pal], return_index=True)
+        row, col = np.nonzero(pal)
+        found.update(
+            tuple(rows[row[i], col[i] : col[i] + size].tolist()) for i in first
+        )
     return found
 
 

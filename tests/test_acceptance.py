@@ -221,7 +221,7 @@ def test_mutation_sensitivity():
     symbols = sorted(sp.symbols)
     for q in range(sp.n_states):
         sym = symbols[q % len(symbols)]
-        dst = (sp.delta[q][sym] + 1) % sp.n_states
+        dst = (sp.step(q, sym) + 1) % sp.n_states
         mutant = mutated_transition(sp, q, sym, dst)
         cex = verify_exhaustive(mutant, sp_oracle, depth=6)
         assert cex is not None, f"edge {q} --{sym}--> {dst} escaped"
@@ -236,7 +236,7 @@ def test_mutation_sensitivity():
     for q in range(rl.n_states):
         caught = False
         for sym in rl_symbols:
-            dst = (rl.delta[q][sym] + 1) % rl.n_states
+            dst = (rl.step(q, sym) + 1) % rl.n_states
             mutant = mutated_transition(rl, q, sym, dst)
             if verify_exhaustive(mutant, rl_oracle, depth=6) is not None:
                 caught = True

@@ -4,7 +4,9 @@ import io
 import itertools
 import operator
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,7 @@ import foldruns.automata as automata
 from foldruns.automata import (
     BIT_TRACK,
     INSTRUCTION_TRACK,
+    _completion_counts,
     _least_true,
     _universe_size,
     pad_closure,
@@ -209,11 +212,7 @@ def test_valid_code_length_automaton_matches_predicate():
 
 def _two_state():
     # accepts words with an odd number of 1 bits on the only track
-    return MultiTrackAutomaton(
-        ((0, 1),),
-        [{(0,): 0, (1,): 1}, {(0,): 1, (1,): 0}],
-        accepting=[1],
-    )
+    return MultiTrackAutomaton(((0, 1),), [[0, 1], [1, 0]], [0, 1])
 
 
 def test_container_basics():
@@ -229,35 +228,51 @@ def test_container_basics():
 
 
 def test_container_validation():
-    with pytest.raises(ValueError):
-        MultiTrackAutomaton(((0, 1),), [{(0,): 0}], accepting=[0])
-    with pytest.raises(ValueError):
-        MultiTrackAutomaton(
-            ((0, 1),), [{(0,): 0, (1,): 2}], accepting=[0]
-        )
-    with pytest.raises(ValueError):
-        MultiTrackAutomaton(
-            ((0, 1),), [{(0,): 0, (1,): 0}], accepting=[0], outputs=[1]
-        )
-    with pytest.raises(ValueError):
-        MultiTrackAutomaton(((0, 1),), [{(0,): 0, (1,): 0}])
+    with pytest.raises(ValueError, match="shape"):
+        MultiTrackAutomaton(((0, 1),), [[0]], [1])
+    with pytest.raises(ValueError, match="unknown state 2"):
+        MultiTrackAutomaton(((0, 1),), [[0, 2]], [1])
+    with pytest.raises(ValueError, match="one value per state"):
+        MultiTrackAutomaton(((0, 1),), [[0, 0]], [1, 0])
+    with pytest.raises(ValueError, match="one value per state"):
+        MultiTrackAutomaton(((0, 1),), [[0, 0]], [])
+    with pytest.raises(ValueError, match="0 or 1"):
+        MultiTrackAutomaton(((0, 1),), [[0, 0]], [2])
+    with pytest.raises(ValueError, match="mode"):
+        MultiTrackAutomaton(((0, 1),), [[0, 0]], [1], "relation")
 
 
-def test_dense_table_matches_delta(sp_machine, rl_machine):
+def test_labels_are_int64_at_the_boundary():
+    # an output outside int64 is an error in the constructor, and a format
+    # error naming its line in the parser, not a uint64 or object vector
+    top = MultiTrackAutomaton(((0, 1),), [[0, 0]], [2**63 - 1], "output")
+    assert top.labels.dtype == np.int64 and top.output([(1,)]) == 2**63 - 1
+    assert read_automaton(io.StringIO(_written(top))) == top
+    assert _two_state().labels.dtype == bool
+    for label in (2**63, -(2**63) - 1, 2**64):
+        with pytest.raises(ValueError, match="int64"):
+            MultiTrackAutomaton(((0, 1),), [[0, 0]], [label], "output")
+        text = _written(top).replace(str(2**63 - 1), str(label))
+        with pytest.raises(AutomatonFormatError, match="^line 4: state 0 .*int64"):
+            read_automaton(io.StringIO(text))
+
+
+def test_dense_table_matches_step(sp_machine, rl_machine):
     # the table's columns follow `symbols`, also for a track listed out of
     # order; labels is the state_label vector; both arrays are read-only
     symbols = list(itertools.product((1, -1, 0), BIT_TRACK))
     shuffled = MultiTrackAutomaton(
         ((1, -1, 0), BIT_TRACK),
-        [{sym: (q + sym[0] + 2 * sym[1]) % 3 for sym in symbols} for q in range(3)],
-        outputs=[0, 5, 7],
+        [[(q + sym[0] + 2 * sym[1]) % 3 for sym in symbols] for q in range(3)],
+        [0, 5, 7],
+        "output",
     )
     for a in (sp_machine, rl_machine, shuffled, _two_state()):
         assert a.table.shape == (a.n_states, len(a.symbols))
         cols = a.columns([[sym[j] for sym in a.symbols] for j in range(len(a.tracks))])
         assert cols.tolist() == list(range(len(a.symbols)))
         for q in range(a.n_states):
-            assert a.table[q].tolist() == [a.delta[q][sym] for sym in a.symbols]
+            assert a.table[q].tolist() == [a.step(q, sym) for sym in a.symbols]
         assert a.labels.tolist() == [a.state_label(q) for q in range(a.n_states)]
         with pytest.raises(ValueError):
             a.table[0, 0] = 0
@@ -273,11 +288,7 @@ def test_mutations_produce_different_machines():
 
 
 def test_output_mode_container():
-    a = MultiTrackAutomaton(
-        ((0, 1),),
-        [{(0,): 0, (1,): 1}, {(0,): 1, (1,): 0}],
-        outputs=[7, 9],
-    )
+    a = MultiTrackAutomaton(((0, 1),), [[0, 1], [1, 0]], [7, 9], "output")
     assert a.mode == "output"
     assert a.output([(1,)]) == 9
     assert mutated_label(a, 1).output([(1,)]) != 9
@@ -372,16 +383,34 @@ random_dfas = st.integers(2, 6).flatmap(
 )
 
 
+def _one_track(dfa):
+    rows, accepting = dfa
+    return MultiTrackAutomaton(
+        ((0, 1),), rows, [q in accepting for q in range(len(rows))]
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_dfas)
 def test_minimize_preserves_language(dfa):
-    rows, accepting = dfa
-    delta = [{(0,): a, (1,): b} for a, b in rows]
-    a = MultiTrackAutomaton(((0, 1),), delta, accepting=accepting)
+    a = _one_track(dfa)
     m = minimize(a)
     assert m.n_states <= a.n_states
     assert equivalent(a, m) is None
     assert minimize(m) == m
+
+
+def _residual_class_count(a):
+    """Distinct residuals of the reachable states, by brute force.
+
+    Words up to n - 1 symbols reach every reachable state and separate
+    every pair of inequivalent states of an n-state machine.
+    """
+    words = list(_words(a.symbols, a.n_states - 1))
+    reachable = {a.run(w) for w in words}
+    return len(
+        {tuple(a.state_label(a.run(w, start=q)) for w in words) for q in reachable}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +435,9 @@ random_two_track = st.integers(1, 5).flatmap(
 
 def _two_track(spec):
     rows, labels, mode = spec
-    delta = [dict(zip(TWO_BIT_SYMBOLS, row)) for row in rows]
     if mode == "accept":
-        accepting = [q for q, v in enumerate(labels) if v]
-        return MultiTrackAutomaton(TWO_BITS, delta, accepting=accepting)
-    return MultiTrackAutomaton(TWO_BITS, delta, outputs=labels)
+        labels = [v != 0 for v in labels]
+    return MultiTrackAutomaton(TWO_BITS, rows, labels, mode)
 
 
 def _words(symbols, max_len):
@@ -511,6 +538,43 @@ def test_dead_states_match_reachability(spec):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(random_dfas.map(_one_track), random_two_track.map(_two_track)))
+def test_minimize_leaves_one_state_per_residual(a):
+    # equivalence and idempotence hold for any quotient; minimality needs
+    # exactly one state per residual of a reachable state
+    assert minimize(a).n_states == _residual_class_count(a)
+
+
+def _dp_label_counts(values, counts, width, q=0):
+    return {v: c for v, c in zip(values, counts[width][q, 0].tolist()) if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_two_track)
+def test_completion_counts_match_brute_force(spec):
+    # bit-only alphabets: every word is valid, from every start state
+    a = _two_track(spec)
+    values, counts = _completion_counts(a, 4, constrained=False)
+    for width in range(5):
+        universe = list(_valid_universe(a.tracks, width))
+        for q in range(a.n_states):
+            want = Counter(a.state_label(a.run(w, start=q)) for w in universe)
+            assert _dp_label_counts(values, counts, width, q) == want
+
+
+def test_completion_counts_match_brute_force_on_coded_machines(
+    sp_machine, rl_machine
+):
+    # track 0 must stay a valid code: the padding flag prunes the rest
+    for a in (sp_machine, rl_machine):
+        values, counts = _completion_counts(a, 4, constrained=True)
+        for width in range(5):
+            universe = _valid_universe(a.tracks, width)
+            want = Counter(a.word_label(w) for w in universe)
+            assert _dp_label_counts(values, counts, width) == want
+
+
+@settings(max_examples=60, deadline=None)
 @given(random_two_track, random_two_track)
 def test_equivalent_returns_the_first_separating_word(spec_a, spec_b):
     a = _two_track(spec_a)
@@ -539,9 +603,9 @@ def test_algebra_error_paths(sp_machine, rl_machine):
     # track 1 chooses between outputs 1 and 2 on the same track-0 word
     fork = MultiTrackAutomaton(
         TWO_BITS,
-        [{s: 1 + s[1] for s in TWO_BIT_SYMBOLS}]
-        + [{s: q for s in TWO_BIT_SYMBOLS} for q in (1, 2)],
-        outputs=[0, 1, 2],
+        [[1 + s[1] for s in TWO_BIT_SYMBOLS], [1] * 4, [2] * 4],
+        [0, 1, 2],
+        "output",
     )
     with pytest.raises(InferenceError, match="not single-valued"):
         project(fork, 1)
@@ -626,12 +690,32 @@ def test_verifier_rejects_samples_outside_the_width():
         verify_exhaustive(machine, _OverflowingOracle(), 4)
 
 
-def test_verifier_rejects_depths_whose_keys_overflow(sp_machine, rl_machine):
+class _CountsReached(Exception):
+    pass
+
+
+def test_verifier_rejects_depths_whose_keys_overflow(
+    monkeypatch, sp_machine, rl_machine, regular_length_machine
+):
     # keys take depth + 1 bits for the code and depth bits per value
     with pytest.raises(ValueError, match="do not fit in int64"):
         verify_exhaustive(sp_machine, StartRelationOracle(), 21)
     with pytest.raises(ValueError, match="do not fit in int64"):
         verify_exhaustive(rl_machine, RunLengthOracle(), 32)
+
+    # the int64 label counts need the universe below 2**63: a one-bit-track
+    # universe reaches it at depth 63, which is refused before any work;
+    # the depths just below pass the guard and start counting
+    def counting(*args):
+        raise _CountsReached
+
+    monkeypatch.setattr(automata, "_completion_counts", counting)
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        verify_exhaustive(regular_length_machine, RegularLengthOracle(), 63)
+    with pytest.raises(_CountsReached):
+        verify_exhaustive(regular_length_machine, RegularLengthOracle(), 62)
+    with pytest.raises(_CountsReached):
+        verify_exhaustive(rl_machine, RunLengthOracle(), 31)
 
 
 def test_sample_blocks_may_split_anywhere(monkeypatch, rl_machine):
@@ -780,6 +864,26 @@ def test_verifier_matches_brute_force_on_mutants(request, fixture, make_oracle):
             assert cex.automaton_label != cex.oracle_label
         outcomes.add(separated)
     assert outcomes == {False, True}
+
+
+def test_overaccepted_search_stays_inside_the_valid_universe(sp_machine):
+    # a machine that also accepts every word whose track 0 is not a code
+    # labels the valid universe as the oracle does, so the pruned search
+    # must find nothing rather than a word outside the universe
+    def step(state, sym):  # (track 0 padded, track 0 no longer a code)
+        padded, broken = state
+        return padded or sym[0] == 0, broken or (padded and sym[0] != 0)
+
+    broken = build_semantic_automaton(
+        sp_machine.tracks, (False, False), step, lambda state: state[1]
+    )
+    machine = product([sp_machine, broken], operator.or_)
+    oracle = StartRelationOracle()
+    assert verify_exhaustive(machine, oracle, 4) is None
+    values, counts = _completion_counts(machine, 4, constrained=True)
+    for width in range(5):
+        found = automata._find_overaccepted(machine, oracle, values, counts, width, True)
+        assert found is None
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +1067,22 @@ def test_read_reports_line_numbers():
     assert "line" in str(exc.value)
 
 
+def test_read_names_duplicate_and_missing_transitions():
+    lines = _written(_two_state()).splitlines()
+    assert lines[5:] == ["trans 0 0 0", "trans 0 1 1", "trans 1 0 1", "trans 1 1 0"]
+    duplicate = lines[:7] + ["trans 0 0 0"] + lines[7:]
+    with pytest.raises(
+        AutomatonFormatError, match="^line 8: duplicate transition for state 0 on '0'"
+    ):
+        read_automaton(io.StringIO("\n".join(duplicate) + "\n"))
+    missing = lines[:5] + lines[6:]
+    with pytest.raises(
+        AutomatonFormatError,
+        match=r"^line 8: state 0 is missing 1 transitions, e\.g\. \[\(0,\)\]",
+    ):
+        read_automaton(io.StringIO("\n".join(missing) + "\n"))
+
+
 def test_read_rejects_bad_header():
     with pytest.raises(AutomatonFormatError):
         read_automaton(io.StringIO("spokes 3\n"))
@@ -992,7 +1112,8 @@ def _read_or_format_error(text: str) -> None:
 
 FORMAT_TOKENS = st.sampled_from(
     ["tracks", "track", "mode", "accept", "output", "state", "trans",
-     "0", "1", "-1", "2", "40", "0;0", "1;1", "-1;0", ";", "x"]
+     "0", "1", "-1", "2", "40", "0;0", "1;1", "-1;0", ";", "x",
+     "9223372036854775808", "-9223372036854775809"]
 )
 EDITED_LINE = st.one_of(
     st.lists(FORMAT_TOKENS | st.text(max_size=4), max_size=6).map(" ".join),

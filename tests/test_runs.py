@@ -199,16 +199,28 @@ def test_palindromes_tiny_word():
     assert find_palindromes((2,), 1) == {(2,)}
 
 
-def test_batched_palindromes_match_a_per_word_scan():
-    rows = _family_run_data(6)[2]
-    want = {
+def _palindromes_by_scan(rows, max_len):
+    return {
         w
         for row in rows.tolist()
-        for k in range(1, 6)
+        for k in range(1, max_len + 1)
         for i in range(len(row) - k + 1)
         if (w := tuple(row[i : i + k])) == w[::-1]
     }
-    assert _palindromic_factors(rows, 5) == want
+
+
+def test_batched_palindromes_match_a_per_word_scan():
+    rows = _family_run_data(6)[2]
+    assert _palindromic_factors(rows, 5) == _palindromes_by_scan(rows, 5)
+
+
+@pytest.mark.parametrize("symbols, width, max_len", [(2, 40, 14), (3, 9, 12)])
+def test_palindromes_match_a_per_word_scan_on_random_rows(symbols, width, max_len):
+    # run-length words have no palindrome past length 5; random rows over
+    # two symbols have long ones, and max_len may exceed the width
+    rows = np.random.default_rng(9).integers(1, symbols + 1, size=(20, width))
+    rows = rows.astype(np.int8)
+    assert _palindromic_factors(rows, max_len) == _palindromes_by_scan(rows, max_len)
 
 
 def test_window_bound_formula():
