@@ -12,6 +12,8 @@ import contextlib
 import json
 import sys
 
+import numpy as np
+
 from .foldcore import MAX_MATERIALIZED_CODE_LEN, PLUS, FoldCode, InvalidCodeError
 from .runs import (
     find_overlaps,
@@ -51,14 +53,31 @@ class _UsageError(Exception):
     """Post-parse validation failure; rendered like an argparse error."""
 
 
-def _emit_rows(fmt: str, header: list[str], rows) -> None:
+# Rows rendered per write by _emit_rows: bounds the Python objects alive at
+# once, whatever the table's length.
+_BLOCK_ROWS = 2**14
+
+
+def _emit_rows(fmt: str, header: list[str], columns) -> None:
+    """Print a table given as equal-length columns (arrays, lists or ranges).
+
+    Every row is rendered by one %-template (TSV, or a JSON object with
+    sorted keys, as _json_line writes it) and each block of _BLOCK_ROWS rows
+    is written as one string, so only one block at a time exists as Python
+    objects.
+    """
     if fmt == "tsv":
-        print("\t".join(header))
-        for row in rows:
-            print("\t".join(str(v) for v in row))
+        sys.stdout.write("\t".join(header) + "\n")
+        line = "\t".join(["%s"] * len(header))
     else:
-        for row in rows:
-            print(_json_line(dict(zip(header, row))))
+        keys = sorted(range(len(header)), key=header.__getitem__)
+        pairs = (_json_line(header[k]).replace("%", "%%") + ":%s" for k in keys)
+        line = "{" + ",".join(pairs) + "}"
+        columns = [columns[k] for k in keys]
+    line += "\n"
+    for a in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [np.asarray(c[a : a + _BLOCK_ROWS]).tolist() for c in columns]
+        sys.stdout.write("".join(map(line.__mod__, zip(*block))))
 
 
 def _json_line(obj) -> str:
@@ -99,8 +118,12 @@ def _output(path):
         raise _UsageError(str(exc))
 
 
-def _word_text(word) -> str:
-    return "".join("+" if int(v) == 1 else "-" for v in word.array)
+_SIGNS = np.frombuffer(b"-+", dtype=np.uint8)
+
+
+def _word_text(symbols: np.ndarray) -> str:
+    """+1 as '+', anything else as '-': one byte lookup, one decode."""
+    return _SIGNS[(symbols == 1).view(np.uint8)].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +132,14 @@ def _word_text(word) -> str:
 
 def _cmd_gen(args) -> int:
     code = _resolve_code(args)
-    word = paperfolding_word(code)
-    text = _word_text(word)
+    symbols = paperfolding_word(code).array
     if args.limit is not None:
-        if not 1 <= args.limit <= len(text):
+        if not 1 <= args.limit <= symbols.size:
             raise _UsageError(
-                f"--limit must be in 1..{len(text)} for this code"
+                f"--limit must be in 1..{symbols.size} for this code"
             )
-        text = text[: args.limit]
+        symbols = symbols[: args.limit]
+    text = _word_text(symbols)
     if args.format == "tsv":
         print(text)
     else:
@@ -128,11 +151,15 @@ def _cmd_runs(args) -> int:
     code = _resolve_code(args)
     if args.factors is None:
         dec = run_decompose(paperfolding_word(code))
-        _emit_rows(args.format, ["n", "R", "S", "E"], dec.rows())
+        n = np.arange(1, dec.count + 1)
+        columns = [n, dec.lengths, dec.starts, dec.ends]
+        _emit_rows(args.format, ["n", "R", "S", "E"], columns)
         return 0
     w = run_length_word(code)
     if args.factors == "overlaps":
-        _emit_rows(args.format, ["start", "period"], find_overlaps(w))
+        witnesses = find_overlaps(w)
+        columns = [[s for s, _ in witnesses], [p for _, p in witnesses]]
+        _emit_rows(args.format, ["start", "period"], columns)
         return 0
     if args.factors == "squares":
         inventory = find_squares(w)
@@ -278,11 +305,10 @@ def _cmd_complexity(args) -> int:
             f"--n-to {n_to} exceeds the window for code length {t}; "
             f"max factor length is {top}"
         )
-    rows = [
-        (n, subword_complexity(code, n), right_special_count(code, n))
-        for n in range(args.n_from, n_to + 1)
-    ]
-    _emit_rows(args.format, ["n", "factors", "right_special"], rows)
+    ns = range(args.n_from, n_to + 1)
+    factors = [subword_complexity(code, n) for n in ns]
+    special = [right_special_count(code, n) for n in ns]
+    _emit_rows(args.format, ["n", "factors", "right_special"], [ns, factors, special])
     return 0
 
 

@@ -358,24 +358,28 @@ class FactorInventory:
         return f"FactorInventory({self.render()})"
 
 
-def _window_hit(eq: np.ndarray, size: int) -> np.ndarray:
-    """hit[r, j]: eq[r, j : j + size] is all True (one row per word)."""
-    if eq.shape[1] < size:
-        return np.zeros((eq.shape[0], 0), dtype=bool)
-    cs = np.zeros((eq.shape[0], eq.shape[1] + 1), dtype=np.int32)
-    np.cumsum(eq, axis=1, out=cs[:, 1:])
-    return (cs[:, size:] - cs[:, :-size]) == size
-
-
 def _periodic_windows(rows: np.ndarray, extra: int) -> Iterator[tuple[int, np.ndarray]]:
     """(p, hit) per period p, hit[r, j] iff rows[r, j : j + 2p + extra] has period p.
 
     extra = 0 finds squares zz with |z| = p, extra = 1 overlaps axaxa with
-    |ax| = p; every row is scanned at once.
+    |ax| = p; every row is scanned at once.  The window of length
+    n = p + extra at j must equal the one at j + p.  With h the largest
+    power of two <= n and s = n - h, that holds exactly when the length-h
+    windows at j and j + s equal those at j + p and j + p + s, so one level
+    of window ids (_window_ids), doubled as n grows, names every window.
     """
     m = rows.shape[1]
+    h, ids = 1, _window_ids(rows, 1)
     for p in range(1, (m - extra) // 2 + 1):
-        yield p, _window_hit(rows[:, p:] == rows[:, :-p], p + extra)
+        n = p + extra
+        while 2 * h <= n:
+            ids = _join_ids(ids, ids, h)
+            h *= 2
+        cols, s = m - 2 * p - extra + 1, n - h
+        hit = ids[:, :cols] == ids[:, p : p + cols]
+        if s:
+            hit &= ids[:, s : s + cols] == ids[:, p + s : p + s + cols]
+        yield p, hit
 
 
 def _square_factors(rows: np.ndarray) -> set[tuple[int, ...]]:
@@ -501,7 +505,7 @@ def _join_ids(left: np.ndarray, right: np.ndarray, shift: int) -> np.ndarray:
     of the (left, right) pairs, so keys stay below K**2 for K distinct ids.
     """
     cols = min(left.shape[1], right.shape[1] - shift)
-    base = int(right.max()) + 1
+    base = int(right.max(initial=0)) + 1
     return _rank(left[:, :cols] * base + right[:, shift : shift + cols])
 
 

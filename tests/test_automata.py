@@ -1017,18 +1017,24 @@ def test_accepted_numeric_values_matches_semantics(sp_machine):
 def test_accepted_second_values_matches_brute_force(tt_machine):
     # the pruned walk must list exactly the x < 2**8 whose (n, x) word is
     # accepted, on the gap machine and on every single-label mutant of it
+    # accepted[n, x] comes from one table gather per position over all
+    # 2**16 (n, x) words, least significant bit first as encode_inputs writes
     width = 8
     machines = [tt_machine] + [
         mutated_label(tt_machine, q) for q in range(tt_machine.n_states)
     ]
+    n, x = np.divmod(np.arange(2 ** (2 * width)), 2**width)
     for m in machines:
-        for n in range(1, 2**width):
-            want = [
-                x
-                for x in range(2**width)
-                if m.accepts(tuple(((n >> i) & 1, (x >> i) & 1) for i in range(width)))
-            ]
-            assert accepted_second_values(m, n, width) == want, (m, n)
+        column = np.array(
+            [[m.symbols.index((a, b)) for b in (0, 1)] for a in (0, 1)]
+        )
+        q = np.zeros(n.size, dtype=np.intp)
+        for i in range(width):
+            q = m.table[q, column[(n >> i) & 1, (x >> i) & 1]]
+        accepted = m.labels[q].reshape(2**width, 2**width)
+        for k in range(1, 2**width):
+            want = np.flatnonzero(accepted[k]).tolist()
+            assert accepted_second_values(m, k, width) == want, (m, k)
 
 
 def test_accepted_second_values_rejects_indices_outside_the_width(tt_machine):

@@ -2,15 +2,23 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from foldruns import (
     CheckReport,
+    as_code,
+    find_overlaps,
+    paperfolding_word,
+    right_special_count,
+    run_decompose,
+    subword_complexity,
     read_automaton,
     valid_code_length_automaton,
     write_automaton,
 )
-from foldruns.cli import entrypoint, run
+from foldruns import cli
+from foldruns.cli import _emit_rows, entrypoint, run
 
 RUN_TABLE_1111 = [
     (1, 2, 1, 2),
@@ -253,6 +261,98 @@ def test_complexity_window_covers_right_extensions(capsys):
     assert lines_of(capsys)[-1].split("\t")[0] == "50"
     assert run(["complexity", "--regular", "--length", "12", "--n-to", "51"]) == 2
     assert "max factor length is 50" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# block rendering: the same bytes as a renderer that prints one row at a time
+
+
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _reference_table(fmt, header, rows):
+    if fmt == "tsv":
+        lines = ["\t".join(header)] + ["\t".join(str(v) for v in row) for row in rows]
+    else:
+        lines = [_json_text(dict(zip(header, row))) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _reference_gen(fmt, code, limit=None):
+    symbols = paperfolding_word(code).array.tolist()[:limit]
+    text = "".join("+" if v == 1 else "-" for v in symbols)
+    if fmt == "tsv":
+        return text + "\n"
+    return _json_text({"code": as_code(code).to_text(), "word": text}) + "\n"
+
+
+# the square-rich word that the overlap listing is patched to read: every
+# run-length word of a paperfolding code is overlap-free
+OVERLAP_RICH = np.random.default_rng(3).integers(1, 3, size=60)
+
+
+def _reference_output(fmt, argv):
+    code = argv[2]
+    if argv[0] == "gen":
+        limit = int(argv[4]) if "--limit" in argv else None
+        return _reference_gen(fmt, code, limit)
+    if argv[0] == "complexity":
+        rows = [
+            (n, subword_complexity(code, n), right_special_count(code, n))
+            for n in range(int(argv[4]), int(argv[6]) + 1)
+        ]
+        return _reference_table(fmt, ["n", "factors", "right_special"], rows)
+    if "overlaps" in argv:
+        return _reference_table(fmt, ["start", "period"], find_overlaps(OVERLAP_RICH))
+    rows = run_decompose(paperfolding_word(code)).rows()
+    return _reference_table(fmt, ["n", "R", "S", "E"], rows)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("block_rows", [1, 3, 2**14])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--code", "+-++-"),
+        ("gen", "--code", "+-++-", "--limit", "7"),
+        ("gen", "--code", "-", "--limit", "1"),
+        ("runs", "--code", "+-++-+"),
+        ("runs", "--code", "-"),
+        ("runs", "--code", "+-", "--factors", "overlaps"),
+        ("complexity", "--code", "+-++-+--+-++", "--n-from", "3", "--n-to", "9"),
+    ],
+)
+def test_block_rendering_matches_a_per_row_renderer(
+    argv, block_rows, fmt, monkeypatch, capsys
+):
+    # block sizes 1 and 3 leave a partial last block on every table here
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "run_length_word", lambda code: OVERLAP_RICH)
+    assert find_overlaps(OVERLAP_RICH)
+    assert run(list(argv) + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == _reference_output(fmt, argv)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+def test_emit_rows_renders_a_partial_last_block(fmt, capsys):
+    # the default block size, one full block and five more rows; arrays,
+    # lists and ranges are all columns, and keys are sorted in json-lines
+    count = cli._BLOCK_ROWS + 5
+    a = np.arange(count, dtype=np.int32) * 7 - 3
+    b = [v % 3 for v in range(count)]
+    c = range(10**12, 10**12 + count)
+    _emit_rows(fmt, ["z", "a", "m%s"], [a, b, c])
+    rows = zip(a.tolist(), b, c)
+    # line lists, not one long string: a failure then reports the first bad row
+    got = capsys.readouterr().out.splitlines(keepends=True)
+    assert got == _reference_table(fmt, ["z", "a", "m%s"], rows).splitlines(True)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+def test_emit_rows_with_no_rows(fmt, capsys):
+    _emit_rows(fmt, ["start", "period"], [[], []])
+    assert capsys.readouterr().out == _reference_table(fmt, ["start", "period"], [])
 
 
 # ---------------------------------------------------------------------------

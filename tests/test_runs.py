@@ -40,6 +40,7 @@ from foldruns.runs import (
     _family_run_data,
     _join_ids,
     _palindromic_factors,
+    _periodic_windows,
     _regular_run_data,
     _window_ids,
 )
@@ -181,6 +182,37 @@ def test_find_overlaps_on_run_length_words():
 
 def test_find_squares_for_1111():
     assert find_squares(run_length_word("++++")) == {(2, 2)}
+
+
+def _periodic_by_scan(rows, p, extra):
+    # hit[r, j]: the window of length p + extra at j equals the one at j + p
+    n, width = p + extra, rows.shape[1]
+    return [
+        [row[j : j + n] == row[j + p : j + p + n] for j in range(width - p - n + 1)]
+        for row in rows.tolist()
+    ]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("symbols", [1, 2, 3, 4])
+def test_periodic_windows_match_the_definition_on_random_rows(symbols, extra):
+    # every period of every width 0..40 and 0..3 rows, compared with the slices
+    rng = np.random.default_rng(symbols)
+    for width in range(41):
+        shape = (width % 4, width)
+        rows = rng.integers(1, symbols + 1, size=shape).astype(np.int8)
+        periods = []
+        for p, hit in _periodic_windows(rows, extra):
+            periods.append(p)
+            assert hit.dtype == bool
+            assert hit.tolist() == _periodic_by_scan(rows, p, extra), (width, p)
+        assert periods == list(range(1, (width - extra) // 2 + 1))
+
+
+def test_squares_and_overlaps_of_a_square_rich_word():
+    w = (1, 1, 1, 2, 1, 2, 1, 2)
+    assert find_squares(w) == {(1, 1), (1, 2, 1, 2), (2, 1, 2, 1)}
+    assert find_overlaps(w) == [(1, 1), (3, 2), (4, 2)]
 
 
 def test_square_occurrences():
