@@ -20,16 +20,29 @@ Q = Fraction
 # 8 KiB denominator, anything far beyond that stops being desk-scale.
 MAX_ALPHA_INDEX = 16
 
+# Terms per small matrix product in cf_to_rational.
+_CHUNK = 16
+
 
 def cf_to_rational(terms: Sequence[int]) -> Fraction:
-    """Exact value of [a0; a1, ..., at] via the convergent recurrence."""
+    """Exact value of [a0; a1, ..., at] via the convergent recurrence.
+
+    Each step multiplies (p, p_prev) and (q, q_prev) by [[a, 1], [1, 0]].
+    The product of a chunk of such matrices is built in small ints first,
+    so the big convergents are updated once per chunk, not once per term.
+    """
     if len(terms) == 0:
         raise ValueError("continued fraction needs at least one term")
     p_prev, p = 1, terms[0]
     q_prev, q = 0, 1
-    for a in terms[1:]:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
+    rest = terms[1:]
+    for start in range(0, len(rest), _CHUNK):
+        x, y, z, w = 1, 0, 0, 1
+        for a in rest[start : start + _CHUNK]:
+            x, y = a * x + y, x
+            z, w = a * z + w, z
+        p_prev, p = p * y + p_prev * w, p * x + p_prev * z
+        q_prev, q = q * y + q_prev * w, q * x + q_prev * z
     if q == 0:
         raise ZeroDivisionError(f"expansion {list(terms)!r} has no finite value")
     return Q(p, q)
@@ -140,10 +153,10 @@ def alpha_value(eps: Sequence[int]) -> Fraction:
             f"sign vector reaches index {n}; denominators grow as 2**(2**n), "
             f"capped at n = {MAX_ALPHA_INDEX}"
         )
-    total = Q(1, 2) + Q(1, 4)
-    for i, x in enumerate(e, start=2):
-        total += Q(x, 2 ** (2**i))
-    return total
+    # Over the common denominator 2**(2**n); the eps_n term makes it odd.
+    top = 2**n
+    num = 3 * 2 ** (top - 2) + sum(x << (top - 2**i) for i, x in enumerate(e, start=2))
+    return Q(num, 2**top)
 
 
 def predicted_cf(eps: Sequence[int]) -> tuple[int, ...]:
@@ -181,7 +194,12 @@ def cf_theorem_check(n_max: int):
     """Sweep all sign vectors with 2 <= n <= n_max against the prediction.
 
     Returns a CheckReport; the witness on failure is (eps, computed,
-    predicted).  Comparison is by canonical expansions on both sides.
+    predicted), both canonical expansions.  Each vector is decided by
+    value, cf_to_rational(predicted) == alpha: canonical(x) is
+    cf_from_rational(cf_to_rational(x)) and cf_from_rational is injective,
+    so equal values mean equal canonical expansions.  The first vector of
+    each n is also decided by Euclid (predicted_cf is canonical by
+    construction), and the two decisions must agree.
     """
     from .theorems import CheckReport  # local import: theorems depends on us
 
@@ -194,15 +212,20 @@ def cf_theorem_check(n_max: int):
     from itertools import product
 
     for n in range(2, n_max + 1):
-        for eps in product((1, -1), repeat=n - 1):
-            computed = cf_from_rational(alpha_value(eps))
-            predicted = canonical(predicted_cf(eps))
-            if computed != predicted:
+        for k, eps in enumerate(product((1, -1), repeat=n - 1)):
+            alpha = alpha_value(eps)
+            terms = predicted_cf(eps)
+            agrees = cf_to_rational(terms) == alpha
+            if k == 0 and (cf_from_rational(alpha) == terms) != agrees:
+                raise RuntimeError(
+                    f"value and Euclid comparisons disagree at eps={eps!r}"
+                )
+            if not agrees:
                 return CheckReport(
                     name="cf-run-length-correspondence",
                     bound=f"n<={n_max}",
                     passed=False,
-                    witness=(eps, computed, predicted),
+                    witness=(eps, cf_from_rational(alpha), canonical(terms)),
                 )
     return CheckReport(
         name="cf-run-length-correspondence", bound=f"n<={n_max}", passed=True

@@ -389,7 +389,9 @@ def _square_factors(rows: np.ndarray) -> set[tuple[int, ...]]:
         if hit.any():
             pos = np.argwhere(hit)
             windows = rows[pos[:, 0:1], pos[:, 1:2] + np.arange(2 * q)]
-            found.update(map(tuple, np.unique(windows, axis=0).tolist()))
+            # return_index: a plain np.unique would import numpy.ma
+            _, first = np.unique(windows, axis=0, return_index=True)
+            found.update(map(tuple, windows[first].tolist()))
     return found
 
 
@@ -492,9 +494,15 @@ def _rank(keys: np.ndarray) -> np.ndarray:
     """Each key's index among the sorted distinct keys, in the shape of keys.
 
     The same numbers as np.unique(keys, return_inverse=True)[1]; a plain sort
-    and a search among the few distinct keys beat its argsort.
+    and a search among the few distinct keys beat its argsort, and skip the
+    numpy.ma import that a plain np.unique makes on first use.
     """
-    return np.searchsorted(np.unique(keys), keys)
+    ordered = np.sort(keys, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    # rebinding frees the sorted copy before searchsorted allocates the result
+    ordered = ordered[first]
+    return np.searchsorted(ordered, keys)
 
 
 def _join_ids(left: np.ndarray, right: np.ndarray, shift: int) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Command-line behavior: golden outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,3 +437,25 @@ def test_entrypoint_raises_system_exit(monkeypatch, capsys):
         entrypoint()
     assert exc.value.code == 0
     assert lines_of(capsys) == ["+"]
+
+
+def test_factor_commands_do_not_import_numpy_ma():
+    # a plain np.unique imports numpy.ma (about 1 MiB) on first use
+    script = (
+        "import contextlib, io, sys\n"
+        "from foldruns.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['runs', '--code', sys.argv[1], '--factors', 'squares']) == 0\n"
+        "    assert run(['complexity', '--code', sys.argv[1]]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "+-++-+--+-++--+"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -1,6 +1,8 @@
 """Exact continued fractions and the run-length correspondence."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from foldruns import (
     predicted_cf,
     set_parity,
 )
+from foldruns import contfrac
+from foldruns.cli import run
 
 EXAMPLE_EPS = (1, -1, -1, 1)
 EXAMPLE_CF = (0, 1, 4, 4, 2, 6, 4, 2, 4, 4, 6, 4, 2, 4, 6, 2, 4, 5)
@@ -133,3 +137,112 @@ def test_corrupted_prediction_is_detected():
         tampered[k] += 1
         assert tuple(tampered) != computed
         assert cf_to_rational(tampered) != alpha_value(EXAMPLE_EPS)
+
+
+def _linear_cf_value(terms):
+    # one convergent step per term, the recurrence cf_to_rational chunks
+    p_prev, p, q_prev, q = 1, terms[0], 0, 1
+    for a in terms[1:]:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return Fraction(p, q)
+
+
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 33])
+def test_cf_to_rational_matches_linear_recurrence(length):
+    rng = random.Random(length)
+    checked = 0
+    while checked < 200:
+        terms = [rng.randint(-4, 9) for _ in range(length)]
+        try:
+            want = _linear_cf_value(terms)
+        except ZeroDivisionError:
+            continue
+        assert cf_to_rational(terms) == want
+        assert cf_to_rational(tuple(terms)) == want
+        checked += 1
+    big = [rng.randrange(10**30) for _ in range(length)]
+    assert cf_to_rational(big) == _linear_cf_value(big)
+
+
+def test_cf_to_rational_with_no_finite_value():
+    message = r"^expansion \[0, 0\] has no finite value$"
+    with pytest.raises(ZeroDivisionError, match=message):
+        cf_to_rational((0, 0))
+    with pytest.raises(ValueError):
+        cf_to_rational(())
+
+
+def _alpha_reference(eps):
+    total = Fraction(1, 2) + Fraction(1, 4)
+    for i, x in enumerate(eps, start=2):
+        total += Fraction(x, 2 ** (2**i))
+    return total
+
+
+def test_alpha_value_matches_termwise_sum():
+    for n in range(2, 10):
+        for eps in product((1, -1), repeat=n - 1):
+            assert alpha_value(eps) == _alpha_reference(eps)
+
+
+def test_alpha_value_at_the_cap():
+    rng = random.Random(16)
+    for _ in range(4):
+        eps = tuple(rng.choice((1, -1)) for _ in range(MAX_ALPHA_INDEX - 1))
+        value = alpha_value(eps)
+        assert value == _alpha_reference(eps)
+        assert value.denominator == 2 ** (2**MAX_ALPHA_INDEX)
+        assert value.numerator % 2 == 1
+    with pytest.raises(ValueError, match="capped at n = 16"):
+        alpha_value((1,) * MAX_ALPHA_INDEX)
+
+
+BUMPED_EPS = (1, -1, -1, 1)  # n = 5
+
+
+def _bump_prediction(monkeypatch):
+    honest = contfrac.predicted_cf
+
+    def bumped(eps):
+        terms = honest(eps)
+        if tuple(eps) == BUMPED_EPS:
+            terms = (*terms[:3], terms[3] + 1, *terms[4:])
+        return terms
+
+    monkeypatch.setattr(contfrac, "predicted_cf", bumped)
+    return bumped
+
+
+def test_cf_theorem_check_reports_the_euclid_witness(monkeypatch, capsys):
+    bumped = _bump_prediction(monkeypatch)
+    report = cf_theorem_check(6)
+    assert not report.passed
+    assert report.bound == "n<=6"
+    assert report.witness == (
+        BUMPED_EPS,
+        cf_from_rational(alpha_value(BUMPED_EPS)),
+        canonical(bumped(BUMPED_EPS)),
+    )
+    assert run(["cf", "--sweep", "6"]) == 1
+    assert capsys.readouterr().out == str(report) + "\n"
+
+
+def test_cf_theorem_check_runs_one_euclid_per_n(monkeypatch):
+    calls = []
+    euclid = contfrac.cf_from_rational
+
+    def counted(r):
+        calls.append(r)
+        return euclid(r)
+
+    monkeypatch.setattr(contfrac, "cf_from_rational", counted)
+    assert cf_theorem_check(6).passed
+    assert calls == [alpha_value((1,) * (n - 1)) for n in range(2, 7)]
+
+
+def test_cf_theorem_check_stops_when_value_and_euclid_disagree(monkeypatch):
+    euclid = contfrac.cf_from_rational
+    monkeypatch.setattr(contfrac, "cf_from_rational", lambda r: euclid(r) + (1,))
+    with pytest.raises(RuntimeError, match=r"eps=\(1,\)$"):
+        cf_theorem_check(4)

@@ -41,6 +41,7 @@ from foldruns.runs import (
     _join_ids,
     _palindromic_factors,
     _periodic_windows,
+    _rank,
     _regular_run_data,
     _window_ids,
 )
@@ -352,6 +353,13 @@ def test_family_run_data_matches_per_word_decomposition(monkeypatch, block_cells
             assert word.tolist() == paperfolding_word(code.tolist()).array.tolist()
             assert row_lengths.tolist() == dec.lengths.tolist()
             assert row_ends.tolist() == dec.ends.tolist()
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (3, 0), (4, 9), (2, 300)])
+def test_rank_is_the_unique_inverse(shape):
+    keys = np.random.default_rng(3).integers(-5, 40, shape)
+    want = np.unique(keys, return_inverse=True)[1].reshape(shape)
+    assert _rank(keys).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("low, high", [(0, 2), (1, 4), (-128, 128)])
