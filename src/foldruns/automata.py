@@ -37,7 +37,7 @@ from .runs import (
     regular_run_span,
     run_span,
 )
-from .foldcore import FoldCode, InvalidCodeError, as_code, is_valid_code
+from .foldcore import FoldCode, as_code, is_valid_code
 
 INSTRUCTION_TRACK = (-1, 0, 1)
 BIT_TRACK = (0, 1)
@@ -118,10 +118,6 @@ class MultiTrackAutomaton:
     @property
     def n_states(self) -> int:
         return len(self.table)
-
-    @property
-    def initial(self) -> int:
-        return 0
 
     def state_label(self, q: int):
         return self.labels.item(q)
@@ -257,15 +253,6 @@ def encode_inputs(code, nums: Sequence[int], width: int) -> tuple[tuple, ...]:
     return tuple(word)
 
 
-def decode_inputs(word: Sequence[tuple]) -> tuple[FoldCode, tuple[int, ...]]:
-    """Inverse of encode_inputs: (stripped code, numeric values).
-
-    Raises InvalidCodeError when track 0 has interior zeros.
-    """
-    raw, nums = decode_raw(word)
-    return FoldCode(raw).stripped(), nums
-
-
 def decode_raw(
     word: Sequence[tuple], numeric_tracks: "int | None" = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -291,28 +278,8 @@ def decode_raw(
 # semantic relations
 
 
-def lnk_accepts(f, x: int) -> bool:
-    """True iff f is a valid code (as raw symbols) and x = 2**t - 1.
-
-    Total: f may be any int sequence, including ones with interior zeros.
-    """
-    if isinstance(f, FoldCode):
-        syms = f.symbols
-    elif isinstance(f, str):
-        try:
-            syms = FoldCode.from_text(f).symbols
-        except InvalidCodeError:
-            return False
-    else:
-        syms = tuple(int(s) for s in f)
-    if not is_valid_code(syms):
-        return False
-    t = sum(1 for s in syms if s != 0)
-    return x == 2**t - 1
-
-
 def valid_code_length_automaton() -> MultiTrackAutomaton:
-    """Two-track acceptor for lnk_accepts: instructions, then the length bits."""
+    """Two-track acceptor of (f, x): f a valid code of length t, x = 2**t - 1."""
 
     def step(state, sym):
         s, b = sym
@@ -808,6 +775,8 @@ def verify_exhaustive(
         raise ValueError("automaton and oracle alphabets differ")
     if oracle.mode != a.mode:
         raise ValueError("automaton and oracle modes differ")
+    if depth < 0:
+        raise ValueError(f"verification depth must be >= 0, got {depth}")
     default = oracle.default
     constrained = oracle.has_instruction_track
     numeric = len(a.tracks) - constrained
@@ -1169,19 +1138,6 @@ def specialize_regular(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     return minimize(specialized)
 
 
-def build_tt(sample_depth: int = 10, test_depth: int = 6) -> MultiTrackAutomaton:
-    """Infer the automaton for the gap sequence t(n) and check it is well formed.
-
-    Raises InferenceError when any gap_wellformedness check fails at
-    `sample_depth`, the bound inference certified.
-    """
-    machine = infer_automaton(GapOracle(), sample_depth, test_depth)
-    bad = [r for r in gap_wellformedness(machine, depth=sample_depth) if not r.passed]
-    if bad:
-        raise InferenceError(f"gap automaton failed checks: {bad}")
-    return machine
-
-
 def _free_track_values(
     a: MultiTrackAutomaton, fixed: Sequence[int]
 ) -> list[tuple[int, ...]]:
@@ -1229,57 +1185,6 @@ def accepted_second_values(
     if not 0 <= n < 2**width:
         raise ValueError(f"width {width} cannot carry the index {n}")
     return [x for (x,) in _free_track_values(a, [(n >> i) & 1 for i in range(width)])]
-
-
-def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
-    """Bounded totality/functionality/monotonicity/range checks for t(n).
-
-    Returns CheckReports.  The expected gaps come from sieving the
-    complement of H out of the regular run ends up to 2**depth - 1;
-    totality is demanded exactly for the n whose t(n) fits the width.
-    """
-    from .theorems import CheckReport  # theorems depends on this module
-
-    gaps = _regular_gaps(2**depth - 1).tolist()
-    n_max = len(gaps)
-    values: dict[int, list[int]] = {}
-    for n in range(1, n_max + 1):
-        values[n] = accepted_second_values(a, n, depth)
-
-    def report(name, passed, witness=None):
-        return CheckReport(
-            name=name, bound=f"depth={depth}", passed=passed, witness=witness
-        )
-
-    out = []
-    missing = next((n for n in range(1, n_max + 1) if not values[n]), None)
-    out.append(report("gap-total", missing is None, missing))
-    multi = next((n for n in range(1, n_max + 1) if len(values[n]) > 1), None)
-    out.append(
-        report("gap-functional", multi is None, (multi, values.get(multi)) if multi else None)
-    )
-    seq = [values[n][0] for n in range(1, n_max + 1) if values[n]]
-    nondec = next(
-        (i + 1 for i in range(len(seq) - 1) if seq[i] >= seq[i + 1]), None
-    )
-    out.append(report("gap-increasing", nondec is None, nondec))
-    # range: accepted x-values vs the sieved gaps up to the largest of them
-    upper = seq[-1] if seq else 0
-    expected = [y for y in gaps if y <= upper]
-    got = sorted(set(seq))
-    out.append(
-        report(
-            "gap-range",
-            got == expected,
-            next(
-                ((x, y) for x, y in zip(got, expected) if x != y),
-                (len(got), len(expected)),
-            )
-            if got != expected
-            else None,
-        )
-    )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .automata import (
     EndRelationOracle,
     RunLengthOracle,
     StartRelationOracle,
-    build_tt,
     infer_automaton,
     read_automaton,
     to_dot,
@@ -44,7 +43,7 @@ from .contfrac import (
     cf_theorem_check,
     predicted_cf,
 )
-from .theorems import SUITES, run_suite
+from .theorems import SUITES, build_tt, run_suite
 
 MAX_SWEEP_LENGTH = 12
 
@@ -167,12 +166,9 @@ def _cmd_runs(args) -> int:
         if not 1 <= args.max_len <= 31:
             raise _UsageError("--max-len must be in 1..31")
         inventory = find_palindromes(w, args.max_len)
-    if args.format == "tsv":
-        for line in inventory.render():
-            print(line)
-    else:
-        for line in inventory.render():
-            print(_json_line({"factor": line}))
+    for factor in sorted(inventory, key=lambda f: (len(f), f)):
+        line = "".join(map(str, factor))
+        print(line if args.format == "tsv" else _json_line({"factor": line}))
     return 0
 
 

@@ -35,11 +35,6 @@ class MaterializationLimitError(ValueError):
     """Raised when a whole-word construction would exceed the size cap."""
 
 
-def negate(symbol: int) -> int:
-    """Flip +1/-1; padding stays padding."""
-    return -symbol
-
-
 def is_valid_code(symbols: Sequence[int]) -> bool:
     """True iff every entry is in {+1, -1, 0} and zeros form a suffix.
 
@@ -107,19 +102,11 @@ class FoldCode:
     def effective_length(self) -> int:
         return len(self._effective)
 
-    @property
-    def stored_length(self) -> int:
-        return len(self._symbols)
-
     def instruction(self, i: int) -> int:
         """Instruction i (0-indexed)."""
         if not 0 <= i < len(self._effective):
             raise IndexError(f"instruction index {i} out of range")
         return self._effective[i]
-
-    def stripped(self) -> "FoldCode":
-        """The same code without padding."""
-        return FoldCode(self._effective)
 
     def padded(self, width: int) -> "FoldCode":
         """The same code padded with zeros to `width` symbols."""

@@ -37,8 +37,8 @@ def _word_array(w) -> np.ndarray:
 class RunDecomposition:
     """Lengths, starts, and ends of the maximal runs of a word, 1-indexed.
 
-    Backed by numpy arrays so family-wide sweeps stay cheap; the accessor
-    methods hand out plain ints.  Run k is the k-th maximal block, k >= 1.
+    Backed by read-only numpy arrays so family-wide sweeps stay cheap; run
+    k >= 1 is the k-th maximal block, at index k - 1 of each array.
     """
 
     __slots__ = ("_lengths", "_starts", "_ends")
@@ -67,32 +67,6 @@ class RunDecomposition:
     @property
     def count(self) -> int:
         return int(len(self._lengths))
-
-    def length(self, k: int) -> int:
-        self._check(k)
-        return int(self._lengths[k - 1])
-
-    def start(self, k: int) -> int:
-        self._check(k)
-        return int(self._starts[k - 1])
-
-    def end(self, k: int) -> int:
-        self._check(k)
-        return int(self._ends[k - 1])
-
-    def _check(self, k: int) -> None:
-        if not 1 <= k <= len(self._lengths):
-            raise IndexError(f"run index {k} outside 1..{len(self._lengths)}")
-
-    def rows(self) -> Iterator[tuple[int, int, int, int]]:
-        """(k, length, start, end) per run, for table output."""
-        for k in range(len(self._lengths)):
-            yield (
-                k + 1,
-                int(self._lengths[k]),
-                int(self._starts[k]),
-                int(self._ends[k]),
-            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunDecomposition):
@@ -250,19 +224,6 @@ def _span(f: tuple[int, ...], t: int, n: int) -> tuple[int, int]:
     return (2 * m + 2 - e, 2 * m + 2 - s)
 
 
-def run_start(code, n: int) -> int:
-    return run_span(code, n)[0]
-
-
-def run_end(code, n: int) -> int:
-    return run_span(code, n)[1]
-
-
-def run_length(code, n: int) -> int:
-    s, e = run_span(code, n)
-    return e - s + 1
-
-
 def regular_run_span(n: int) -> tuple[int, int]:
     """(start, end) of run n of the regular (all +1 instructions) sequence.
 
@@ -311,51 +272,6 @@ def regular_run_end(n: int) -> int:
 def regular_run_length(n: int) -> int:
     s, e = regular_run_span(n)
     return e - s + 1
-
-
-class FactorInventory:
-    """A set of factors of a run-length word, stored as int tuples."""
-
-    __slots__ = ("_factors", "_max_length")
-
-    def __init__(self, factors, max_length: "int | None" = None):
-        self._factors = frozenset(tuple(int(s) for s in w) for w in factors)
-        self._max_length = max_length
-
-    @property
-    def factors(self) -> frozenset:
-        return self._factors
-
-    @property
-    def max_length(self) -> "int | None":
-        """Length cap the inventory was collected under, None if unbounded."""
-        return self._max_length
-
-    def render(self) -> list[str]:
-        """Factors as digit strings, sorted by length then lexicographically."""
-        return [
-            "".join(str(s) for s in w)
-            for w in sorted(self._factors, key=lambda w: (len(w), w))
-        ]
-
-    def __contains__(self, w) -> bool:
-        return tuple(int(s) for s in w) in self._factors
-
-    def __iter__(self):
-        return iter(sorted(self._factors, key=lambda w: (len(w), w)))
-
-    def __len__(self) -> int:
-        return len(self._factors)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FactorInventory):
-            return self._factors == other._factors
-        if isinstance(other, (set, frozenset)):
-            return self._factors == {tuple(int(s) for s in w) for w in other}
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"FactorInventory({self.render()})"
 
 
 def _periodic_windows(rows: np.ndarray, extra: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -409,21 +325,9 @@ def find_overlaps(w) -> list[tuple[int, int]]:
     )
 
 
-def find_squares(w) -> FactorInventory:
+def find_squares(w) -> frozenset[tuple[int, ...]]:
     """The distinct square factors (words of shape zz, z nonempty) of w."""
-    return FactorInventory(_square_factors(_word_array(w).reshape(1, -1)))
-
-
-def square_occurrences(w, z) -> list[int]:
-    """1-indexed positions where the square z.z occurs in w."""
-    arr = _word_array(w)
-    zz = np.asarray(list(z) + list(z), dtype=arr.dtype)
-    if zz.size == 0:
-        raise ValueError("square root must be nonempty")
-    if zz.size > arr.size:
-        return []
-    wins = np.lib.stride_tricks.sliding_window_view(arr, zz.size)
-    return [int(i) + 1 for i in np.flatnonzero((wins == zz).all(axis=1))]
+    return frozenset(_square_factors(_word_array(w).reshape(1, -1)))
 
 
 def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]:
@@ -451,12 +355,11 @@ def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]
     return found
 
 
-def find_palindromes(w, max_len: int) -> FactorInventory:
+def find_palindromes(w, max_len: int) -> frozenset[tuple[int, ...]]:
     """The distinct palindromic factors of w with length <= max_len."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rows = _word_array(w).reshape(1, -1)
-    return FactorInventory(_palindromic_factors(rows, max_len), max_length=max_len)
+    return frozenset(_palindromic_factors(_word_array(w).reshape(1, -1), max_len))
 
 
 # Factor scans must stay inside the prefix window where every factor of the

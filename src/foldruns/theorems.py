@@ -33,9 +33,11 @@ from .runs import (
 )
 from .automata import (
     GapOracle,
+    InferenceError,
+    MultiTrackAutomaton,
     StartRelationOracle,
     accepted_numeric_values,
-    gap_wellformedness,
+    accepted_second_values,
     infer_automaton,
     regular_gap_value,
 )
@@ -324,6 +326,10 @@ def _spread_count_check(
 ) -> CheckReport:
     """count(code, n) == expected(n) on _spread_codes(L, sample), n in range."""
     lo, hi = n_range
+    if lo > hi:
+        raise ValueError(f"empty factor-length range {lo}..{hi}")
+    if not 1 <= sample <= 2**L:
+        raise ValueError(f"sample must be in 1..{2**L} for codes of length {L}")
     need = min_code_length(hi)
     if L < need:
         raise ValueError(
@@ -494,6 +500,68 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
 # the regular-sequence suite
 
 
+def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
+    """Bounded totality/functionality/monotonicity/range checks for t(n).
+
+    Returns CheckReports.  The expected gaps come from sieving the
+    complement of H out of the regular run ends up to 2**depth - 1;
+    totality is demanded exactly for the n whose t(n) fits the width.
+    """
+    gaps = _regular_gaps(2**depth - 1).tolist()
+    n_max = len(gaps)
+    values: dict[int, list[int]] = {}
+    for n in range(1, n_max + 1):
+        values[n] = accepted_second_values(a, n, depth)
+
+    def report(name, passed, witness=None):
+        return CheckReport(
+            name=name, bound=f"depth={depth}", passed=passed, witness=witness
+        )
+
+    out = []
+    missing = next((n for n in range(1, n_max + 1) if not values[n]), None)
+    out.append(report("gap-total", missing is None, missing))
+    multi = next((n for n in range(1, n_max + 1) if len(values[n]) > 1), None)
+    out.append(
+        report("gap-functional", multi is None, (multi, values.get(multi)) if multi else None)
+    )
+    seq = [values[n][0] for n in range(1, n_max + 1) if values[n]]
+    nondec = next(
+        (i + 1 for i in range(len(seq) - 1) if seq[i] >= seq[i + 1]), None
+    )
+    out.append(report("gap-increasing", nondec is None, nondec))
+    # range: accepted x-values vs the sieved gaps up to the largest of them
+    upper = seq[-1] if seq else 0
+    expected = [y for y in gaps if y <= upper]
+    got = sorted(set(seq))
+    out.append(
+        report(
+            "gap-range",
+            got == expected,
+            next(
+                ((x, y) for x, y in zip(got, expected) if x != y),
+                (len(got), len(expected)),
+            )
+            if got != expected
+            else None,
+        )
+    )
+    return out
+
+
+def build_tt(sample_depth: int = 10, test_depth: int = 6) -> MultiTrackAutomaton:
+    """Infer the automaton for the gap sequence t(n) and check it is well formed.
+
+    Raises InferenceError when any gap_wellformedness check fails at
+    `sample_depth`, the bound inference certified.
+    """
+    machine = infer_automaton(GapOracle(), sample_depth, test_depth)
+    bad = [r for r in gap_wellformedness(machine, depth=sample_depth) if not r.passed]
+    if bad:
+        raise InferenceError(f"gap automaton failed checks: {bad}")
+    return machine
+
+
 def regular_suite(
     N: int = 10**5,
     sum_bound: "int | None" = None,
@@ -513,6 +581,8 @@ def regular_suite(
         raise ValueError("regular_suite needs N >= 16")
     if sum_bound is None:
         sum_bound = min(N, 10**4)
+    if sum_bound < 1:
+        raise ValueError(f"regular_suite needs sum_bound >= 1, got {sum_bound}")
 
     # one run table covers every indexed lookup below; t(2k) sits near
     # 4.2k, so 5x the sum bound leaves the composition lookups in range

@@ -17,8 +17,10 @@ from foldruns import (
     AutomatonFormatError,
     Counterexample,
     EndRelationOracle,
+    FoldCode,
     GapOracle,
     InferenceError,
+    InvalidCodeError,
     MultiTrackAutomaton,
     RegularEndOracle,
     RegularLengthOracle,
@@ -32,12 +34,10 @@ from foldruns import (
     build_semantic_automaton,
     is_valid_code,
     combine_value_acceptors,
-    decode_inputs,
     encode_inputs,
     equivalent,
     gap_wellformedness,
     infer_automaton,
-    lnk_accepts,
     minimize,
     paperfolding_word,
     read_automaton,
@@ -59,6 +59,7 @@ from foldruns.automata import (
     _completion_counts,
     _least_true,
     _universe_size,
+    decode_raw,
     pad_closure,
     product,
     project,
@@ -85,8 +86,8 @@ def test_encode_decode_round_trip(code, n, x, slack):
         width = 1
     word = encode_inputs(code, (n, x), width)
     assert len(word) == width
-    got_code, got_nums = decode_inputs(word)
-    assert got_code.symbols == code
+    raw, got_nums = decode_raw(word)
+    assert FoldCode(raw).effective == code
     assert got_nums == (n, x)
 
 
@@ -109,10 +110,10 @@ def test_code_family_oracles_match_decomposition():
             dec = run_decompose(paperfolding_word(code))
             assert _label(sp, code, 0, 0)
             for n in range(1, dec.count + 1):
-                assert _label(sp, code, n, dec.start(n))
-                assert not _label(sp, code, n, dec.start(n) + 1)
-                assert _label(ep, code, n, dec.end(n))
-                assert _label(rl, code, n) == dec.length(n)
+                assert _label(sp, code, n, int(dec.starts[n - 1]))
+                assert not _label(sp, code, n, int(dec.starts[n - 1]) + 1)
+                assert _label(ep, code, n, int(dec.ends[n - 1]))
+                assert _label(rl, code, n) == dec.lengths[n - 1]
             assert not _label(sp, code, dec.count + 1, 1)
 
 
@@ -189,6 +190,26 @@ def test_oracle_samples_are_the_non_default_universe(make, max_width):
         assert dict(got) == {w: v for w, v in want.items() if v != oracle.default}
 
 
+def lnk_accepts(f, x: int) -> bool:
+    """True iff f is a valid code (as raw symbols) and x = 2**t - 1.
+
+    Total: f may be any int sequence, including ones with interior zeros.
+    """
+    if isinstance(f, FoldCode):
+        syms = f.symbols
+    elif isinstance(f, str):
+        try:
+            syms = FoldCode.from_text(f).symbols
+        except InvalidCodeError:
+            return False
+    else:
+        syms = tuple(int(s) for s in f)
+    if not is_valid_code(syms):
+        return False
+    t = sum(1 for s in syms if s != 0)
+    return x == 2**t - 1
+
+
 def test_lnk_accepts():
     assert lnk_accepts("+++", 7)
     assert not lnk_accepts("+++", 6)
@@ -219,7 +240,7 @@ def test_container_basics():
     a = _two_state()
     assert a.mode == "accept"
     assert a.n_states == 2
-    assert a.initial == 0
+    assert a.run([]) == 0
     assert a.step(0, (1,)) == 1
     assert a.run([(1,), (0,), (1,)]) == 0
     assert a.accepts([(1,)])
@@ -690,6 +711,17 @@ def test_verifier_rejects_samples_outside_the_width():
         verify_exhaustive(machine, _OverflowingOracle(), 4)
 
 
+def test_verifier_rejects_negative_depths():
+    # a negative depth compares no word, so it must not read as verified
+    oracle = StartRelationOracle()
+    everything = build_semantic_automaton(
+        oracle.tracks, 0, lambda q, sym: 0, lambda q: True
+    )
+    assert verify_exhaustive(everything, oracle, 3) is not None
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        verify_exhaustive(everything, oracle, -1)
+
+
 class _CountsReached(Exception):
     pass
 
@@ -1010,7 +1042,7 @@ def test_accepted_numeric_values_matches_semantics(sp_machine):
             want = {(0, 0)}
             if t >= 1:
                 dec = run_decompose(paperfolding_word(code))
-                want |= {(n, dec.start(n)) for n in range(1, dec.count + 1)}
+                want |= {(n, int(dec.starts[n - 1])) for n in range(1, dec.count + 1)}
             assert pairs == want
 
 

@@ -309,7 +309,9 @@ def _reference_output(fmt, argv):
         return _reference_table(fmt, ["n", "factors", "right_special"], rows)
     if "overlaps" in argv:
         return _reference_table(fmt, ["start", "period"], find_overlaps(OVERLAP_RICH))
-    rows = run_decompose(paperfolding_word(code)).rows()
+    dec = run_decompose(paperfolding_word(code))
+    columns = (dec.lengths.tolist(), dec.starts.tolist(), dec.ends.tolist())
+    rows = zip(range(1, dec.count + 1), *columns)
     return _reference_table(fmt, ["n", "R", "S", "E"], rows)
 
 

@@ -15,7 +15,6 @@ from foldruns import (
     all_codes,
     as_code,
     is_valid_code,
-    negate,
     paperfolding_term,
     paperfolding_word,
 )
@@ -28,7 +27,7 @@ codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=10).map
 
 def test_symbol_constants():
     assert PLUS == 1 and MINUS == -1
-    assert negate(PLUS) == MINUS and negate(MINUS) == PLUS
+    assert -PLUS == MINUS and -MINUS == PLUS
 
 
 def test_code_text_round_trip():
@@ -53,8 +52,8 @@ def test_effective_versus_stored():
     code = FoldCode.from_text("+-0")
     assert code.effective == (PLUS, MINUS)
     assert code.effective_length == 2
-    assert code.stored_length == 3
-    assert code.stripped() == FoldCode.from_text("+-")
+    assert len(code.symbols) == 3
+    assert FoldCode(code.effective) == FoldCode.from_text("+-")
     assert code.padded(5).symbols == (PLUS, MINUS, 0, 0, 0)
     assert code.instruction(0) == PLUS and code.instruction(1) == MINUS
     with pytest.raises(IndexError):

@@ -25,12 +25,8 @@ from foldruns import (
     right_extension_map,
     right_special_count,
     run_decompose,
-    run_end,
-    run_length,
     run_length_word,
     run_span,
-    run_start,
-    square_occurrences,
     subword_complexity,
     window_bound,
 )
@@ -65,16 +61,16 @@ def test_table_for_code_1111():
 def test_decomposition_partitions_the_word(code):
     w = paperfolding_word(code)
     dec = run_decompose(w)
-    assert dec.start(1) == 1
-    assert dec.end(dec.count) == len(w)
+    assert dec.starts[0] == 1
+    assert dec.ends[dec.count - 1] == len(w)
     for k in range(1, dec.count):
-        assert dec.start(k + 1) == dec.end(k) + 1
+        assert dec.starts[k] == dec.ends[k - 1] + 1
     for k in range(1, dec.count + 1):
-        assert dec.length(k) == dec.end(k) - dec.start(k) + 1
-        block = {w[i] for i in range(dec.start(k), dec.end(k) + 1)}
+        assert dec.lengths[k - 1] == dec.ends[k - 1] - dec.starts[k - 1] + 1
+        block = {w[i] for i in range(dec.starts[k - 1], dec.ends[k - 1] + 1)}
         assert len(block) == 1
         if k < dec.count:
-            assert w[dec.end(k)] != w[dec.start(k + 1)]
+            assert w[dec.ends[k - 1]] != w[dec.starts[k]]
 
 
 def test_run_count_and_lengths_small_sweep():
@@ -123,7 +119,7 @@ def test_predicted_ends_match_actual(code, data):
     dec = run_decompose(paperfolding_word(code))
     predicted = predicted_end_positions(code)
     n = data.draw(st.integers(min_value=1, max_value=len(predicted)))
-    assert predicted[n - 1] == dec.end(n)
+    assert predicted[n - 1] == dec.ends[n - 1]
 
 
 @settings(max_examples=150)
@@ -131,10 +127,9 @@ def test_predicted_ends_match_actual(code, data):
 def test_run_span_matches_decomposition(code, data):
     dec = run_decompose(paperfolding_word(code))
     n = data.draw(st.integers(min_value=1, max_value=dec.count))
-    assert run_span(code, n) == (dec.start(n), dec.end(n))
-    assert run_start(code, n) == dec.start(n)
-    assert run_end(code, n) == dec.end(n)
-    assert run_length(code, n) == dec.length(n)
+    s, e = run_span(code, n)
+    assert (s, e) == (dec.starts[n - 1], dec.ends[n - 1])
+    assert e - s + 1 == dec.lengths[n - 1]
 
 
 def test_run_span_rejects_out_of_range():
@@ -148,10 +143,10 @@ def test_regular_fast_path_matches_generic():
     code = "+" * 11
     dec = run_decompose(paperfolding_word(code))
     for n in range(1, 2**10 + 1):
-        assert regular_run_span(n) == (dec.start(n), dec.end(n))
-    assert regular_run_start(5) == dec.start(5)
-    assert regular_run_end(5) == dec.end(5)
-    assert regular_run_length(5) == dec.length(5)
+        assert regular_run_span(n) == (dec.starts[n - 1], dec.ends[n - 1])
+    assert regular_run_start(5) == dec.starts[4]
+    assert regular_run_end(5) == dec.ends[4]
+    assert regular_run_length(5) == dec.lengths[4]
 
 
 def test_regular_run_table_matches_pointwise_spans():
@@ -214,13 +209,6 @@ def test_squares_and_overlaps_of_a_square_rich_word():
     w = (1, 1, 1, 2, 1, 2, 1, 2)
     assert find_squares(w) == {(1, 1), (1, 2, 1, 2), (2, 1, 2, 1)}
     assert find_overlaps(w) == [(1, 1), (3, 2), (4, 2)]
-
-
-def test_square_occurrences():
-    # the argument is the square root z; occurrences are of z.z
-    assert square_occurrences(run_length_word("++++"), (2,)) == [3]
-    assert square_occurrences((1, 2, 3), (2,)) == []
-    assert square_occurrences((1, 2, 3, 1, 2, 3), (1, 2, 3)) == [1]
 
 
 def test_palindromes_for_1111():

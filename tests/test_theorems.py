@@ -183,6 +183,22 @@ def test_complexity_rejects_short_codes():
         complexity(n_range=(6, 30), L=8)
 
 
+@pytest.mark.parametrize("check", [complexity, right_special_exactly_four])
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        # 2**8 codes of length 8: 257 distinct ones can never be picked
+        ({"n_range": (1, 1), "L": 8, "sample": 257}, "sample must be in 1..256"),
+        ({"n_range": (1, 1), "L": 8, "sample": 0}, "sample must be in 1..256"),
+        ({"n_range": (30, 6)}, "empty factor-length range 30..6"),
+    ],
+    ids=["too-many-samples", "no-samples", "empty-range"],
+)
+def test_spread_checks_refuse_bounds_that_check_nothing(check, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        check(**bounds)
+
+
 def test_right_special_narrow_range():
     report = right_special_exactly_four(n_range=(6, 10), L=12, sample=4)
     assert report.passed
@@ -234,6 +250,11 @@ def test_regular_suite_names(tt_machine):
     reports = regular_suite(N=1000, sum_bound=100, tt_machine=tt_machine)
     assert [r.name for r in reports] == REGULAR_NAMES
     assert all(r.passed for r in reports)
+
+
+def test_regular_suite_refuses_an_empty_sum_bound():
+    with pytest.raises(ValueError, match="sum_bound >= 1"):
+        regular_suite(N=16, sum_bound=0)
 
 
 # ---------------------------------------------------------------------------
