@@ -36,14 +36,8 @@ from .automata import (
     to_dot,
     write_automaton,
 )
-from .contfrac import (
-    MAX_ALPHA_INDEX,
-    alpha_value,
-    cf_from_rational,
-    cf_theorem_check,
-    predicted_cf,
-)
-from .theorems import SUITES, build_tt, run_suite
+from .contfrac import MAX_ALPHA_INDEX, alpha_value, cf_from_rational, predicted_cf
+from .theorems import SUITES, build_tt, cf_theorem_check, run_suite
 
 MAX_SWEEP_LENGTH = 12
 

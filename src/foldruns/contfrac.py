@@ -189,44 +189,3 @@ def folded_alpha(eps: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
         cf = fold_step(cf, sign)
     return cf_to_rational(cf), cf
 
-
-def cf_theorem_check(n_max: int):
-    """Sweep all sign vectors with 2 <= n <= n_max against the prediction.
-
-    Returns a CheckReport; the witness on failure is (eps, computed,
-    predicted), both canonical expansions.  Each vector is decided by
-    value, cf_to_rational(predicted) == alpha: canonical(x) is
-    cf_from_rational(cf_to_rational(x)) and cf_from_rational is injective,
-    so equal values mean equal canonical expansions.  The first vector of
-    each n is also decided by Euclid (predicted_cf is canonical by
-    construction), and the two decisions must agree.
-    """
-    from .theorems import CheckReport  # local import: theorems depends on us
-
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if n_max > MAX_ALPHA_INDEX:
-        raise ValueError(
-            f"n_max capped at {MAX_ALPHA_INDEX}; denominators grow as 2**(2**n)"
-        )
-    from itertools import product
-
-    for n in range(2, n_max + 1):
-        for k, eps in enumerate(product((1, -1), repeat=n - 1)):
-            alpha = alpha_value(eps)
-            terms = predicted_cf(eps)
-            agrees = cf_to_rational(terms) == alpha
-            if k == 0 and (cf_from_rational(alpha) == terms) != agrees:
-                raise RuntimeError(
-                    f"value and Euclid comparisons disagree at eps={eps!r}"
-                )
-            if not agrees:
-                return CheckReport(
-                    name="cf-run-length-correspondence",
-                    bound=f"n<={n_max}",
-                    passed=False,
-                    witness=(eps, cf_from_rational(alpha), canonical(terms)),
-                )
-    return CheckReport(
-        name="cf-run-length-correspondence", bound=f"n<={n_max}", passed=True
-    )

@@ -9,7 +9,7 @@ object analyzed by the factor operations in the second half of this module.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .foldcore import (
     paperfolding_word,
     word_matrix,
 )
-
-WordLike = "PaperfoldingWord | Sequence[int] | np.ndarray"
 
 
 def _word_array(w) -> np.ndarray:

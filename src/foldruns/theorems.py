@@ -9,9 +9,11 @@ what the `verify` CLI subcommand dispatches to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from . import contfrac
 from .foldcore import FoldCode, all_codes, code_matrix
 from .runs import (
     RunCountError,
@@ -63,34 +65,43 @@ SUITES = ("sp", "runs", "regular", "cf")
 class CheckReport:
     """Outcome of one named bounded check.
 
-    A failing report always carries a witness tuple that re-evaluates to a
-    genuine violation through plain word-level code; a passing report never
-    carries one.  `note` holds non-fatal observations.
+    The witness is the verdict: a report fails exactly when it carries one,
+    and it re-evaluates to a genuine violation through plain word-level
+    code.  `note` holds non-fatal observations.
     """
 
     name: str
     bound: str
-    passed: bool
-    witness: "tuple | None" = None
+    witness: "tuple | int | None" = None
     note: str = ""
 
-    def __post_init__(self):
-        if self.passed and self.witness is not None:
-            raise ValueError(f"passing report {self.name!r} must not carry a witness")
-        if not self.passed and self.witness is None:
-            raise ValueError(f"failing report {self.name!r} must carry a witness")
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
     def __str__(self) -> str:
-        head = f"{'PASS' if self.passed else 'FAIL'} {self.name} [{self.bound}]"
+        head = f"{self.verdict.upper()} {self.name} [{self.bound}]"
         if self.witness is not None:
             head += f" witness={self.witness!r}"
         if self.note:
             head += f" note={self.note}"
         return head
+
+
+def _first(name: str, bound: str, bad: np.ndarray, witness) -> CheckReport:
+    """PASS when the index vector `bad` is empty, else FAIL at its first index."""
+    return CheckReport(name, bound, witness(int(bad[0])) if bad.size else None)
+
+
+def _codes_bound(name: str, L: int, least: int) -> str:
+    """The bound of a sweep over codes with t <= L; refuses an L below `least`."""
+    if L < least:
+        raise ValueError(f"{name} needs L >= {least}, got {L}")
+    return f"codes t<={L}"
 
 
 # ---------------------------------------------------------------------------
@@ -123,32 +134,26 @@ def _spread_codes(length: int, count: int) -> list[FoldCode]:
 
 def prop1(L: int = 12) -> CheckReport:
     """Every code of effective length 1 <= t <= L yields exactly 2**(t-1) runs."""
-    bound = f"codes t<={L}"
+    bound = _codes_bound("prop1", L, 1)
     for t in range(1, L + 1):
         try:
             _family_run_data(t)
         except RunCountError as exc:
-            return CheckReport(
-                name="prop1", bound=bound, passed=False, witness=exc.witness
-            )
-    return CheckReport(name="prop1", bound=bound, passed=True)
+            return CheckReport("prop1", bound, exc.witness)
+    return CheckReport("prop1", bound)
 
 
 def prop4(L: int = 12) -> CheckReport:
     """Every run of every code of effective length t <= L has length 1, 2, or 3."""
-    bound = f"codes t<={L}"
+    bound = _codes_bound("prop4", L, 1)
     for t in range(1, L + 1):
         codes, _, lengths, _ = _family_run_data(t)
         bad = np.argwhere((lengths < 1) | (lengths > 3))
         if bad.size:
             r, k = map(int, bad[0])
-            return CheckReport(
-                name="prop4",
-                bound=bound,
-                passed=False,
-                witness=(_row_code(codes, r).to_text(), k + 1, int(lengths[r, k])),
-            )
-    return CheckReport(name="prop4", bound=bound, passed=True)
+            witness = (_row_code(codes, r).to_text(), k + 1, int(lengths[r, k]))
+            return CheckReport("prop4", bound, witness)
+    return CheckReport("prop4", bound)
 
 
 def thm3(L: int = 12) -> CheckReport:
@@ -158,7 +163,7 @@ def thm3(L: int = 12) -> CheckReport:
     range 1 <= n <= 2**(t-1) - 1, comparing each decomposition's ends
     against predicted_end_positions.
     """
-    bound = f"codes t<={L}"
+    bound = _codes_bound("thm3", L, 2)
     for t in range(2, L + 1):
         codes, _, _, ends = _family_run_data(t)
         for r in range(codes.shape[0]):
@@ -166,14 +171,13 @@ def thm3(L: int = 12) -> CheckReport:
             predicted = predicted_end_positions(code)
             head = ends[r, : predicted.size]
             if not np.array_equal(head, predicted):
-                j = int(np.flatnonzero(head != predicted)[0])
-                return CheckReport(
-                    name="thm3",
-                    bound=bound,
-                    passed=False,
-                    witness=(code.to_text(), j + 1, int(head[j]), int(predicted[j])),
+                return _first(
+                    "thm3",
+                    bound,
+                    np.flatnonzero(head != predicted),
+                    lambda j: (code.to_text(), j + 1, int(head[j]), int(predicted[j])),
                 )
-    return CheckReport(name="thm3", bound=bound, passed=True)
+    return CheckReport("thm3", bound)
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +186,16 @@ def thm3(L: int = 12) -> CheckReport:
 
 def overlapfree(L: int = 10) -> CheckReport:
     """Run-length words of all codes with t <= L contain no overlap axaxa."""
-    bound = f"codes t<={L}"
+    bound = _codes_bound("overlapfree", L, 1)
     for t in range(1, L + 1):
         codes, _, lengths, _ = _family_run_data(t)
         for p, hit in _periodic_windows(lengths, 1):
             if hit.any():
                 r, j = map(int, np.argwhere(hit)[0])
-                return CheckReport(
-                    name="overlapfree",
-                    bound=bound,
-                    passed=False,
-                    witness=(
-                        _row_code(codes, r).to_text(),
-                        j + 1,
-                        p,
-                        tuple(int(v) for v in lengths[r, j : j + 2 * p + 1]),
-                    ),
-                )
-    return CheckReport(name="overlapfree", bound=bound, passed=True)
+                overlap = tuple(int(v) for v in lengths[r, j : j + 2 * p + 1])
+                witness = (_row_code(codes, r).to_text(), j + 1, p, overlap)
+                return CheckReport("overlapfree", bound, witness)
+    return CheckReport("overlapfree", bound)
 
 
 def squares_only(L: int = 10) -> CheckReport:
@@ -209,7 +205,7 @@ def squares_only(L: int = 10) -> CheckReport:
     for t in range(1, L + 1):
         found |= _square_factors(_family_run_data(t)[2])
     if found == set(EXPECTED_SQUARES):
-        return CheckReport(name="squares_only", bound=bound, passed=True)
+        return CheckReport("squares_only", bound)
     extra = sorted(found - EXPECTED_SQUARES)
     missing = sorted(EXPECTED_SQUARES - found)
     if extra:
@@ -223,18 +219,8 @@ def squares_only(L: int = 10) -> CheckReport:
             ),
             None,
         )
-        return CheckReport(
-            name="squares_only",
-            bound=bound,
-            passed=False,
-            witness=("unexpected", square, code),
-        )
-    return CheckReport(
-        name="squares_only",
-        bound=bound,
-        passed=False,
-        witness=("missing", missing[0]),
-    )
+        return CheckReport("squares_only", bound, ("unexpected", square, code))
+    return CheckReport("squares_only", bound, ("missing", missing[0]))
 
 
 def squares_present(L: int = 7, flag_up_to: int = 10) -> CheckReport:
@@ -262,19 +248,13 @@ def squares_present(L: int = 7, flag_up_to: int = 10) -> CheckReport:
             if not hit_rows.all():
                 r = int(np.flatnonzero(~hit_rows)[0])
                 if t == L:
-                    return CheckReport(
-                        name="squares_present",
-                        bound=bound,
-                        passed=False,
-                        witness=(_row_code(codes, r).to_text(), square),
-                    )
+                    witness = (_row_code(codes, r).to_text(), square)
+                    return CheckReport("squares_present", bound, witness)
                 notes.append(
                     f"t={t}: {_row_code(codes, r).to_text()} lacks "
                     f"{''.join(map(str, square))}"
                 )
-    return CheckReport(
-        name="squares_present", bound=bound, passed=True, note="; ".join(notes)
-    )
+    return CheckReport("squares_present", bound, note="; ".join(notes))
 
 
 def palindromes(L: int = 9, max_len: int = 7) -> CheckReport:
@@ -286,20 +266,21 @@ def palindromes(L: int = 9, max_len: int = 7) -> CheckReport:
     bound = f"codes t={L}, factor len<={max_len}"
     found = _palindromic_factors(_family_run_data(L)[2], max_len)
     if found == set(EXPECTED_PALINDROMES):
-        return CheckReport(name="palindromes", bound=bound, passed=True)
+        return CheckReport("palindromes", bound)
     extra = sorted(found - EXPECTED_PALINDROMES)
     missing = sorted(EXPECTED_PALINDROMES - found)
-    return CheckReport(
-        name="palindromes",
-        bound=bound,
-        passed=False,
-        witness=("unexpected", extra[0]) if extra else ("missing", missing[0]),
-    )
+    witness = ("unexpected", extra[0]) if extra else ("missing", missing[0])
+    return CheckReport("palindromes", bound, witness)
 
 
 def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
     """No factor of length >= 2 of any run-length word has 3 right extensions."""
-    bound = f"codes t<={L}, factor len 2..{max_factor_len}"
+    if max_factor_len < 2:
+        raise ValueError(
+            f"no_triple_extension needs max_factor_len >= 2, got {max_factor_len}"
+        )
+    bound = _codes_bound("no_triple_extension", L, 2)
+    bound += f", factor len 2..{max_factor_len}"
     for t in range(2, L + 1):
         codes, _, lengths, _ = _family_run_data(t)
         # grow the window one run at a time: one renaming per factor length
@@ -312,13 +293,9 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
                 r, j = map(int, np.argwhere(extended == bad[0])[0])
                 factor = tuple(lengths[r, j : j + n].tolist())
                 exts = tuple(np.flatnonzero(follows[bad[0]]).tolist())
-                return CheckReport(
-                    name="no_triple_extension",
-                    bound=bound,
-                    passed=False,
-                    witness=(_row_code(codes, r).to_text(), factor, exts, j + 1),
-                )
-    return CheckReport(name="no_triple_extension", bound=bound, passed=True)
+                witness = (_row_code(codes, r).to_text(), factor, exts, j + 1)
+                return CheckReport("no_triple_extension", bound, witness)
+    return CheckReport("no_triple_extension", bound)
 
 
 def _spread_count_check(
@@ -341,9 +318,8 @@ def _spread_count_check(
         for n in range(lo, hi + 1):
             got, want = count(code, n), expected(n)
             if got != want:
-                witness = (code.to_text(), n, got, want)
-                return CheckReport(name, bound, passed=False, witness=witness)
-    return CheckReport(name=name, bound=bound, passed=True)
+                return CheckReport(name, bound, (code.to_text(), n, got, want))
+    return CheckReport(name, bound)
 
 
 def complexity(
@@ -394,8 +370,7 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     (checks 1 and 8 see any padding-dependence), which pins every accept
     bit the valid-code language can reach at these lengths.
     """
-    if L < 2:
-        raise ValueError("sp_suite needs L >= 2")
+    bound = _codes_bound("sp_suite", L, 2)
     if machine is None:
         machine = infer_automaton(StartRelationOracle(), sample_depth=8, test_depth=5)
     names = [
@@ -408,10 +383,7 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
         "sp-starts-increase",
         "sp-run-boundaries",
     ]
-    failures: dict[str, tuple] = {}
-
-    def note(name: str, witness: tuple) -> None:
-        failures.setdefault(name, witness)
+    failures: dict[str, tuple] = {}  # name -> the first witness found
 
     def family(t: int):
         """(code, word, run starts) per code of length t; the empty code has none."""
@@ -435,12 +407,16 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
                     by_n.setdefault(n, []).append(x)
                 multi = next((n for n, xs in by_n.items() if len(xs) > 1), None)
                 if multi is not None:
-                    note("sp-functional", (text, width, multi, tuple(by_n[multi])))
+                    failures.setdefault(
+                        "sp-functional", (text, width, multi, tuple(by_n[multi]))
+                    )
                 if by_n.get(0) != [0]:
-                    note("sp-accepts-origin", (text, width, tuple(by_n.get(0, ()))))
+                    failures.setdefault(
+                        "sp-accepts-origin", (text, width, tuple(by_n.get(0, ())))
+                    )
                 beyond = next((n for n in by_n if n > last), None)
                 if beyond is not None:
-                    note(
+                    failures.setdefault(
                         "sp-nothing-beyond",
                         (text, width, beyond, tuple(by_n[beyond])),
                     )
@@ -450,7 +426,7 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
                         for n in sorted(set(by_n) | set(semantic))
                         if by_n.get(n) != semantic.get(n)
                     )
-                    note(
+                    failures.setdefault(
                         "sp-run-boundaries",
                         (
                             text,
@@ -463,14 +439,16 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
                 if t == 0:
                     continue
                 if by_n.get(1) != [1]:
-                    note("sp-first-run", (text, width, tuple(by_n.get(1, ()))))
+                    failures.setdefault(
+                        "sp-first-run", (text, width, tuple(by_n.get(1, ())))
+                    )
                 if last not in by_n:
-                    note("sp-last-run-exists", (text, width, last))
+                    failures.setdefault("sp-last-run-exists", (text, width, last))
                 if by_n.get(last):
                     x_last = by_n[last][0]
                     tail = word[x_last - 1 :]
                     if tail.size and not np.all(tail == tail[0]):
-                        note("sp-tail-constant", (text, width, x_last))
+                        failures.setdefault("sp-tail-constant", (text, width, x_last))
                 xs = [
                     by_n[n][0]
                     for n in range(0, last + 1)
@@ -480,20 +458,11 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
                     (i for i in range(len(xs) - 1) if xs[i] >= xs[i + 1]), None
                 )
                 if weak is not None:
-                    note(
+                    failures.setdefault(
                         "sp-starts-increase",
                         (text, width, weak, xs[weak], xs[weak + 1]),
                     )
-    bound = f"codes t<={L}"
-    return [
-        CheckReport(
-            name=name,
-            bound=bound,
-            passed=name not in failures,
-            witness=failures.get(name),
-        )
-        for name in names
-    ]
+    return [CheckReport(name, bound, failures.get(name)) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -506,47 +475,33 @@ def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
     Returns CheckReports.  The expected gaps come from sieving the
     complement of H out of the regular run ends up to 2**depth - 1;
     totality is demanded exactly for the n whose t(n) fits the width.
+    Below depth 2 no gap fits, so such depths are refused.
     """
+    if depth < 2:
+        raise ValueError(f"gap_wellformedness needs depth >= 2, got {depth}")
     gaps = _regular_gaps(2**depth - 1).tolist()
-    n_max = len(gaps)
-    values: dict[int, list[int]] = {}
-    for n in range(1, n_max + 1):
-        values[n] = accepted_second_values(a, n, depth)
-
-    def report(name, passed, witness=None):
-        return CheckReport(
-            name=name, bound=f"depth={depth}", passed=passed, witness=witness
-        )
-
-    out = []
-    missing = next((n for n in range(1, n_max + 1) if not values[n]), None)
-    out.append(report("gap-total", missing is None, missing))
-    multi = next((n for n in range(1, n_max + 1) if len(values[n]) > 1), None)
-    out.append(
-        report("gap-functional", multi is None, (multi, values.get(multi)) if multi else None)
-    )
-    seq = [values[n][0] for n in range(1, n_max + 1) if values[n]]
+    values = [accepted_second_values(a, n, depth) for n in range(1, len(gaps) + 1)]
+    missing = next((n for n, xs in enumerate(values, 1) if not xs), None)
+    multi = next(((n, xs) for n, xs in enumerate(values, 1) if len(xs) > 1), None)
+    seq = [xs[0] for xs in values if xs]
     nondec = next(
         (i + 1 for i in range(len(seq) - 1) if seq[i] >= seq[i + 1]), None
     )
-    out.append(report("gap-increasing", nondec is None, nondec))
     # range: accepted x-values vs the sieved gaps up to the largest of them
     upper = seq[-1] if seq else 0
     expected = [y for y in gaps if y <= upper]
     got = sorted(set(seq))
-    out.append(
-        report(
-            "gap-range",
-            got == expected,
-            next(
-                ((x, y) for x, y in zip(got, expected) if x != y),
-                (len(got), len(expected)),
-            )
-            if got != expected
-            else None,
-        )
-    )
-    return out
+    off = None
+    if got != expected:
+        pairs = ((x, y) for x, y in zip(got, expected) if x != y)
+        off = next(pairs, (len(got), len(expected)))
+    bound = f"depth={depth}"
+    return [
+        CheckReport("gap-total", bound, missing),
+        CheckReport("gap-functional", bound, multi),
+        CheckReport("gap-increasing", bound, nondec),
+        CheckReport("gap-range", bound, off),
+    ]
 
 
 def build_tt(sample_depth: int = 10, test_depth: int = 6) -> MultiTrackAutomaton:
@@ -588,91 +543,54 @@ def regular_suite(
     # 4.2k, so 5x the sum bound leaves the composition lookups in range
     g, h = _regular_run_data(max(N, 5 * sum_bound + 16))  # run i+1: g[i], h[i]
 
-    reports = []
     ns = np.arange(1, N + 1, dtype=np.int64)
-
-    is_one = g[:N] == 1
     should = (ns % 8 == 2) | (ns % 8 == 7)
-    bad = np.flatnonzero(is_one != should)
-    reports.append(
-        CheckReport(
-            name="regular-length-ones-mod8",
-            bound=f"n<={N}",
-            passed=bad.size == 0,
-            witness=(int(ns[bad[0]]), int(g[bad[0]])) if bad.size else None,
-        )
-    )
-
-    mask = ns % 4 == 1
-    bad = np.flatnonzero(h[:N][mask] != 2 * ns[mask])
-    reports.append(
-        CheckReport(
-            name="regular-end-doubling",
-            bound=f"n<={N}, n=1 mod 4",
-            passed=bad.size == 0,
-            witness=(
-                (int(ns[mask][bad[0]]), int(h[:N][mask][bad[0]]))
-                if bad.size
-                else None
-            ),
-        )
-    )
-
+    doubling = ns % 4 == 1
+    n_d, h_d = ns[doubling], h[:N][doubling]
     # h(0) = 0 joins the ends so part (a) covers i = 0
     h_with0 = np.concatenate([[0], h[:sum_bound]])
-    vals = g[h_with0 + 1 - 1]
-    bad = np.flatnonzero(vals != 2)
-    reports.append(
-        CheckReport(
-            name="regular-sum-part-a",
-            bound=f"i<={sum_bound}",
-            passed=bad.size == 0,
-            witness=(
-                (int(bad[0]), int(h_with0[bad[0]]), int(vals[bad[0]]))
-                if bad.size
-                else None
-            ),
-        )
-    )
+    after_h = g[h_with0]  # the run after run h(i): run number h(i) + 1
+    reports = [
+        _first(
+            "regular-length-ones-mod8",
+            f"n<={N}",
+            np.flatnonzero((g[:N] == 1) != should),
+            lambda i: (i + 1, int(g[i])),
+        ),
+        _first(
+            "regular-end-doubling",
+            f"n<={N}, n=1 mod 4",
+            np.flatnonzero(h_d != 2 * n_d),
+            lambda i: (int(n_d[i]), int(h_d[i])),
+        ),
+        _first(
+            "regular-sum-part-a",
+            f"i<={sum_bound}",
+            np.flatnonzero(after_h != 2),
+            lambda i: (i, int(h_with0[i]), int(after_h[i])),
+        ),
+    ]
 
     tvals = _regular_gaps(int(h[3 * sum_bound]) + 2)  # tvals[k] = t(k+1)
     if tvals.size < 2 * sum_bound:
         raise RuntimeError("sieve window too small for the requested sum bound")
-
-    ii = np.arange(1, sum_bound + 1, dtype=np.int64)
-    even_ts = tvals[2 * ii - 1]  # t(2i)
+    even_ts = tvals[1 : 2 * sum_bound : 2]  # t(2i), i = 1..sum_bound
+    odd_ts = tvals[0 : 2 * sum_bound : 2]  # t(2i-1)
     if int(even_ts[-1]) > g.size:
         raise RuntimeError("run window too small for the composition lookups")
-    vals = g[even_ts - 1]
-    bad = np.flatnonzero(vals != 3)
-    reports.append(
-        CheckReport(
-            name="regular-sum-part-b",
-            bound=f"i<={sum_bound}",
-            passed=bad.size == 0,
-            witness=(
-                (int(ii[bad[0]]), int(even_ts[bad[0]]), int(vals[bad[0]]))
-                if bad.size
-                else None
-            ),
+    for name, ts, want in (
+        ("regular-sum-part-b", even_ts, 3),
+        ("regular-sum-part-c", odd_ts, 1),
+    ):
+        vals = g[ts - 1]
+        reports.append(
+            _first(
+                name,
+                f"i<={sum_bound}",
+                np.flatnonzero(vals != want),
+                lambda i: (i + 1, int(ts[i]), int(vals[i])),
+            )
         )
-    )
-
-    odd_ts = tvals[2 * ii - 2]  # t(2i-1)
-    vals = g[odd_ts - 1]
-    bad = np.flatnonzero(vals != 1)
-    reports.append(
-        CheckReport(
-            name="regular-sum-part-c",
-            bound=f"i<={sum_bound}",
-            passed=bad.size == 0,
-            witness=(
-                (int(ii[bad[0]]), int(odd_ts[bad[0]]), int(vals[bad[0]]))
-                if bad.size
-                else None
-            ),
-        )
-    )
 
     # the sieve and the binary-search evaluator must tell the same story
     probes = sorted(
@@ -687,19 +605,52 @@ def regular_suite(
         ),
         None,
     )
-    reports.append(
-        CheckReport(
-            name="regular-gaps-cross",
-            bound=f"{len(probes)} probes, k<={2 * sum_bound}",
-            passed=cross_bad is None,
-            witness=cross_bad,
-        )
-    )
+    bound = f"{len(probes)} probes, k<={2 * sum_bound}"
+    reports.append(CheckReport("regular-gaps-cross", bound, cross_bad))
 
     if tt_machine is None:
         tt_machine = infer_automaton(GapOracle())
     reports.extend(gap_wellformedness(tt_machine))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the continued-fraction correspondence (arithmetic in `contfrac`)
+
+
+def cf_theorem_check(n_max: int) -> CheckReport:
+    """Sweep all sign vectors with 2 <= n <= n_max against the prediction.
+
+    The witness on failure is (eps, computed, predicted), both canonical
+    expansions.  Each vector is decided by value, cf_to_rational(predicted)
+    == alpha: canonical(x) is cf_from_rational(cf_to_rational(x)) and
+    cf_from_rational is injective, so equal values mean equal canonical
+    expansions.  The first vector of each n is also decided by Euclid
+    (predicted_cf is canonical by construction), and the two decisions
+    must agree.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    if n_max > contfrac.MAX_ALPHA_INDEX:
+        raise ValueError(
+            f"n_max capped at {contfrac.MAX_ALPHA_INDEX}; "
+            f"denominators grow as 2**(2**n)"
+        )
+    name, bound = "cf-run-length-correspondence", f"n<={n_max}"
+    for n in range(2, n_max + 1):
+        for k, eps in enumerate(product((1, -1), repeat=n - 1)):
+            alpha = contfrac.alpha_value(eps)
+            terms = contfrac.predicted_cf(eps)
+            agrees = contfrac.cf_to_rational(terms) == alpha
+            if k == 0 and (contfrac.cf_from_rational(alpha) == terms) != agrees:
+                raise RuntimeError(
+                    f"value and Euclid comparisons disagree at eps={eps!r}"
+                )
+            if not agrees:
+                computed = contfrac.cf_from_rational(alpha)
+                witness = (eps, computed, contfrac.canonical(terms))
+                return CheckReport(name, bound, witness)
+    return CheckReport(name, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +677,6 @@ def run_suite(
     name: str, max_code_len: int = 8, max_index: int = 10**4
 ) -> list[CheckReport]:
     """Dispatch one suite ('sp', 'runs', 'regular', 'cf') or 'all'."""
-    from .contfrac import cf_theorem_check
-
     if name == "all":
         out = []
         for part in SUITES:

@@ -1,6 +1,10 @@
 """The public names of the package, pinned so that API growth shows in a diff."""
 
+import ast
 import inspect
+from pathlib import Path
+
+import pytest
 
 import foldruns
 
@@ -105,3 +109,21 @@ def test_public_names_are_pinned():
     )
     assert exported == PUBLIC_NAMES
     assert len(exported) == 88
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(foldruns.__file__).parent.glob("*.py")),
+    ids=lambda p: p.name,
+)
+def test_package_imports_sit_at_module_level(path):
+    # a function-local import inside the package hides a dependency cycle
+    tree = ast.parse(path.read_text(), filename=str(path))
+    local = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert local == []

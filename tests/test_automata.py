@@ -1018,6 +1018,16 @@ def test_gap_wellformedness_reports(tt_machine):
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("depth", [1, 0, -1])
+def test_gap_wellformedness_refuses_depths_without_gaps(depth):
+    # one state that rejects everything: only a depth with gaps can fail it
+    reject_all = MultiTrackAutomaton(TWO_BITS, [[0] * 4], [0])
+    with pytest.raises(ValueError, match=f"depth >= 2, got {depth}$"):
+        gap_wellformedness(reject_all, depth=depth)
+    reports = gap_wellformedness(reject_all, depth=2)
+    assert [r.witness for r in reports if not r.passed] == [1]
+
+
 def test_gap_wellformedness_catches_mutation(tt_machine):
     # every label flip is caught: some by the four value-level checks,
     # the rest (padding-only differences) by exhaustive comparison

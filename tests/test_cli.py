@@ -158,7 +158,7 @@ def test_verify_json_lines(capsys):
 
 
 def test_verify_failing_report_exits_one(capsys, monkeypatch):
-    failing = CheckReport(name="demo", bound="b", passed=False, witness=(3, 4))
+    failing = CheckReport("demo", "b", (3, 4))
     monkeypatch.setattr("foldruns.cli.run_suite", lambda *a: [failing])
     assert run(["verify", "--suite", "sp"]) == 1
     out = lines_of(capsys)

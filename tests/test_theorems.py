@@ -11,11 +11,13 @@ from foldruns import (
     SUITES,
     CheckReport,
     complexity,
+    gap_wellformedness,
     no_triple_extension,
     overlapfree,
     palindromes,
     prop1,
     prop4,
+    regular_gap_value,
     regular_suite,
     right_special_exactly_four,
     run_suite,
@@ -27,7 +29,7 @@ from foldruns import (
 )
 from foldruns import theorems
 from foldruns.foldcore import FoldCode, code_matrix
-from foldruns.runs import _family_run_data
+from foldruns.runs import _family_run_data, _regular_gaps, _regular_run_data
 from mutants import mutated_label
 
 SP_NAMES = [
@@ -60,29 +62,24 @@ REGULAR_NAMES = [
 
 
 def test_report_verdict_and_str():
-    ok = CheckReport(name="demo", bound="t<=3", passed=True)
-    assert ok.verdict == "pass"
+    ok = CheckReport("demo", "t<=3")
+    assert ok.passed and ok.verdict == "pass"
     assert str(ok) == "PASS demo [t<=3]"
 
-    bad = CheckReport(name="demo", bound="t<=3", passed=False, witness=(1, 2))
-    assert bad.verdict == "fail"
+    bad = CheckReport("demo", "t<=3", (1, 2))
+    assert not bad.passed and bad.verdict == "fail"
     assert str(bad) == "FAIL demo [t<=3] witness=(1, 2)"
 
-    noted = CheckReport(name="demo", bound="t<=3", passed=True, note="skipped one")
+    noted = CheckReport("demo", "t<=3", note="skipped one")
     assert str(noted) == "PASS demo [t<=3] note=skipped one"
 
 
-def test_report_witness_discipline():
-    with pytest.raises(ValueError):
-        CheckReport(name="x", bound="b", passed=True, witness=(1,))
-    with pytest.raises(ValueError):
-        CheckReport(name="x", bound="b", passed=False)
-
-
 def test_report_is_immutable():
-    r = CheckReport(name="x", bound="b", passed=True)
+    r = CheckReport("x", "b")
     with pytest.raises(AttributeError):
         r.passed = False
+    with pytest.raises(AttributeError):
+        r.witness = (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +117,27 @@ def _reference_triple(families, max_factor_len):
                 code = FoldCode(codes[r].tolist()).to_text()
                 return (code, bad[0], tuple(sorted(ext[bad[0]])), j + 1)
     return None
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (prop1, (0,), "prop1 needs L >= 1, got 0"),
+        (prop4, (0,), "prop4 needs L >= 1, got 0"),
+        (overlapfree, (0,), "overlapfree needs L >= 1, got 0"),
+        (thm3, (1,), "thm3 needs L >= 2, got 1"),
+        (no_triple_extension, (1,), "no_triple_extension needs L >= 2, got 1"),
+        (
+            no_triple_extension,
+            (5, 1),
+            "no_triple_extension needs max_factor_len >= 2, got 1",
+        ),
+    ],
+    ids=["prop1", "prop4", "overlapfree", "thm3", "triple-L", "triple-factor"],
+)
+def test_family_checks_refuse_bounds_that_check_nothing(check, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(*args)
 
 
 def test_no_triple_extension_matches_reference_on_long_factors():
@@ -250,6 +268,98 @@ def test_regular_suite_names(tt_machine):
     reports = regular_suite(N=1000, sum_bound=100, tt_machine=tt_machine)
     assert [r.name for r in reports] == REGULAR_NAMES
     assert all(r.passed for r in reports)
+
+
+def _edit_runs(g, h):
+    # each edit names (index, value) in the run-length g or run-end h table
+    def edit(count):
+        g_real, h_real = (a.copy() for a in _regular_run_data(count))
+        for table, real in ((g, g_real), (h, h_real)):
+            for i, v in table.items():
+                real[i] = v
+        return g_real, h_real
+
+    return "_regular_run_data", edit
+
+
+def _edit_gaps(i, j):
+    # t(i+1) takes the value of t(j+1)
+    def edit(top):
+        tvals = _regular_gaps(top).copy()
+        tvals[i] = tvals[j]
+        return tvals
+
+    return "_regular_gaps", edit
+
+
+@pytest.mark.parametrize(
+    "patch, failing",
+    [
+        (
+            _edit_runs({9: 2, 17: 2}, {}),  # n = 10 and 18: the first one counts
+            {"regular-length-ones-mod8": (10, 2), "regular-sum-part-c": (3, 10, 2)},
+        ),
+        (
+            _edit_runs({}, {4: 11}),
+            {"regular-end-doubling": (5, 11), "regular-sum-part-a": (5, 11, 3)},
+        ),
+        (_edit_runs({0: 3}, {}), {"regular-sum-part-a": (0, 0, 3)}),
+        (
+            _edit_gaps(1, 0),
+            {
+                "regular-sum-part-b": (1, 2, 1),
+                "regular-gaps-cross": (2, 2, 5),
+                "gap-range": (5, 2),
+            },
+        ),
+        (
+            _edit_gaps(0, 1),
+            {
+                "regular-sum-part-c": (1, 5, 3),
+                "regular-gaps-cross": (1, 5, 2),
+                "gap-range": (2, 5),
+            },
+        ),
+        (
+            ("regular_gap_value", lambda k: regular_gap_value(k) + (k == 5)),
+            {"regular-gaps-cross": (5, 10, 11)},
+        ),
+    ],
+    ids=["ones-mod8", "end-doubling", "part-a", "part-b", "part-c", "gaps-cross"],
+)
+def test_regular_suite_failing_witnesses(monkeypatch, tt_machine, patch, failing):
+    monkeypatch.setattr(theorems, *patch)
+    reports = regular_suite(N=1000, sum_bound=100, tt_machine=tt_machine)
+    assert [r.name for r in reports] == REGULAR_NAMES
+    assert {r.name: r.witness for r in reports if not r.passed} == failing
+
+
+@pytest.mark.parametrize(
+    "edit, failing",
+    [
+        (lambda n, xs: [] if n == 3 else xs, {"gap-total": 3, "gap-range": (9, 7)}),
+        (
+            lambda n, xs: xs + [xs[0] + 1] if n == 4 else xs,
+            {"gap-functional": (4, [9, 10])},
+        ),
+        (
+            lambda n, xs: [12] if n == 5 else xs,
+            {"gap-increasing": 5, "gap-range": (12, 10)},
+        ),
+        (lambda n, xs: [xs[0] + 1] if n == 2 else xs, {"gap-range": (6, 5)}),
+    ],
+    ids=["total", "functional", "increasing", "range"],
+)
+def test_gap_wellformedness_failing_witnesses(monkeypatch, tt_machine, edit, failing):
+    real = theorems.accepted_second_values
+    monkeypatch.setattr(
+        theorems,
+        "accepted_second_values",
+        lambda a, n, depth: edit(n, real(a, n, depth)),
+    )
+    reports = gap_wellformedness(tt_machine, depth=6)
+    assert [r.name for r in reports] == REGULAR_NAMES[6:]
+    assert {r.name: r.witness for r in reports if not r.passed} == failing
 
 
 def test_regular_suite_refuses_an_empty_sum_bound():
