@@ -37,7 +37,7 @@ from .automata import (
     write_automaton,
 )
 from .contfrac import MAX_ALPHA_INDEX, alpha_value, cf_from_rational, predicted_cf
-from .theorems import SUITES, build_tt, cf_theorem_check, run_suite
+from .theorems import MIN_CODE_LEN, SUITES, build_tt, cf_theorem_check, run_suite
 
 MAX_SWEEP_LENGTH = 12
 
@@ -195,8 +195,12 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 2 <= args.max_code_len <= MAX_SWEEP_LENGTH:
-        raise _UsageError(f"--max-code-len must be in 2..{MAX_SWEEP_LENGTH}")
+    least = MIN_CODE_LEN[args.suite]
+    if not least <= args.max_code_len <= MAX_SWEEP_LENGTH:
+        raise _UsageError(
+            f"--max-code-len must be in {least}..{MAX_SWEEP_LENGTH} "
+            f"for --suite {args.suite}"
+        )
     if not 16 <= args.max_index <= 10**6:
         raise _UsageError("--max-index must be in 16..1000000")
     reports = run_suite(args.suite, args.max_code_len, args.max_index)

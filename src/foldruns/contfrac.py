@@ -8,6 +8,7 @@ unique; folding deliberately passes through non-canonical intermediates.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,31 +21,78 @@ Q = Fraction
 # 8 KiB denominator, anything far beyond that stops being desk-scale.
 MAX_ALPHA_INDEX = 16
 
-# Terms per small matrix product in cf_to_rational.
+# Terms per small matrix product in _chunked.
 _CHUNK = 16
+
+# Shortest sequence that _continuant tries to split at a mirror seam;
+# shorter ones take the chunk loop, which costs about the same there
+# (16, 32 and 64 time alike over the n <= 12 sweep).
+_MIRROR_MIN = 32
+
+_IDENTITY = (1, 0, 0, 1)
+
+
+def _chunked(m, seq):
+    """m · M(seq), with M(seq) the product of [[a, 1], [1, 0]] over seq.
+
+    Matrices are (m00, m01, m10, m11).  The product of each chunk of terms
+    is built in small ints first, so the big entries of m are updated once
+    per chunk, not once per term.
+    """
+    a, b, c, d = m
+    for start in range(0, len(seq), _CHUNK):
+        x, y, z, w = 1, 0, 0, 1
+        for t in map(operator.index, seq[start : start + _CHUNK]):
+            x, y = t * x + y, x
+            z, w = t * z + w, z
+        a, b = a * x + b * z, a * y + b * w
+        c, d = c * x + d * z, c * y + d * w
+    return a, b, c, d
+
+
+def _continuant(seq):
+    """M(seq), split at the seam while seq is mirrored.
+
+    For seq = (P, u, v, rev(P[j:])), with j = len(seq) % 2, continuant
+    symmetry gives M(rev(s)) = M(s)ᵀ, because every [[a, 1], [1, 0]] is
+    symmetric.  So M(seq) = M(P) · A(u) · A(v) · M(P)ᵀ, times
+    A(P[0])⁻¹ = [[0, 1], [1, -P[0]]] when j = 1, and P is split again.  A
+    short or unmirrored seq goes through the chunk loop.
+    """
+    j = len(seq) % 2
+    k = (len(seq) + j) // 2 - 1
+    if len(seq) < _MIRROR_MIN or seq[k + 2 :] != seq[j:k][::-1]:
+        return _chunked(_IDENTITY, seq)
+    half = _continuant(seq[:k])
+    a, b, c, d = _chunked(half, seq[k : k + 2])
+    e, f, g, h = half
+    a, b, c, d = a * e + b * f, a * g + b * h, c * e + d * f, c * g + d * h
+    if j:
+        first = operator.index(seq[0])
+        a, b, c, d = b, a - first * b, d, c - first * d
+    return a, b, c, d
 
 
 def cf_to_rational(terms: Sequence[int]) -> Fraction:
-    """Exact value of [a0; a1, ..., at] via the convergent recurrence.
+    """Exact value of [a0; a1, ..., at]: p/q, the first column of M(terms).
 
-    Each step multiplies (p, p_prev) and (q, q_prev) by [[a, 1], [1, 0]].
-    The product of a chunk of such matrices is built in small ints first,
-    so the big convergents are updated once per chunk, not once per term.
+    Every term must be an integer (`operator.index`); numpy integers are
+    taken exactly.  A folded expansion such as predicted_cf(eps),
+    [0; 1, X, u, v, rev(X[1:]), X[0] + 1], is mirrored between its two
+    leading terms and its last, so that core goes to _continuant and costs
+    O(log t) big matrix products; any other core costs the chunk loop.
     """
-    if len(terms) == 0:
+    t = tuple(terms)
+    if not t:
         raise ValueError("continued fraction needs at least one term")
-    p_prev, p = 1, terms[0]
-    q_prev, q = 0, 1
-    rest = terms[1:]
-    for start in range(0, len(rest), _CHUNK):
-        x, y, z, w = 1, 0, 0, 1
-        for a in rest[start : start + _CHUNK]:
-            x, y = a * x + y, x
-            z, w = a * z + w, z
-        p_prev, p = p * y + p_prev * w, p * x + p_prev * z
-        q_prev, q = q * y + q_prev * w, q * x + q_prev * z
+    # last is empty when t has at most two terms
+    head, core, last = t[:2], t[2:-1], t[2:][-1:]
+    h00, h01, h10, h11 = _chunked(_IDENTITY, head)
+    c00, _, c10, _ = _chunked(_continuant(core), last)
+    p, q = h00 * c00 + h01 * c10, h10 * c00 + h11 * c10
     if q == 0:
-        raise ZeroDivisionError(f"expansion {list(terms)!r} has no finite value")
+        shown = [int(a) for a in t]
+        raise ZeroDivisionError(f"expansion {shown!r} has no finite value")
     return Q(p, q)
 
 

@@ -60,6 +60,10 @@ EXPECTED_PALINDROMES = frozenset(
 
 SUITES = ("sp", "runs", "regular", "cf")
 
+# The least max_code_len each suite accepts: an overlap, and a length-2
+# factor with a follower, need three runs, so the runs suite starts at 3.
+MIN_CODE_LEN = {"sp": 2, "runs": 3, "regular": 2, "cf": 2, "all": 3}
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -186,7 +190,7 @@ def thm3(L: int = 12) -> CheckReport:
 
 def overlapfree(L: int = 10) -> CheckReport:
     """Run-length words of all codes with t <= L contain no overlap axaxa."""
-    bound = _codes_bound("overlapfree", L, 1)
+    bound = _codes_bound("overlapfree", L, 3)
     for t in range(1, L + 1):
         codes, _, lengths, _ = _family_run_data(t)
         for p, hit in _periodic_windows(lengths, 1):
@@ -279,7 +283,7 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
         raise ValueError(
             f"no_triple_extension needs max_factor_len >= 2, got {max_factor_len}"
         )
-    bound = _codes_bound("no_triple_extension", L, 2)
+    bound = _codes_bound("no_triple_extension", L, 3)
     bound += f", factor len 2..{max_factor_len}"
     for t in range(2, L + 1):
         codes, _, lengths, _ = _family_run_data(t)

@@ -172,10 +172,26 @@ def test_verify_failing_report_exits_one(capsys, monkeypatch):
         ["verify", "--max-code-len", "13"],
         ["verify", "--max-index", "8"],
         ["verify", "--suite", "nope"],
+        ["verify", "--suite", "runs", "--max-code-len", "2"],
+        ["verify", "--max-code-len", "2"],
     ],
 )
 def test_verify_usage_errors(argv):
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize("suite", ["runs", "all"])
+def test_verify_names_the_runs_floor(capsys, suite):
+    assert run(["verify", "--suite", suite, "--max-code-len", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --max-code-len must be in 3..12 for --suite {suite}\n"
+
+
+@pytest.mark.parametrize("suite, bound", [("sp", "codes t<=2"), ("cf", "n<=2")])
+def test_verify_keeps_floor_two_for_sp_and_cf(capsys, suite, bound):
+    assert run(["verify", "--suite", suite, "--max-code-len", "2"]) == 0
+    rows = lines_of(capsys)[1:]
+    assert rows and all(row.split("\t")[2] == bound for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact continued fractions and the run-length correspondence."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,8 +171,178 @@ def test_cf_to_rational_with_no_finite_value():
     message = r"^expansion \[0, 0\] has no finite value$"
     with pytest.raises(ZeroDivisionError, match=message):
         cf_to_rational((0, 0))
+    with pytest.raises(ZeroDivisionError, match=message):
+        cf_to_rational(np.array([0, 0]))
     with pytest.raises(ValueError):
         cf_to_rational(())
+
+
+def test_cf_to_rational_takes_numpy_integers_exactly():
+    # int64 products overflow here; every term is taken as a Python int
+    want = Fraction(
+        1000000000000000003000000000000000001,
+        1000000000000000004000000000000000003000000000,
+    )
+    assert _linear_cf_value([0] + [10**9] * 5) == want
+    assert cf_to_rational(np.array([0] + [10**9] * 5)) == want
+    assert cf_to_rational(np.array(EXAMPLE_CF)) == alpha_value(EXAMPLE_EPS)
+    eps = (1, -1) * 4
+    assert cf_to_rational(np.array(predicted_cf(eps))) == alpha_value(eps)
+
+
+def _seam(terms):
+    # index in terms of the seam term u of the core terms[2:-1]
+    return 2 + (len(terms) - 3 + 1) // 2 - 1
+
+
+def _replaced(terms, index, value):
+    return [*terms[:index], value, *terms[index + 1 :]]
+
+
+_PREDICTED_8 = predicted_cf((1, -1, 1, 1, -1, -1, 1))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [0, 2.5],
+        [0.0, 2],
+        [0, 1, 2, Fraction(3)],
+        _replaced(_PREDICTED_8, len(_PREDICTED_8) - 1, 2.0),
+        _replaced(_PREDICTED_8, 2, 4.0),
+        _replaced(_PREDICTED_8, _seam(_PREDICTED_8), 4.0),
+    ],
+    ids=[
+        "float",
+        "float-a0",
+        "fraction",
+        "float-last",
+        "float-first-of-p",
+        "float-seam",
+    ],
+)
+def test_cf_to_rational_refuses_non_integral_terms(terms):
+    with pytest.raises(TypeError):
+        cf_to_rational(terms)
+
+
+def _agrees_with_linear(terms):
+    try:
+        want = _linear_cf_value(terms)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            cf_to_rational(terms)
+        return
+    assert cf_to_rational(terms) == want
+
+
+def _loop_terms(monkeypatch):
+    """The lengths of the sequences that reach the per-term chunk loop."""
+    seen = []
+    chunked = contfrac._chunked
+
+    def counted(m, seq):
+        seen.append(len(seq))
+        return chunked(m, seq)
+
+    monkeypatch.setattr(contfrac, "_chunked", counted)
+    return seen
+
+
+def _fold(p, u, v, j):
+    # (P, u, v, rev(P[j:])), the shape cf_to_rational splits at its seam
+    return (*p, u, v, *p[j:][::-1])
+
+
+_PICKS = {
+    "small": lambda rng: rng.randint(1, 9),
+    "zero-negative": lambda rng: rng.randint(-3, 3),
+    "30-digit": lambda rng: rng.randrange(10**29, 10**30),
+}
+
+
+def _nested_mirror(rng, pick, levels, j):
+    seq = tuple(pick(rng) for _ in range(rng.randint(1, 5)))
+    for level in range(levels):
+        parity = j if level == levels - 1 else rng.randint(0, 1)
+        seq = _fold(seq, pick(rng), pick(rng), parity)
+    return seq
+
+
+@pytest.mark.parametrize("j", [0, 1], ids=["even", "odd"])
+@pytest.mark.parametrize("kind", sorted(_PICKS))
+def test_nested_mirrors_match_linear_recurrence(monkeypatch, kind, j):
+    rng, pick = random.Random(f"{kind}{j}"), _PICKS[kind]
+    seen = _loop_terms(monkeypatch)
+    for _ in range(20):
+        core = _nested_mirror(rng, pick, 6, j)
+        assert len(core) % 2 == j and len(core) >= contfrac._MIRROR_MIN
+        terms = (pick(rng), pick(rng), *core, pick(rng))
+        seen.clear()
+        _agrees_with_linear(terms)
+        assert sum(seen) < len(terms) // 2
+        _agrees_with_linear(core)
+
+
+@pytest.mark.parametrize("j", [0, 1], ids=["even", "odd"])
+@pytest.mark.parametrize(
+    "where", ["mirrored-half", "seam-u", "seam-v", "first-of-p", "inside-p"]
+)
+def test_near_mirrors_match_linear_recurrence(j, where):
+    rng = random.Random(f"{where}{j}")
+    for _ in range(10):
+        inner = _nested_mirror(rng, _PICKS["small"], 4, rng.randint(0, 1))
+        core = _fold(inner, 5, 7, j)
+        k = len(inner)
+        index = {
+            "mirrored-half": rng.randrange(k + 2, len(core)),
+            "seam-u": k,
+            "seam-v": k + 1,
+            "first-of-p": 0,
+            "inside-p": rng.randrange(1, k),
+        }[where]
+        for delta in (1, -1, -5, 10**30):
+            bent = list(core)
+            bent[index] += delta
+            _agrees_with_linear((0, 1, *bent, 3))
+            _agrees_with_linear(bent)
+
+
+@pytest.mark.parametrize(
+    "length",
+    [contfrac._MIRROR_MIN - 1, contfrac._MIRROR_MIN, contfrac._MIRROR_MIN + 1],
+)
+def test_mirrored_cores_at_the_split_threshold(monkeypatch, length):
+    rng = random.Random(length)
+    j = length % 2
+    seen = _loop_terms(monkeypatch)
+    for _ in range(50):
+        p = tuple(rng.randint(-2, 9) for _ in range((length + j) // 2 - 1))
+        core = _fold(p, rng.randint(-2, 9), rng.randint(-2, 9), j)
+        assert len(core) == length
+        terms = (rng.randint(0, 3), rng.randint(-2, 9), *core, rng.randint(-2, 9))
+        seen.clear()
+        _agrees_with_linear(terms)
+        split = length >= contfrac._MIRROR_MIN
+        assert (sum(seen) < len(terms)) == split
+
+
+def test_every_prediction_to_n9_matches_linear_recurrence():
+    for n in range(2, 10):
+        for eps in product((1, -1), repeat=n - 1):
+            terms = predicted_cf(eps)
+            assert cf_to_rational(terms) == _linear_cf_value(terms)
+            assert cf_to_rational(terms) == alpha_value(eps)
+
+
+def test_n12_prediction_rarely_reaches_the_term_loop(monkeypatch):
+    # without the mirror split all 2,050 terms go through the loop
+    eps = tuple(random.Random(12).choice((1, -1)) for _ in range(11))
+    terms = predicted_cf(eps)
+    assert len(terms) == 2050
+    seen = _loop_terms(monkeypatch)
+    assert cf_to_rational(terms) == alpha_value(eps)
+    assert sum(seen) < 64
 
 
 def _alpha_reference(eps):
@@ -201,13 +373,13 @@ def test_alpha_value_at_the_cap():
 BUMPED_EPS = (1, -1, -1, 1)  # n = 5
 
 
-def _bump_prediction(monkeypatch):
+def _bump_prediction(monkeypatch, target=BUMPED_EPS, index=3):
     honest = contfrac.predicted_cf
 
     def bumped(eps):
         terms = honest(eps)
-        if tuple(eps) == BUMPED_EPS:
-            terms = (*terms[:3], terms[3] + 1, *terms[4:])
+        if tuple(eps) == target:
+            terms = (*terms[:index], terms[index] + 1, *terms[index + 1 :])
         return terms
 
     monkeypatch.setattr(contfrac, "predicted_cf", bumped)
@@ -246,3 +418,21 @@ def test_cf_theorem_check_stops_when_value_and_euclid_disagree(monkeypatch):
     monkeypatch.setattr(contfrac, "cf_from_rational", lambda r: euclid(r) + (1,))
     with pytest.raises(RuntimeError, match=r"eps=\(1,\)$"):
         cf_theorem_check(4)
+
+
+BUMPED_EPS_10 = (1, -1, -1, 1, 1, -1, -1, -1, 1)
+# SHA-256 of str(cf_theorem_check(10)) with term 400 of
+# predicted_cf(BUMPED_EPS_10) bumped by one, as evaluated term by term
+# before cf_to_rational split mirrored expansions
+BUMPED_10_REPORT = "b0544491ff3d74507644fbddc8c521a56fe08c1664dc0e45b5cdddaa7a894321"
+
+
+def test_cf_sweep_reports_a_bump_in_the_mirrored_half(monkeypatch, capsys):
+    terms = predicted_cf(BUMPED_EPS_10)
+    assert len(terms) == 514 and _seam(terms) + 2 <= 400 < len(terms) - 1
+    _bump_prediction(monkeypatch, BUMPED_EPS_10, 400)
+    report = cf_theorem_check(10)
+    assert report.witness[0] == BUMPED_EPS_10
+    assert hashlib.sha256(str(report).encode()).hexdigest() == BUMPED_10_REPORT
+    assert run(["cf", "--sweep", "10"]) == 1
+    assert capsys.readouterr().out == str(report) + "\n"

@@ -124,16 +124,28 @@ def _reference_triple(families, max_factor_len):
     [
         (prop1, (0,), "prop1 needs L >= 1, got 0"),
         (prop4, (0,), "prop4 needs L >= 1, got 0"),
-        (overlapfree, (0,), "overlapfree needs L >= 1, got 0"),
+        (overlapfree, (0,), "overlapfree needs L >= 3, got 0"),
         (thm3, (1,), "thm3 needs L >= 2, got 1"),
-        (no_triple_extension, (1,), "no_triple_extension needs L >= 2, got 1"),
+        (no_triple_extension, (1,), "no_triple_extension needs L >= 3, got 1"),
         (
             no_triple_extension,
             (5, 1),
             "no_triple_extension needs max_factor_len >= 2, got 1",
         ),
+        # an overlap, and a length-2 factor with a follower, need three runs
+        (overlapfree, (2,), "overlapfree needs L >= 3, got 2"),
+        (no_triple_extension, (2,), "no_triple_extension needs L >= 3, got 2"),
     ],
-    ids=["prop1", "prop4", "overlapfree", "thm3", "triple-L", "triple-factor"],
+    ids=[
+        "prop1",
+        "prop4",
+        "overlapfree",
+        "thm3",
+        "triple-L",
+        "triple-factor",
+        "overlapfree-two-runs",
+        "triple-L-two-runs",
+    ],
 )
 def test_family_checks_refuse_bounds_that_check_nothing(check, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -166,7 +178,7 @@ def test_no_triple_extension_on_crafted_rows(monkeypatch, tails):
         theorems, "_family_run_data", lambda t: (codes, None, lengths, None)
     )
     want = _reference_triple([(codes, lengths)], 40)
-    report = no_triple_extension(L=2, max_factor_len=40)
+    report = no_triple_extension(L=3, max_factor_len=40)
     assert report.passed == (want is None)
     assert report.witness == want
 
