@@ -1,5 +1,7 @@
 """Single-edit copies of a machine, for the mutation and differential tests."""
 
+import random
+
 from foldruns import MultiTrackAutomaton
 
 
@@ -21,3 +23,17 @@ def mutated_label(a: MultiTrackAutomaton, q: int):
     labels = a.labels.tolist()
     labels[q] = not labels[q] if a.mode == "accept" else (labels[q] + 1) % 4
     return MultiTrackAutomaton(a.tracks, a.table, labels, a.mode)
+
+
+def seeded_transition_mutants(a: MultiTrackAutomaton, count: int, seed: int):
+    """`count` distinct single-edge mutants of `a`, drawn from a seeded stream."""
+    rng = random.Random(seed)
+    seen, out = set(), []
+    while len(out) < count:
+        q, dst = rng.randrange(a.n_states), rng.randrange(a.n_states)
+        symbol = rng.choice(a.symbols)
+        if dst == a.step(q, symbol) or (q, symbol) in seen:
+            continue
+        seen.add((q, symbol))
+        out.append(mutated_transition(a, q, symbol, dst))
+    return out

@@ -1,5 +1,6 @@
 """Named bounded checks: reports, individual checks, suites, dispatch."""
 
+import hashlib
 from collections import defaultdict
 
 import numpy as np
@@ -30,7 +31,7 @@ from foldruns import (
 from foldruns import theorems
 from foldruns.foldcore import FoldCode, code_matrix
 from foldruns.runs import _family_run_data, _regular_gaps, _regular_run_data
-from mutants import mutated_label
+from mutants import mutated_label, seeded_transition_mutants
 
 SP_NAMES = [
     "sp-functional",
@@ -257,6 +258,37 @@ def test_sp_suite_catches_every_label_mutation(sp_machine):
         mutated = mutated_label(sp_machine, q)
         reports = sp_suite(L=5, machine=mutated)
         assert any(not r.passed for r in reports), f"state {q} escaped"
+
+
+# SHA-256 of the report lists below, one repr per mutant joined by newlines,
+# recorded from the per-code extraction that preceded the batched walk: the
+# witnesses (first bad t, code row, width) must not depend on how the
+# values are pulled out of the machine
+SP_MUTANT_REPORTS_SHA256 = (
+    "f1f4b16e3860caadaf5beef952c16482c428353157a3a37661ec98d4f4047004"
+)
+GAP_MUTANT_REPORTS_SHA256 = (
+    "81b83714ff3045c28b80ffc4c7cf558bf500fdf58ae810f75c12134590d566db"
+)
+
+
+def _reports_digest(check, mutants) -> str:
+    text = "\n".join(repr(check(m)) for m in mutants)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sp_suite_mutant_witnesses_are_pinned(sp_machine):
+    mutants = [mutated_label(sp_machine, q) for q in range(sp_machine.n_states)]
+    mutants += seeded_transition_mutants(sp_machine, 64, seed=2024)
+    digest = _reports_digest(lambda m: sp_suite(L=5, machine=m), mutants)
+    assert digest == SP_MUTANT_REPORTS_SHA256
+
+
+def test_gap_wellformedness_mutant_witnesses_are_pinned(tt_machine):
+    mutants = [mutated_label(tt_machine, q) for q in range(tt_machine.n_states)]
+    mutants += seeded_transition_mutants(tt_machine, 32, seed=2024)
+    digest = _reports_digest(lambda m: gap_wellformedness(m, depth=10), mutants)
+    assert digest == GAP_MUTANT_REPORTS_SHA256
 
 
 def test_runs_suite_names():
