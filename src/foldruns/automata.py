@@ -37,7 +37,7 @@ from .runs import (
     regular_run_span,
     run_span,
 )
-from .foldcore import FoldCode, as_code, is_valid_code
+from .foldcore import PAD, FoldCode, InvalidCodeError, as_code, is_valid_code
 
 INSTRUCTION_TRACK = (-1, 0, 1)
 BIT_TRACK = (0, 1)
@@ -1139,52 +1139,113 @@ def specialize_regular(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
 
 
 def _free_track_values(
-    a: MultiTrackAutomaton, fixed: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Sorted values of tracks 1.. over the accepted words with track 0 = `fixed`.
+    a: MultiTrackAutomaton, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted values of tracks 1.. for each track-0 row of a (k, width) batch.
 
-    Every free track is a bit track read lsd-first over len(fixed) symbols.
-    Backward feasibility (one state vector per position) prunes a forward
-    frontier walk to the prefixes that still reach acceptance, so the walk
-    stays proportional to the number of accepted assignments even when the
-    free tracks could range over 4**width combinations.
+    Returns (row, values): one entry per accepted word, `row` its index in
+    the batch and `values` its free tracks (one column each, bit tracks read
+    lsd-first), sorted by row and then by values.  The walk runs on nodes
+    row * states + state.  One backward pass gathers each position's node
+    successors through the table viewed as (states, |track 0|, |free|) and
+    marks the nodes that still reach acceptance; the forward frontier keeps
+    only those, so it stays proportional to the number of accepted words
+    even when the free tracks range over 4**width values.  Each entry's
+    row and values are packed into one int64 sort key.
     """
-    width = len(fixed)
+    k, width = rows.shape
     free = np.array(list(itertools.product(*a.tracks[1:])), dtype=np.int64)
-    # succ[:, i, j]: successors on (fixed[i], free symbol j)
-    fixed_track = np.array(fixed, dtype=np.int64).reshape(width, 1)
-    succ = a.table[:, a.columns([fixed_track, *free.T])]
-    feasible = [a.labels]
+    n_free = free.shape[1]
+    if k.bit_length() + n_free * width > 63:
+        raise ValueError(f"{k} rows at width {width} overflow the int64 sort key")
+    states, symbols = a.n_states, len(free)
+    succ = a.table.reshape(states, len(a.tracks[0]), symbols)
+    track0 = a.columns([rows, *free[0]]) // symbols  # digits of track 0
+    shifts = width * np.arange(n_free - 1, -1, -1)  # track 1 most significant
+    packed = (free << shifts).sum(axis=1)
+    base = np.arange(0, k * states, states).reshape(k, 1, 1)
+    succ_nodes, feasible = [], [np.broadcast_to(a.labels, (k, states)).ravel()]
     for i in range(width - 1, -1, -1):
-        feasible.insert(0, feasible[0][succ[:, i]].any(axis=1))
-    # the frontier: state and free-track values of each feasible prefix
-    q = np.zeros(int(feasible[0][0]), dtype=np.int32)
-    vals = np.zeros((len(q), free.shape[1]), dtype=np.int64)
+        nxt = succ[:, track0[:, i]].transpose(1, 0, 2) + base
+        succ_nodes.insert(0, nxt.reshape(k * states, symbols))
+        feasible.insert(0, feasible[0][succ_nodes[0]].any(axis=1))
+    node = np.flatnonzero(feasible[0][::states]) * states
+    value = np.zeros(len(node), dtype=np.int64)
     for i in range(width):
-        dst = succ[q, i]
-        rows, js = np.nonzero(feasible[i + 1][dst])
-        q, vals = dst[rows, js], vals[rows] | (free[js] << i)
-    return sorted(map(tuple, vals.tolist()))
+        cand = succ_nodes[i][node]
+        hits, js = np.nonzero(feasible[i + 1][cand])
+        node, value = cand[hits, js], value[hits] | (packed[js] << i)
+    key = np.sort((node // states << n_free * width) | value)
+    return key >> n_free * width, (key[:, None] >> shifts) & ((1 << width) - 1)
 
 
 def accepted_numeric_values(
-    a: MultiTrackAutomaton, code, width: int
-) -> list[tuple[int, ...]]:
-    """All numeric-track tuples accepted with track 0 fixed to the padded code."""
-    if a.mode != "accept" or not a.tracks or a.tracks[0] != INSTRUCTION_TRACK:
-        raise ValueError("needs a relation automaton with an instruction track 0")
-    return _free_track_values(a, as_code(code).padded(width).symbols)
+    a: MultiTrackAutomaton, codes, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, values) accepted with track 0 fixed to each code, padded to `width`.
+
+    `codes` is a batch of codes of one stored length: FoldCodes, '+-0'
+    literals, symbol sequences, or the rows of a 2-D array such as
+    code_matrix(t).  values[:, j] holds numeric track j + 1; see
+    _free_track_values for the order.
+    """
+    if (
+        a.mode != "accept"
+        or len(a.tracks) < 2
+        or a.tracks[0] != INSTRUCTION_TRACK
+        or any(t != BIT_TRACK for t in a.tracks[1:])
+    ):
+        raise ValueError(
+            "needs a relation automaton with an instruction track 0 and bit "
+            f"tracks after it, got tracks {a.tracks} in {a.mode} mode"
+        )
+    if isinstance(codes, (str, FoldCode)):
+        raise ValueError(f"needs a batch of codes, got the single code {codes!r}")
+    if isinstance(codes, np.ndarray):
+        if codes.ndim != 2:
+            raise ValueError(f"a code array holds one code per row, got {codes.shape}")
+        pad = codes == PAD
+        bad = ~np.isin(codes, INSTRUCTION_TRACK) | ~pad & np.maximum.accumulate(pad, 1)
+        if bad.any():
+            r = int(bad.any(axis=1).argmax())
+            raise InvalidCodeError(f"row {r} of the batch is no code: {codes[r].tolist()}")
+        symbols = codes
+    else:
+        symbols = [as_code(c).symbols for c in codes]
+        for i, s in enumerate(symbols):
+            if len(s) != len(symbols[0]):
+                raise ValueError(
+                    f"code {i} of the batch has {len(s)} symbols, "
+                    f"code 0 has {len(symbols[0])}"
+                )
+    length = len(symbols[0]) if len(symbols) else 0
+    if length > width:
+        raise ValueError(
+            f"width {width} shorter than code 0 of the batch ({length} symbols)"
+        )
+    rows = np.zeros((len(symbols), width), dtype=np.int64)
+    rows[:, :length] = np.reshape(symbols, (len(symbols), length))
+    return _free_track_values(a, rows)
 
 
 def accepted_second_values(
-    a: MultiTrackAutomaton, n: int, width: int
-) -> list[int]:
-    """All x with (n, x) accepted by a two-numeric-track acceptor at `width`."""
+    a: MultiTrackAutomaton, ns, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, x): every (ns[row], x) a two-bit-track acceptor accepts at `width`."""
     if a.mode != "accept" or a.tracks != (BIT_TRACK, BIT_TRACK):
-        raise ValueError("needs a two-bit-track relation automaton")
-    if not 0 <= n < 2**width:
-        raise ValueError(f"width {width} cannot carry the index {n}")
-    return [x for (x,) in _free_track_values(a, [(n >> i) & 1 for i in range(width)])]
+        raise ValueError(
+            "needs a two-bit-track relation automaton, got tracks "
+            f"{a.tracks} in {a.mode} mode"
+        )
+    ns = np.asarray(ns)
+    if ns.ndim != 1:
+        raise ValueError(f"needs a vector of indices, got shape {ns.shape}")
+    for n in ns.tolist():
+        if not 0 <= operator.index(n) < 2**width:
+            raise ValueError(f"width {width} cannot carry the index {n}")
+    bits = (ns.astype(np.int64)[:, None] >> np.arange(width)) & 1
+    row, vals = _free_track_values(a, bits)
+    return row, vals[:, 0]
 
 
 # ---------------------------------------------------------------------------

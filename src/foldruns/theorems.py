@@ -34,6 +34,7 @@ from .runs import (
     subword_complexity,
 )
 from .automata import (
+    SAMPLE_BLOCK_ROWS,
     GapOracle,
     InferenceError,
     MultiTrackAutomaton,
@@ -367,12 +368,16 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     final index 2**(t-1); (5) nothing accepted beyond it; (6) the word is
     constant from that final x onward; (7) accepted x increase strictly
     with n; (8) accepted x equal the decomposition's run starts.  Checks 6
-    and 8 compare against words built independently of the automaton.
+    and 8 compare against run starts computed independently of the
+    automaton.
 
     Every numeric pair of a length-t code fits in t bits, so each code is
     probed at widths t, t+1, and t+2; the three extractions must agree
     (checks 1 and 8 see any padding-dependence), which pins every accept
-    bit the valid-code language can reach at these lengths.
+    bit the valid-code language can reach at these lengths.  The codes of
+    each length are extracted in blocks of at most SAMPLE_BLOCK_ROWS (n, x)
+    pairs of a correct machine, one call per block and width; a check's
+    witness is its first failure by t, then code, then width.
     """
     bound = _codes_bound("sp_suite", L, 2)
     if machine is None:
@@ -388,85 +393,95 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
         "sp-run-boundaries",
     ]
     failures: dict[str, tuple] = {}  # name -> the first witness found
-
-    def family(t: int):
-        """(code, word, run starts) per code of length t; the empty code has none."""
-        if t == 0:
-            yield FoldCode(()), None, []
-            return
-        codes, words, lengths, ends = _family_run_data(t)
-        starts = (ends - lengths + 1).tolist()
-        for r in range(codes.shape[0]):
-            yield _row_code(codes, r), words[r], starts[r]
-
     for t in range(0, L + 1):
-        for code, word, starts in family(t):
-            text = code.to_text() if t else "(empty)"
-            semantic = {0: [0], **{n: [x] for n, x in enumerate(starts, start=1)}}
-            last = 2 ** (t - 1) if t >= 1 else 0
+        if t:
+            codes, _, lengths, ends = _family_run_data(t)
+        else:  # the empty code: no runs
+            codes, lengths = np.zeros((1, 0), np.int8), np.zeros((1, 0), np.int8)
+            ends = lengths
+        step = max(1, SAMPLE_BLOCK_ROWS // (ends.shape[1] + 1))
+        for lo in range(0, len(codes), step):
+            block = slice(lo, lo + step)
+            starts = ends[block] - lengths[block] + 1
+            found: dict[str, tuple] = {}  # name -> (block row, witness tail)
             for width in (t, t + 1, t + 2):
-                pairs = accepted_numeric_values(machine, code, width=width)
-                by_n: dict[int, list[int]] = {}
-                for n, x in pairs:
-                    by_n.setdefault(n, []).append(x)
-                multi = next((n for n, xs in by_n.items() if len(xs) > 1), None)
-                if multi is not None:
-                    failures.setdefault(
-                        "sp-functional", (text, width, multi, tuple(by_n[multi]))
-                    )
-                if by_n.get(0) != [0]:
-                    failures.setdefault(
-                        "sp-accepts-origin", (text, width, tuple(by_n.get(0, ())))
-                    )
-                beyond = next((n for n in by_n if n > last), None)
-                if beyond is not None:
-                    failures.setdefault(
-                        "sp-nothing-beyond",
-                        (text, width, beyond, tuple(by_n[beyond])),
-                    )
-                if by_n != semantic:
-                    n_bad = next(
-                        n
-                        for n in sorted(set(by_n) | set(semantic))
-                        if by_n.get(n) != semantic.get(n)
-                    )
-                    failures.setdefault(
-                        "sp-run-boundaries",
-                        (
-                            text,
-                            width,
-                            n_bad,
-                            tuple(by_n.get(n_bad, ())),
-                            tuple(semantic.get(n_bad, ())),
-                        ),
-                    )
-                if t == 0:
-                    continue
-                if by_n.get(1) != [1]:
-                    failures.setdefault(
-                        "sp-first-run", (text, width, tuple(by_n.get(1, ())))
-                    )
-                if last not in by_n:
-                    failures.setdefault("sp-last-run-exists", (text, width, last))
-                if by_n.get(last):
-                    x_last = by_n[last][0]
-                    tail = word[x_last - 1 :]
-                    if tail.size and not np.all(tail == tail[0]):
-                        failures.setdefault("sp-tail-constant", (text, width, x_last))
-                xs = [
-                    by_n[n][0]
-                    for n in range(0, last + 1)
-                    if len(by_n.get(n, ())) == 1
-                ]
-                weak = next(
-                    (i for i in range(len(xs) - 1) if xs[i] >= xs[i + 1]), None
-                )
-                if weak is not None:
-                    failures.setdefault(
-                        "sp-starts-increase",
-                        (text, width, weak, xs[weak], xs[weak + 1]),
-                    )
+                pairs = accepted_numeric_values(machine, codes[block], width)
+                hits = _sp_failures(pairs, starts, width)
+                for name, hit in hits.items():
+                    if name not in found or hit[0] < found[name][0]:
+                        found[name] = hit
+            for name, (r, tail) in found.items():
+                text = _row_code(codes, lo + r).to_text() if t else "(empty)"
+                failures.setdefault(name, (text, *tail))
     return [CheckReport(name, bound, failures.get(name)) for name in names]
+
+
+def _sp_failures(pairs, starts: np.ndarray, width: int) -> dict:
+    """name -> (row, witness tail) for each sp check failing on a block.
+
+    `pairs` is accepted_numeric_values' (row, (n, x)) output at `width` and
+    starts[r] the 1-indexed run starts of row r, so the final index `last`
+    is starts.shape[1].  Indices n <= last are checked on (row, n)
+    matrices, the rest on the sorted entries.  A failure is the first bad
+    (row, n), row-major; its tail is the witness without the code.
+    """
+    row, (n, x) = pairs[0], pairs[1].T
+    rows, last = starts.shape
+    key = row * 2**width + n  # sorted: one run of entries per (row, n)
+
+    def xs(r: int, k: int) -> tuple:
+        lo, hi = np.searchsorted(key, [r * 2**width + k, r * 2**width + k + 1])
+        return tuple(x[lo:hi].tolist())
+
+    def first(mask: np.ndarray):
+        return divmod(int(mask.argmax()), mask.shape[1]) if mask.any() else None
+
+    inside = n <= last
+    cell = (row * (last + 1) + n)[inside]
+    count = np.bincount(cell, minlength=rows * (last + 1)).reshape(rows, -1)
+    head = np.ones(len(cell), dtype=bool)
+    head[1:] = cell[1:] != cell[:-1]
+    least = np.full(rows * (last + 1), -1, dtype=np.int64)  # the least x, or -1
+    least[cell[head]] = x[inside][head]
+    least = least.reshape(rows, -1)
+    want = np.concatenate([np.zeros((rows, 1), dtype=np.int64), starts], axis=1)
+    one = count == 1
+
+    out = {}
+    for e in np.flatnonzero(key[1:] == key[:-1])[:1]:  # the first n with two x
+        r, k = int(row[e]), int(n[e])
+        out["sp-functional"] = (r, (width, k, xs(r, k)))
+    if hit := first(~(one[:, :1] & (least[:, :1] == 0))):
+        out["sp-accepts-origin"] = (hit[0], (width, xs(hit[0], 0)))
+    over = [(int(row[e]), int(n[e]), ()) for e in np.flatnonzero(~inside)[:1]]
+    for r, k, _ in over:
+        out["sp-nothing-beyond"] = (r, (width, k, xs(r, k)))
+    if hit := first(~one | (least != want)):
+        over.append((*hit, (int(want[hit]),)))
+    if over:
+        r, k, run_start = min(over)
+        out["sp-run-boundaries"] = (r, (width, k, xs(r, k), run_start))
+    if not last:  # t = 0
+        return out
+    if hit := first(~(one[:, 1:2] & (least[:, 1:2] == 1))):
+        out["sp-first-run"] = (hit[0], (width, xs(hit[0], 1)))
+    if hit := first(count[:, last:] == 0):
+        out["sp-last-run-exists"] = (hit[0], (width, last))
+    # word[x - 1:] is constant exactly when x = 0 or x >= the last run start
+    x_last = least[:, last:]
+    if hit := first((x_last >= 1) & (x_last < starts[:, -1:])):
+        out["sp-tail-constant"] = (hit[0], (width, int(x_last[hit])))
+    # the x of each n accepting exactly one must increase: prev is the latest
+    # such n before n, -1 for none
+    prev = np.full((rows, last + 1), -1)
+    prev[:, 1:] = np.maximum.accumulate(np.where(one, np.arange(last + 1), -1), 1)[:, :-1]
+    x_prev = np.take_along_axis(least, np.maximum(prev, 0), axis=1)
+    if hit := first(one & (prev >= 0) & (x_prev >= least)):
+        r, k = hit
+        p = prev[r, k]
+        rank = int(one[r, :p].sum())
+        out["sp-starts-increase"] = (r, (width, rank, int(least[r, p]), int(least[r, k])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +499,10 @@ def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
     if depth < 2:
         raise ValueError(f"gap_wellformedness needs depth >= 2, got {depth}")
     gaps = _regular_gaps(2**depth - 1).tolist()
-    values = [accepted_second_values(a, n, depth) for n in range(1, len(gaps) + 1)]
-    missing = next((n for n, xs in enumerate(values, 1) if not xs), None)
-    multi = next(((n, xs) for n, xs in enumerate(values, 1) if len(xs) > 1), None)
-    seq = [xs[0] for xs in values if xs]
-    nondec = next(
-        (i + 1 for i in range(len(seq) - 1) if seq[i] >= seq[i + 1]), None
-    )
+    row, xs = accepted_second_values(a, np.arange(1, len(gaps) + 1), depth)
+    count = np.bincount(row, minlength=len(gaps))
+    offset = np.cumsum(count) - count  # where each n's sorted x values begin
+    seq = xs[offset[count > 0]].tolist()  # the least x of each n accepting any
     # range: accepted x-values vs the sieved gaps up to the largest of them
     upper = seq[-1] if seq else 0
     expected = [y for y in gaps if y <= upper]
@@ -501,9 +513,14 @@ def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
         off = next(pairs, (len(got), len(expected)))
     bound = f"depth={depth}"
     return [
-        CheckReport("gap-total", bound, missing),
-        CheckReport("gap-functional", bound, multi),
-        CheckReport("gap-increasing", bound, nondec),
+        _first("gap-total", bound, np.flatnonzero(count == 0), lambda i: i + 1),
+        _first(
+            "gap-functional",
+            bound,
+            np.flatnonzero(count > 1),
+            lambda i: (i + 1, xs[offset[i] : offset[i] + count[i]].tolist()),
+        ),
+        _first("gap-increasing", bound, np.flatnonzero(np.diff(seq) <= 0), lambda i: i + 1),
         CheckReport("gap-range", bound, off),
     ]
 

@@ -65,6 +65,7 @@ from foldruns.automata import (
     project,
     shortest_word,
 )
+from foldruns.foldcore import code_matrix
 from foldruns.runs import _regular_gaps
 from mutants import mutated_label, mutated_transition
 
@@ -958,9 +959,11 @@ def test_value_slices_combine_back_to_the_length_machine(rl_machine):
 def test_regular_machines_match_fast_path_lookups():
     rs = infer_automaton(RegularStartOracle(), sample_depth=8, test_depth=5)
     re_ = infer_automaton(RegularEndOracle(), sample_depth=8, test_depth=5)
-    for n in range(1, 65):
-        assert accepted_second_values(rs, n, 8) == [regular_run_start(n)]
-        assert accepted_second_values(re_, n, 8) == [regular_run_end(n)]
+    ns = np.arange(1, 65)
+    for machine, value in ((rs, regular_run_start), (re_, regular_run_end)):
+        row, xs = accepted_second_values(machine, ns, 8)
+        assert row.tolist() == list(range(64))
+        assert xs.tolist() == [value(n) for n in range(1, 65)]
     rl = infer_automaton(RegularLengthOracle(), sample_depth=8, test_depth=5)
     for n in range(1, 65):
         # single bit track, least significant first
@@ -976,7 +979,9 @@ def test_gap_values_frozen(tt_machine):
     assert tt_machine.n_states == 8
     for n, value in enumerate(GAP_VALUES, start=1):
         assert regular_gap_value(n) == value
-        assert accepted_second_values(tt_machine, n, 10) == [value]
+    row, xs = accepted_second_values(tt_machine, range(1, len(GAP_VALUES) + 1), 10)
+    assert row.tolist() == list(range(len(GAP_VALUES)))
+    assert xs.tolist() == list(GAP_VALUES)
 
 
 def test_gap_oracle_agrees_with_search():
@@ -1046,9 +1051,15 @@ def test_gap_wellformedness_catches_mutation(tt_machine):
 
 
 def test_accepted_numeric_values_matches_semantics(sp_machine):
+    # one batched call per code length; row r of the result belongs to code r
     for t in range(0, 5):
-        for code in all_codes(t):
-            pairs = set(accepted_numeric_values(sp_machine, code, width=t + 1))
+        codes = list(all_codes(t))
+        row, vals = accepted_numeric_values(sp_machine, codes, width=t + 1)
+        # the rows of code_matrix(t) are the same batch
+        same = accepted_numeric_values(sp_machine, code_matrix(t), width=t + 1)
+        assert np.array_equal(row, same[0]) and np.array_equal(vals, same[1])
+        for r, code in enumerate(codes):
+            pairs = set(map(tuple, vals[row == r].tolist()))
             want = {(0, 0)}
             if t >= 1:
                 dec = run_decompose(paperfolding_word(code))
@@ -1074,26 +1085,111 @@ def test_accepted_second_values_matches_brute_force(tt_machine):
         for i in range(width):
             q = m.table[q, column[(n >> i) & 1, (x >> i) & 1]]
         accepted = m.labels[q].reshape(2**width, 2**width)
+        row, xs = accepted_second_values(m, np.arange(1, 2**width), width)
         for k in range(1, 2**width):
             want = np.flatnonzero(accepted[k]).tolist()
-            assert accepted_second_values(m, k, width) == want, (m, k)
+            assert xs[row == k - 1].tolist() == want, (m, k)
+
+
+def _random_machine(rng, tracks, label=None):
+    """A small random relation machine; `label` fixes every state's label."""
+    n = rng.randint(1, 5)
+    width = len(list(itertools.product(*tracks)))
+    table = [[rng.randrange(n) for _ in range(width)] for _ in range(n)]
+    labels = [rng.random() < 0.4 if label is None else label for _ in range(n)]
+    return MultiTrackAutomaton(tracks, table, labels)
+
+
+def _brute_force_values(a, rows):
+    """Every accepted (row, *values), by running each free-track assignment."""
+    out = []
+    for r, fixed in enumerate(rows.tolist()):
+        for vals in itertools.product(range(2 ** len(fixed)), repeat=len(a.tracks) - 1):
+            word = [(s, *((v >> i) & 1 for v in vals)) for i, s in enumerate(fixed)]
+            if a.accepts(word):
+                out.append((r, *vals))
+    return out
+
+
+@pytest.mark.parametrize(
+    "tracks",
+    [
+        (INSTRUCTION_TRACK, BIT_TRACK),
+        (INSTRUCTION_TRACK, BIT_TRACK, BIT_TRACK),
+        (BIT_TRACK, BIT_TRACK),
+    ],
+    ids=["instruction+bit", "instruction+2bits", "2bits"],
+)
+def test_batched_extraction_matches_brute_force(tracks):
+    # seeded machines with random, all-accepting and all-rejecting labels;
+    # batches of every size from empty up, mixing rows with and without
+    # accepted words, at several widths
+    rng = random.Random(17)
+    seen = Counter()
+    for label in [None] * 12 + [True, False]:
+        m = _random_machine(rng, tracks, label)
+        for width in range(0, 5 if len(tracks) == 2 else 4):
+            k = rng.randint(0, 6)
+            if tracks[0] == INSTRUCTION_TRACK:
+                length = rng.randint(0, width)
+                codes = []
+                for _ in range(k):
+                    e = rng.randint(0, length)
+                    codes.append([rng.choice((1, -1)) for _ in range(e)] + [0] * (length - e))
+                rows = np.zeros((k, width), dtype=np.int64)
+                rows[:, :length] = np.reshape(codes, (k, length))
+                row, vals = accepted_numeric_values(m, codes, width)
+            else:
+                ns = [rng.randrange(2**width) for _ in range(k)]
+                rows = (np.array(ns, dtype=np.int64).reshape(k, 1) >> np.arange(width)) & 1
+                row, xs = accepted_second_values(m, ns, width)
+                vals = xs.reshape(-1, 1)
+            got = [(r, *v) for r, v in zip(row.tolist(), vals.tolist())]
+            assert got == _brute_force_values(m, rows), (m, width, rows)
+            hit = set(row.tolist())
+            seen["empty batch"] += k == 0
+            seen["mixed batch"] += 0 < len(hit) < k
+            seen["accepting start"] += bool(m.labels[0])
+            seen["rejecting start"] += not m.labels[0]
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
 
 
 def test_accepted_second_values_rejects_indices_outside_the_width(tt_machine):
-    with pytest.raises(ValueError):
-        accepted_second_values(tt_machine, 2**8, 8)
-    with pytest.raises(ValueError):
-        accepted_second_values(tt_machine, -1, 8)
+    with pytest.raises(ValueError, match="cannot carry the index 256$"):
+        accepted_second_values(tt_machine, [3, 2**8], 8)
+    with pytest.raises(ValueError, match="cannot carry the index -1$"):
+        accepted_second_values(tt_machine, [-1], 8)
+    with pytest.raises(ValueError, match="cannot carry the index 2361183241434822606848$"):
+        accepted_second_values(tt_machine, [2**71], 8)
     # the largest index that fits is accepted as input; its value does not fit
     assert regular_gap_value(2**8 - 1) >= 2**8
-    assert accepted_second_values(tt_machine, 2**8 - 1, 8) == []
+    row, xs = accepted_second_values(tt_machine, [2**8 - 1], 8)
+    assert row.size == xs.size == 0
 
 
-def test_accepted_numeric_values_validates_inputs(sp_machine, rl_machine):
-    with pytest.raises(ValueError):
-        accepted_numeric_values(rl_machine, "+", 3)  # output mode
-    with pytest.raises(ValueError):
-        accepted_numeric_values(sp_machine, "+++++", 3)  # width too small
+def test_accepted_numeric_values_validates_inputs(sp_machine, rl_machine, tt_machine):
+    with pytest.raises(ValueError, match="in output mode$"):
+        accepted_numeric_values(rl_machine, ["+"], 3)
+    with pytest.raises(ValueError, match=r"got tracks \(\(0, 1\), \(0, 1\)\)"):
+        accepted_numeric_values(tt_machine, ["+"], 3)
+    with pytest.raises(ValueError, match=r"width 3 shorter than code 0 .*\(5 symbols\)"):
+        accepted_numeric_values(sp_machine, ["+++++"], 3)
+    with pytest.raises(ValueError, match="code 2 of the batch has 3 symbols, code 0 has 2"):
+        accepted_numeric_values(sp_machine, ["+-", "--", "+-+"], 4)
+    with pytest.raises(ValueError, match="single code '\\+-'"):
+        accepted_numeric_values(sp_machine, "+-", 4)
+    with pytest.raises(InvalidCodeError):  # padding before an instruction
+        accepted_numeric_values(sp_machine, ["0+"], 4)
+    with pytest.raises(InvalidCodeError, match=r"row 1 of the batch is no code: \[0, 1\]"):
+        accepted_numeric_values(sp_machine, np.array([[1, 0], [0, 1]]), 4)
+    with pytest.raises(InvalidCodeError, match=r"row 0 of the batch is no code: \[2\]"):
+        accepted_numeric_values(sp_machine, np.array([[2]]), 4)
+    with pytest.raises(ValueError, match="one code per row"):
+        accepted_numeric_values(sp_machine, np.array([1, -1]), 4)
+    with pytest.raises(ValueError, match="two-bit-track"):
+        accepted_second_values(sp_machine, [1], 4)
+    with pytest.raises(ValueError, match=r"vector of indices, got shape \(\)"):
+        accepted_second_values(tt_machine, 5, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,47 @@ def test_gap_wellformedness_mutant_witnesses_are_pinned(tt_machine):
     assert digest == GAP_MUTANT_REPORTS_SHA256
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(theorems, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(theorems, name, counted)
+    return calls
+
+
+def test_sp_suite_extracts_once_per_length_width_and_block(monkeypatch, sp_machine):
+    # three widths per code length t <= 8; only t = 8 (256 codes of 129
+    # (n, x) pairs) exceeds SAMPLE_BLOCK_ROWS pairs and splits, into two
+    calls = _count_calls(monkeypatch, "accepted_numeric_values")
+    L = 8
+    assert all(r.passed for r in sp_suite(L=L, machine=sp_machine))
+    assert len(calls) == 3 * (L + 1) + 3
+    # a block of length-t codes holds at most SAMPLE_BLOCK_ROWS correct pairs
+    pairs = [len(codes) * (2 ** (codes.shape[1] - 1) + 1) for _, codes, _ in calls[3:]]
+    assert max(pairs) <= theorems.SAMPLE_BLOCK_ROWS
+
+
+def test_gap_wellformedness_extracts_once(monkeypatch, tt_machine):
+    calls = _count_calls(monkeypatch, "accepted_second_values")
+    assert all(r.passed for r in gap_wellformedness(tt_machine, depth=10))
+    assert len(calls) == 1
+
+
+def test_sp_suite_witnesses_do_not_depend_on_the_block_size(monkeypatch, sp_machine):
+    mutants = [mutated_label(sp_machine, q) for q in range(sp_machine.n_states)]
+    want = [sp_suite(L=5, machine=m) for m in mutants]
+    calls = _count_calls(monkeypatch, "accepted_numeric_values")
+    monkeypatch.setattr(theorems, "SAMPLE_BLOCK_ROWS", 7)
+    assert [sp_suite(L=5, machine=m) for m in mutants] == want
+    # 7 // (2**(t-1) + 1) codes per block: blocks of 2 codes at t = 1, 2 and
+    # of one code from t = 3 on
+    assert len(calls) == len(mutants) * 3 * (1 + 1 + 2 + 8 + 16 + 32)
+
+
 def test_runs_suite_names():
     reports = runs_suite(L=4)
     assert [r.name for r in reports] == [
@@ -395,12 +436,16 @@ def test_regular_suite_failing_witnesses(monkeypatch, tt_machine, patch, failing
     ids=["total", "functional", "increasing", "range"],
 )
 def test_gap_wellformedness_failing_witnesses(monkeypatch, tt_machine, edit, failing):
+    # each edit rewrites the x list of one n inside the one batched call
     real = theorems.accepted_second_values
-    monkeypatch.setattr(
-        theorems,
-        "accepted_second_values",
-        lambda a, n, depth: edit(n, real(a, n, depth)),
-    )
+
+    def edited(a, ns, depth):
+        row, xs = real(a, ns, depth)
+        per_n = [edit(int(n), xs[row == r].tolist()) for r, n in enumerate(ns)]
+        rows = [r for r, values in enumerate(per_n) for _ in values]
+        return np.array(rows, dtype=np.intp), np.array(sum(per_n, []), dtype=np.int64)
+
+    monkeypatch.setattr(theorems, "accepted_second_values", edited)
     reports = gap_wellformedness(tt_machine, depth=6)
     assert [r.name for r in reports] == REGULAR_NAMES[6:]
     assert {r.name: r.witness for r in reports if not r.passed} == failing
