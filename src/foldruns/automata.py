@@ -1208,30 +1208,34 @@ def accepted_numeric_values(
         bad = ~np.isin(codes, INSTRUCTION_TRACK) | ~pad & np.maximum.accumulate(pad, 1)
         if bad.any():
             r = int(bad.any(axis=1).argmax())
-            raise InvalidCodeError(f"row {r} of the batch is no code: {codes[r].tolist()}")
-        symbols = codes
+            raise InvalidCodeError(
+                f"row {r} of the batch is no code: {codes[r].tolist()}"
+            )
     else:
         symbols = [as_code(c).symbols for c in codes]
+        length = len(symbols[0]) if symbols else 0
         for i, s in enumerate(symbols):
-            if len(s) != len(symbols[0]):
+            if len(s) != length:
                 raise ValueError(
-                    f"code {i} of the batch has {len(s)} symbols, "
-                    f"code 0 has {len(symbols[0])}"
+                    f"code {i} of the batch has {len(s)} symbols, code 0 has {length}"
                 )
-    length = len(symbols[0]) if len(symbols) else 0
-    if length > width:
+        codes = np.reshape(symbols, (len(symbols), length))
+    if codes.shape[1] > width:
         raise ValueError(
-            f"width {width} shorter than code 0 of the batch ({length} symbols)"
+            f"width {width} shorter than code 0 of the batch ({codes.shape[1]} symbols)"
         )
-    rows = np.zeros((len(symbols), width), dtype=np.int64)
-    rows[:, :length] = np.reshape(symbols, (len(symbols), length))
+    rows = np.zeros((len(codes), width), dtype=np.int64)
+    rows[:, : codes.shape[1]] = codes
     return _free_track_values(a, rows)
 
 
 def accepted_second_values(
     a: MultiTrackAutomaton, ns, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(row, x): every (ns[row], x) a two-bit-track acceptor accepts at `width`."""
+    """(row, x) for every (ns[row], x) a two-bit-track acceptor accepts at `width`.
+
+    `ns` is a vector of indices; the pairs come sorted by row, then by x.
+    """
     if a.mode != "accept" or a.tracks != (BIT_TRACK, BIT_TRACK):
         raise ValueError(
             "needs a two-bit-track relation automaton, got tracks "

@@ -453,13 +453,15 @@ def _sp_failures(pairs, starts: np.ndarray, width: int) -> dict:
         out["sp-functional"] = (r, (width, k, xs(r, k)))
     if hit := first(~(one[:, :1] & (least[:, :1] == 0))):
         out["sp-accepts-origin"] = (hit[0], (width, xs(hit[0], 0)))
-    over = [(int(row[e]), int(n[e]), ()) for e in np.flatnonzero(~inside)[:1]]
-    for r, k, _ in over:
+    beyond = [(int(row[e]), int(n[e])) for e in np.flatnonzero(~inside)[:1]]
+    for r, k in beyond:
         out["sp-nothing-beyond"] = (r, (width, k, xs(r, k)))
+    # run boundaries: the first n whose x values are not [its run start]
+    wrong = [(r, k, ()) for r, k in beyond]
     if hit := first(~one | (least != want)):
-        over.append((*hit, (int(want[hit]),)))
-    if over:
-        r, k, run_start = min(over)
+        wrong.append((*hit, (int(want[hit]),)))
+    if wrong:
+        r, k, run_start = min(wrong)
         out["sp-run-boundaries"] = (r, (width, k, xs(r, k), run_start))
     if not last:  # t = 0
         return out
@@ -473,14 +475,16 @@ def _sp_failures(pairs, starts: np.ndarray, width: int) -> dict:
         out["sp-tail-constant"] = (hit[0], (width, int(x_last[hit])))
     # the x of each n accepting exactly one must increase: prev is the latest
     # such n before n, -1 for none
+    latest = np.maximum.accumulate(np.where(one, np.arange(last + 1), -1), axis=1)
     prev = np.full((rows, last + 1), -1)
-    prev[:, 1:] = np.maximum.accumulate(np.where(one, np.arange(last + 1), -1), 1)[:, :-1]
+    prev[:, 1:] = latest[:, :-1]
     x_prev = np.take_along_axis(least, np.maximum(prev, 0), axis=1)
     if hit := first(one & (prev >= 0) & (x_prev >= least)):
         r, k = hit
         p = prev[r, k]
         rank = int(one[r, :p].sum())
-        out["sp-starts-increase"] = (r, (width, rank, int(least[r, p]), int(least[r, k])))
+        tail = (width, rank, int(least[r, p]), int(least[r, k]))
+        out["sp-starts-increase"] = (r, tail)
     return out
 
 
@@ -520,7 +524,9 @@ def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
             np.flatnonzero(count > 1),
             lambda i: (i + 1, xs[offset[i] : offset[i] + count[i]].tolist()),
         ),
-        _first("gap-increasing", bound, np.flatnonzero(np.diff(seq) <= 0), lambda i: i + 1),
+        _first(
+            "gap-increasing", bound, np.flatnonzero(np.diff(seq) <= 0), lambda i: i + 1
+        ),
         CheckReport("gap-range", bound, off),
     ]
 

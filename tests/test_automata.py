@@ -1135,13 +1135,14 @@ def test_batched_extraction_matches_brute_force(tracks):
                 codes = []
                 for _ in range(k):
                     e = rng.randint(0, length)
-                    codes.append([rng.choice((1, -1)) for _ in range(e)] + [0] * (length - e))
+                    code = [rng.choice((1, -1)) for _ in range(e)]
+                    codes.append(code + [0] * (length - e))
                 rows = np.zeros((k, width), dtype=np.int64)
                 rows[:, :length] = np.reshape(codes, (k, length))
                 row, vals = accepted_numeric_values(m, codes, width)
             else:
                 ns = [rng.randrange(2**width) for _ in range(k)]
-                rows = (np.array(ns, dtype=np.int64).reshape(k, 1) >> np.arange(width)) & 1
+                rows = (np.array(ns, dtype=np.int64)[:, None] >> np.arange(width)) & 1
                 row, xs = accepted_second_values(m, ns, width)
                 vals = xs.reshape(-1, 1)
             got = [(r, *v) for r, v in zip(row.tolist(), vals.tolist())]
@@ -1159,7 +1160,7 @@ def test_accepted_second_values_rejects_indices_outside_the_width(tt_machine):
         accepted_second_values(tt_machine, [3, 2**8], 8)
     with pytest.raises(ValueError, match="cannot carry the index -1$"):
         accepted_second_values(tt_machine, [-1], 8)
-    with pytest.raises(ValueError, match="cannot carry the index 2361183241434822606848$"):
+    with pytest.raises(ValueError, match=f"cannot carry the index {2**71}$"):
         accepted_second_values(tt_machine, [2**71], 8)
     # the largest index that fits is accepted as input; its value does not fit
     assert regular_gap_value(2**8 - 1) >= 2**8
@@ -1172,15 +1173,15 @@ def test_accepted_numeric_values_validates_inputs(sp_machine, rl_machine, tt_mac
         accepted_numeric_values(rl_machine, ["+"], 3)
     with pytest.raises(ValueError, match=r"got tracks \(\(0, 1\), \(0, 1\)\)"):
         accepted_numeric_values(tt_machine, ["+"], 3)
-    with pytest.raises(ValueError, match=r"width 3 shorter than code 0 .*\(5 symbols\)"):
+    with pytest.raises(ValueError, match=r"width 3 shorter than code 0 .*\(5 symbols"):
         accepted_numeric_values(sp_machine, ["+++++"], 3)
-    with pytest.raises(ValueError, match="code 2 of the batch has 3 symbols, code 0 has 2"):
+    with pytest.raises(ValueError, match="code 2 of the batch has 3 symbols, code 0 "):
         accepted_numeric_values(sp_machine, ["+-", "--", "+-+"], 4)
     with pytest.raises(ValueError, match="single code '\\+-'"):
         accepted_numeric_values(sp_machine, "+-", 4)
     with pytest.raises(InvalidCodeError):  # padding before an instruction
         accepted_numeric_values(sp_machine, ["0+"], 4)
-    with pytest.raises(InvalidCodeError, match=r"row 1 of the batch is no code: \[0, 1\]"):
+    with pytest.raises(InvalidCodeError, match=r"row 1 of the batch is no code"):
         accepted_numeric_values(sp_machine, np.array([[1, 0], [0, 1]]), 4)
     with pytest.raises(InvalidCodeError, match=r"row 0 of the batch is no code: \[2\]"):
         accepted_numeric_values(sp_machine, np.array([[2]]), 4)
