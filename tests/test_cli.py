@@ -1,5 +1,6 @@
 """Command-line behavior: golden outputs, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -369,6 +370,32 @@ def test_emit_rows_renders_a_partial_last_block(fmt, capsys):
     # line lists, not one long string: a failure then reports the first bad row
     got = capsys.readouterr().out.splitlines(keepends=True)
     assert got == _reference_table(fmt, ["z", "a", "m%s"], rows).splitlines(True)
+
+
+# SHA-256 of whole run tables, recorded from the %-template renderer: t = 20
+# is 2^19 rows (32 blocks), t = 16 is 2^15 rows (two full blocks) with S and
+# E past 9,999
+BIG_TABLE_DIGESTS = {
+    ("+-++-+--+-++--+-+--+", "tsv"): (
+        "00ef4ffaa9165275dda362b08fcae210491d90ab7bc7e747b0aa99e34b5d9f8c"
+    ),
+    ("+-++-+--+-++--+-+--+", "json-lines"): (
+        "7a13d88d45b09a7dcc10a2dc44e7feebbd3317f8b47c0386a981557128520219"
+    ),
+    ("-+--++-+-++-+--+", "tsv"): (
+        "2672870eab21b6fc2954c7c0b477bc871b57e19947638af3d00bd73231683ad1"
+    ),
+    ("-+--++-+-++-+--+", "json-lines"): (
+        "20763d1a68793015c1409d3ef55bf8ce2834efea2f84d1c3a973fa86fa6237a9"
+    ),
+}
+
+
+@pytest.mark.parametrize("code, fmt", sorted(BIG_TABLE_DIGESTS))
+def test_big_run_tables_keep_their_bytes(code, fmt, capsys):
+    assert run(["runs", f"--code={code}", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(out).hexdigest() == BIG_TABLE_DIGESTS[code, fmt]
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
