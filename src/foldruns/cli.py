@@ -46,31 +46,118 @@ class _UsageError(Exception):
     """Post-parse validation failure; rendered like an argparse error."""
 
 
-# Rows rendered per write by _emit_rows: bounds the Python objects alive at
-# once, whatever the table's length.
+# Rows rendered per write by _emit_rows: bounds the digit arrays and the
+# byte matrix built at once, whatever the table's length.
 _BLOCK_ROWS = 2**14
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits of every group 0..9999, four bytes in one uint32 each.
+
+    Three tables of 10**4 entries, stacked: the group zero-padded (an inner
+    group), right-aligned over NULs with 0 as all NULs (the leading group; a
+    group above it is 0, so it vanishes), and right-aligned with 0 as "0"
+    (the lowest group when it leads).
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()
+    inner = digits + np.uint8(ord("0"))
+    shown = np.logical_or.accumulate(digits > 0, axis=1)
+    leading = inner * shown
+    shown[:, -1] = True
+    return np.stack([inner, leading, inner * shown]).view(np.uint32).ravel()
+
+
+_GROUPS = _digit_groups()
+_GROUP = np.uint64(10**4)
+
+
+def _int64_column(name: str, column) -> np.ndarray:
+    """An integer column (array, list or range) as int64.
+
+    Nothing is truncated or wrapped: a value that is not an integer raises
+    TypeError and an integer outside int64 raises ValueError.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind not in "iu":
+            raise TypeError(f"column {name!r} holds {column.dtype}, not integers")
+    elif not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in column
+    ):
+        raise TypeError(f"column {name!r} holds a value that is not an integer")
+    else:
+        # numpy would type ints past int64 as uint64, float64 or object
+        column = np.array(column, dtype=object)
+    if column.size and not (
+        _INT64_MIN <= int(column.min()) and int(column.max()) <= _INT64_MAX
+    ):
+        raise ValueError(f"column {name!r} holds a value outside int64")
+    return column.astype(np.int64, copy=False)
+
+
+def _digit_cells(values: np.ndarray) -> list[np.ndarray]:
+    """The digits of |values| as uint32 cells, most significant group first.
+
+    Each cell is one base-10**4 group looked up in _GROUPS; there are as many
+    cells as the largest value needs, and NULs pad the shorter values.
+    """
+    magnitude = values.view(np.uint64)
+    q = np.where(values < 0, -magnitude, magnitude)  # exact for -2**63 too
+    cells = []
+    offset = np.uint64(2 * 10**4)
+    while True:
+        higher = q // _GROUP
+        cells.append(_GROUPS.take(q - higher * _GROUP + (higher == 0) * offset))
+        if not higher.any():
+            return cells[::-1]
+        q, offset = higher, np.uint64(10**4)
+
+
+def _text_cells(text: str) -> np.ndarray:
+    """ASCII text as uint32 cells, NUL-padded to a multiple of four bytes."""
+    data = text.encode("ascii")
+    return np.frombuffer(data.ljust(-(-len(data) // 4) * 4, b"\0"), np.uint32)
 
 
 def _emit_rows(fmt: str, header: list[str], columns) -> None:
-    """Print a table given as equal-length columns (arrays, lists or ranges).
+    """Print a table given as equal-length integer columns (arrays, lists or ranges).
 
-    Every row is rendered by one %-template (TSV, or a JSON object with
-    sorted keys, as _json_line writes it) and each block of _BLOCK_ROWS rows
-    is written as one string, so only one block at a time exists as Python
-    objects.
+    Each block of _BLOCK_ROWS rows is laid out as one uint32 matrix: per
+    field, the text before it (a tab, or the JSON key with sorted keys, as
+    _json_line writes it) with the sign ('-' or NUL) in its last cell, then
+    the digit cells; the row ends with the newline (and '}').  Dropping the
+    NULs from the matrix's bytes leaves every field at its own width, so the
+    block is written as one string and no Python object is made per row.
     """
+    columns = [_int64_column(h, c) for h, c in zip(header, columns, strict=True)]
+    if len({c.size for c in columns}) > 1:
+        raise ValueError("table columns differ in length")
     if fmt == "tsv":
         sys.stdout.write("\t".join(header) + "\n")
-        line = "\t".join(["%s"] * len(header))
+        texts = [""] + ["\t"] * (len(header) - 1) + ["\n"]
     else:
-        keys = sorted(range(len(header)), key=header.__getitem__)
-        pairs = (_json_line(header[k]).replace("%", "%%") + ":%s" for k in keys)
-        line = "{" + ",".join(pairs) + "}"
-        columns = [columns[k] for k in keys]
-    line += "\n"
-    for a in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [np.asarray(c[a : a + _BLOCK_ROWS]).tolist() for c in columns]
-        sys.stdout.write("".join(map(line.__mod__, zip(*block))))
+        order = sorted(range(len(header)), key=header.__getitem__)
+        columns = [columns[k] for k in order]
+        keys = [_json_line(header[k]) + ":" for k in order]
+        texts = ["{" + keys[0], *("," + key for key in keys[1:]), "}\n"]
+    heads = [(_text_cells(t + "\0"), _text_cells(t + "-")[-1]) for t in texts[:-1]]
+    tail = _text_cells(texts[-1])
+    for a in range(0, columns[0].size, _BLOCK_ROWS):
+        block = [c[a : a + _BLOCK_ROWS] for c in columns]
+        digits = [_digit_cells(values) for values in block]
+        width = sum(len(h) + len(d) for (h, _), d in zip(heads, digits)) + len(tail)
+        matrix = np.empty((block[0].size, width), np.uint32)
+        k = 0
+        for (head, minus), values, cells in zip(heads, block, digits):
+            k += len(head)
+            matrix[:, k - len(head) : k] = head
+            matrix[values < 0, k - 1] = minus
+            for cell in cells:
+                matrix[:, k] = cell
+                k += 1
+        matrix[:, k:] = tail
+        sys.stdout.write(matrix.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _json_line(obj) -> str:

@@ -1,14 +1,19 @@
 """Command-line behavior: golden outputs, formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldruns import (
     CheckReport,
@@ -402,6 +407,134 @@ def test_big_run_tables_keep_their_bytes(code, fmt, capsys):
 def test_emit_rows_with_no_rows(fmt, capsys):
     _emit_rows(fmt, ["start", "period"], [[], []])
     assert capsys.readouterr().out == _reference_table(fmt, ["start", "period"], [])
+
+
+# ---------------------------------------------------------------------------
+# the digit renderer against a %-template one, and its refusals
+
+
+def _template_table(fmt, header, columns):
+    """The table as a row-at-a-time %-template renderer prints it."""
+    if fmt == "tsv":
+        head = "\t".join(header) + "\n"
+        line = "\t".join(["%d"] * len(header))
+    else:
+        head = ""
+        order = sorted(range(len(header)), key=header.__getitem__)
+        pairs = (_json_text(header[k]).replace("%", "%%") + ":%d" for k in order)
+        line = "{" + ",".join(pairs) + "}"
+        columns = [columns[k] for k in order]
+    rows = zip(*(list(map(int, c)) for c in columns))
+    return head + "".join(line % row + "\n" for row in rows)
+
+
+INT64_EDGES = [0, 2**63 - 1, -(2**63 - 1), -(2**63)] + [
+    s * (10**k + d) for k in range(19) for d in (-1, 0) for s in (1, -1)
+]
+
+
+def test_digit_group_tables():
+    inner, leading, lowest = cli._GROUPS.reshape(3, 10**4)
+    assert inner.tobytes() == b"".join(b"%04d" % i for i in range(10**4))
+    assert lowest.tobytes() == b"".join(
+        (b"%d" % i).rjust(4, b"\0") for i in range(10**4)
+    )
+    # a group above the leading one is 0 and prints nothing
+    assert leading[0].tobytes() == b"\0" * 4
+    assert leading[1:].tobytes() == lowest[1:].tobytes()
+
+
+_headers = st.lists(
+    st.text(st.sampled_from(list('aZ0 "\\%\t{}:,é€𝄞')), min_size=1, max_size=4),
+    min_size=1,
+    max_size=5,
+)
+_int64s = st.sampled_from(INT64_EDGES) | st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(header=_headers, rows=st.integers(0, 12), data=st.data())
+def test_emit_rows_matches_a_template_renderer(header, rows, data):
+    columns = []
+    for _ in header:
+        values = data.draw(st.lists(_int64s, min_size=rows, max_size=rows))
+        as_array = data.draw(st.booleans())
+        columns.append(np.array(values, dtype=np.int64) if as_array else values)
+    for fmt in ("tsv", "json-lines"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit_rows(fmt, header, columns)
+        assert out.getvalue() == _template_table(fmt, header, columns)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_emit_rows_at_block_boundaries(offset, width, fmt, capsys):
+    # every int64 edge in every column, between seeded int64 of all widths
+    rows = cli._BLOCK_ROWS + offset
+    rng = np.random.default_rng(rows * 10 + width)
+    header = ["b%", 'q"', "s\\", "ü", "a"][:width]
+    columns = []
+    for _ in header:
+        values = rng.integers(-(2**63), 2**63 - 1, size=rows, endpoint=True)
+        values >>= rng.integers(0, 64, size=rows)
+        values[rng.choice(rows, len(INT64_EDGES), replace=False)] = INT64_EDGES
+        columns.append(values)
+    _emit_rows(fmt, header, columns)
+    got = capsys.readouterr().out.splitlines(keepends=True)
+    assert got == _template_table(fmt, header, columns).splitlines(keepends=True)
+
+
+def test_emit_rows_prints_the_int64_extremes(capsys):
+    _emit_rows("tsv", ["x"], [np.array([-(2**63), 2**63 - 1])])
+    assert lines_of(capsys) == ["x", "-9223372036854775808", "9223372036854775807"]
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1.5],
+        np.array([1.0]),
+        [Fraction(3, 2)],
+        ["1"],
+        np.array(["1"]),
+        [None],
+        np.array([1], dtype=object),
+        [True],
+        np.array([True]),
+    ],
+)
+def test_emit_rows_refuses_non_integer_columns(column, capsys):
+    with pytest.raises(TypeError, match="'bad'"):
+        _emit_rows("tsv", ["ok", "bad"], [[1], column])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [2**63],
+        [-(2**63) - 1],
+        [-1, 2**63],
+        [2**64],
+        range(2**63 - 1, 2**63 + 1),
+        np.array([2**63], dtype=np.uint64),
+        [np.uint64(2**63)],
+    ],
+)
+def test_emit_rows_refuses_values_outside_int64(column, capsys):
+    with pytest.raises(ValueError, match="'bad'"):
+        _emit_rows("json-lines", ["ok", "bad"], [[1] * len(column), column])
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_rows_refuses_ragged_columns(capsys):
+    with pytest.raises(ValueError, match="differ in length"):
+        _emit_rows("tsv", ["a", "b"], [[1, 2], [1]])
+    with pytest.raises(ValueError):
+        _emit_rows("tsv", ["a", "b"], [[1, 2]])
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
