@@ -47,7 +47,7 @@ class _UsageError(Exception):
 
 
 # Rows rendered per write by _emit_rows: bounds the digit arrays and the
-# byte matrix built at once, whatever the table's length.
+# cell matrix built at once, whatever the table's length.
 _BLOCK_ROWS = 2**14
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -102,16 +102,17 @@ def _digit_cells(values: np.ndarray) -> list[np.ndarray]:
     Each cell is one base-10**4 group looked up in _GROUPS; there are as many
     cells as the largest value needs, and NULs pad the shorter values.
     """
-    magnitude = values.view(np.uint64)
-    q = np.where(values < 0, -magnitude, magnitude)  # exact for -2**63 too
+    # np.abs(-2**63) is -2**63, whose bits are 2**63 as uint64
+    q = np.abs(values).view(np.uint64)
     cells = []
-    offset = np.uint64(2 * 10**4)
+    # a leading group reads the third table if it is the lowest, else the second
+    offset = 2 * _GROUP
     while True:
         higher = q // _GROUP
         cells.append(_GROUPS.take(q - higher * _GROUP + (higher == 0) * offset))
         if not higher.any():
             return cells[::-1]
-        q, offset = higher, np.uint64(10**4)
+        q, offset = higher, _GROUP
 
 
 def _text_cells(text: str) -> np.ndarray:
@@ -144,19 +145,12 @@ def _emit_rows(fmt: str, header: list[str], columns) -> None:
     heads = [(_text_cells(t + "\0"), _text_cells(t + "-")[-1]) for t in texts[:-1]]
     tail = _text_cells(texts[-1])
     for a in range(0, columns[0].size, _BLOCK_ROWS):
-        block = [c[a : a + _BLOCK_ROWS] for c in columns]
-        digits = [_digit_cells(values) for values in block]
-        width = sum(len(h) + len(d) for (h, _), d in zip(heads, digits)) + len(tail)
-        matrix = np.empty((block[0].size, width), np.uint32)
-        k = 0
-        for (head, minus), values, cells in zip(heads, block, digits):
-            k += len(head)
-            matrix[:, k - len(head) : k] = head
-            matrix[values < 0, k - 1] = minus
-            for cell in cells:
-                matrix[:, k] = cell
-                k += 1
-        matrix[:, k:] = tail
+        cells = []
+        for (head, minus), c in zip(heads, columns):
+            values = c[a : a + _BLOCK_ROWS]
+            sign = np.where(values < 0, minus, head[-1])
+            cells += [*head[:-1], sign, *_digit_cells(values)]
+        matrix = np.column_stack(np.broadcast_arrays(*cells, *tail))
         sys.stdout.write(matrix.tobytes().translate(None, b"\0").decode("ascii"))
 
 
