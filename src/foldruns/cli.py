@@ -82,11 +82,12 @@ def _int64_column(name: str, column) -> np.ndarray:
     if isinstance(column, np.ndarray):
         if column.dtype.kind not in "iu":
             raise TypeError(f"column {name!r} holds {column.dtype}, not integers")
-    elif not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in column
-    ):
-        raise TypeError(f"column {name!r} holds a value that is not an integer")
     else:
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            for v in column
+        ):
+            raise TypeError(f"column {name!r} holds a value that is not an integer")
         # numpy would type ints past int64 as uint64, float64 or object
         column = np.array(column, dtype=object)
     if column.size and not (
