@@ -1,5 +1,6 @@
 """Multi-track machines: inference, verification, minimization, formats."""
 
+import hashlib
 import io
 import itertools
 import operator
@@ -44,8 +45,10 @@ from foldruns import (
     regular_gap_value,
     regular_run_end,
     regular_run_length,
+    regular_run_span,
     regular_run_start,
     run_decompose,
+    run_span,
     specialize_regular,
     to_dot,
     valid_code_length_automaton,
@@ -189,6 +192,106 @@ def test_oracle_samples_are_the_non_default_universe(make, max_width):
         assert len(universe) == _universe_size(oracle, width)
         want = {w: oracle.label(w) for w in universe}
         assert dict(got) == {w: v for w, v in want.items() if v != oracle.default}
+
+
+def _samples_digest(oracle, max_width):
+    """SHA-256 of every sample row, as lists, with its block's dtypes."""
+    h = hashlib.sha256()
+    for width in range(max_width + 1):
+        for track0, nums, labels in oracle.samples(width):
+            dtypes = (nums.dtype, labels.dtype)
+            if track0 is not None:
+                dtypes += (track0.dtype,)
+            h.update(repr((width, *map(str, dtypes))).encode())
+            t0 = [None] * len(nums) if track0 is None else track0.tolist()
+            for row in zip(t0, nums.tolist(), labels.tolist()):
+                h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def _seeded_words(oracle, count, max_width):
+    """Seeded words of width <= max_width: mostly valid codes, indices around
+    the run range, and second values at or next to a true one."""
+    rng = random.Random(oracle.name)
+    coded = oracle.tracks[0] == INSTRUCTION_TRACK
+    for _ in range(count):
+        width = rng.randrange(max_width + 1)
+        t = rng.randrange(width + 1)
+        code = [rng.choice((1, -1)) for _ in range(t)] + [0] * (width - t)
+        if rng.random() < 0.2:
+            code = [rng.choice((-1, 0, 1)) for _ in range(width)]
+        t = sum(1 for s in code if s)
+        top = 2 ** max(t - 1, 0) if coded else 2**width - 1
+        n = rng.randrange(min(top + 2, 2**width)) if width else 0
+        near = [0]
+        if coded and is_valid_code(code) and t and 1 <= n <= top:
+            near = list(run_span(FoldCode(code), n))
+        elif not coded and n:
+            near = [*regular_run_span(n), regular_gap_value(n)]
+        x = (rng.choice(near) + rng.choice((-1, 0, 0, 0, 1))) % 2**width if width else 0
+        nums = [n, x][: len(oracle.tracks) - coded]
+        tracks = [[(v >> i) & 1 for i in range(width)] for v in nums]
+        if coded:
+            tracks.insert(0, code)
+        yield tuple(zip(*tracks))
+
+
+def _label_digest(oracle, count, max_width):
+    h = hashlib.sha256()
+    for word in _seeded_words(oracle, count, max_width):
+        h.update(repr(oracle.label(word)).encode())
+    return h.hexdigest()
+
+
+# (samples at widths 0..8, code oracles, or 0..12, regular ones; labels of
+# 600 seeded words of width <= 12, or <= 40), pinned before the oracles
+# shared one label and one samples
+ORACLE_DIGESTS = {
+    "sp": (
+        StartRelationOracle,
+        "5a5052cd650106e4ac728b2fd34cb748505244874886ca68d8199ed58b4b3d3d",
+        "71f7191efebcc7ca644317ebdc13bd0b6fed6220688297e67ceb1625b16878d0",
+    ),
+    "ep": (
+        EndRelationOracle,
+        "7026d2610f1201809cb494630e49e354e03d0af1604185391e477edbf4ea165b",
+        "f71aee01fb122f70c4200e8f7c7b7df06e758e75ee6a6e11a9fe4d639f202daa",
+    ),
+    "rl": (
+        RunLengthOracle,
+        "b9b01f34d19710a9c2768d7a3346d6635b3d57ca68576bb0d5d574e689dec443",
+        "fffd7f99f0002acd4825278ac764bf3268351c1140e78a68eaaf32275fd123e5",
+    ),
+    "rs": (
+        RegularStartOracle,
+        "25d82098d6d0e55774df0511a5586e88b5b9780356e90cb21eefaceff574ea6a",
+        "84f0e505e1b456b68db8946b90892a432aa51414a3f0ce1c261c42a8b46acadb",
+    ),
+    "re": (
+        RegularEndOracle,
+        "2ef108198dbae9fb6fef55dbed9c0191cb63278289acc4947d8258c735dfe686",
+        "d4589e236c7cae99f1d12d4c2b461658e985c62972f290f69c5fdf96d95d0a84",
+    ),
+    "rlen": (
+        RegularLengthOracle,
+        "1f2a9e71fb642b2641e3c4e726766566f3d66cf93287c20682d39f5afa326ea9",
+        "194ff1d18a37e00858136fbae1c3d6debc55c7c52f9163b2a769fc6048874a7a",
+    ),
+    "gap": (
+        GapOracle,
+        "bb5d0a0f25f07ef5f8fa073e8f85052e1582594986e788fd3f797ef053c95259",
+        "8a4744e453172f757a6fde2a484ad2814783c102e64e857c80aa2ac56f845310",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_DIGESTS))
+def test_oracle_samples_and_labels_are_pinned(name):
+    make, samples, labels = ORACLE_DIGESTS[name]
+    oracle = make()
+    coded = oracle.has_instruction_track
+    assert _samples_digest(oracle, 8 if coded else 12) == samples
+    assert _label_digest(oracle, 600, 12 if coded else 40) == labels
 
 
 def lnk_accepts(f, x: int) -> bool:

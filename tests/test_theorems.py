@@ -153,6 +153,42 @@ def test_family_checks_refuse_bounds_that_check_nothing(check, args, message):
         check(*args)
 
 
+@pytest.mark.parametrize(
+    "L, moves, witness",
+    [
+        # the first bad code by t, then row, then its first bad n
+        (
+            8,
+            {5: [(9, 2, 1), (3, 6, -1)], 6: [(0, 1, 1)]},
+            ("+++--", 7, 12, 13),
+        ),
+        (8, {2: [(3, 0, 1)]}, ("--", 1, 3, 2)),
+        (8, {7: [(40, 62, 1)]}, ("+-+-+++", 63, 127, 126)),
+        # the last run ends the word; the theorem predicts the others
+        (8, {7: [(40, 63, 1)]}, None),
+        (
+            12,
+            {12: [(4000, 1000, -1), (4001, 3, 1)]},
+            ("-----+-+++++", 1001, 2001, 2002),
+        ),
+    ],
+    ids=["first-code", "t2", "last-predicted", "last-run", "t12"],
+)
+def test_thm3_witness_of_a_moved_run_end(monkeypatch, L, moves, witness):
+    # moves[t] lists (code row, run index from 0, shift) for the run ends
+    real = theorems._family_run_data
+
+    def moved(t):
+        *rest, ends = real(t)
+        ends = ends.copy()
+        for r, k, shift in moves.get(t, ()):
+            ends[r, k] += shift
+        return (*rest, ends)
+
+    monkeypatch.setattr(theorems, "_family_run_data", moved)
+    assert thm3(L).witness == witness
+
+
 def test_no_triple_extension_matches_reference_on_long_factors():
     families = [_family_run_data(t)[::2] for t in range(2, 9)]
     assert _reference_triple(families, 40) is None
