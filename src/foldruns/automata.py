@@ -354,10 +354,10 @@ def regular_gap_value(n: int) -> int:
 class WordOracle:
     """Word-level wrapper of a semantic relation.
 
-    `label(word)` is the machine's required verdict on any product word.
-    `samples(width)` enumerates, exactly once each, every width-`width`
-    input whose label differs from the default (False or 0).  It yields
-    blocks of at most SAMPLE_BLOCK_ROWS samples, one row per sample:
+    An oracle provides `label(word)`, the machine's required verdict on any
+    product word, and `samples(width)`, which enumerates, exactly once
+    each, every width-`width` input whose label differs from the default
+    (False or 0).  It yields blocks of at most SAMPLE_BLOCK_ROWS samples:
     (track0 int8[N, width] | None, numeric values int64[N, m], labels[N]).
     Rows come in strictly increasing order of (code length, code rank in
     code_matrix order, numeric values), which the verifier checks.
@@ -375,36 +375,53 @@ class WordOracle:
     def has_instruction_track(self) -> bool:
         return bool(self.tracks) and self.tracks[0] == INSTRUCTION_TRACK
 
-    def label(self, word):
-        raise NotImplementedError
 
-    def samples(self, width: int) -> Iterator[tuple]:
-        raise NotImplementedError
+class _RunOracle(WordOracle):
+    """The oracle of an index function v(n), or v(f, n) with f on track 0.
 
-
-def _row_blocks(count: int) -> Iterator[np.ndarray]:
-    """Row indices 0..count-1 in runs of at most SAMPLE_BLOCK_ROWS."""
-    for lo in range(0, count, SAMPLE_BLOCK_ROWS):
-        yield np.arange(lo, min(lo + SAMPLE_BLOCK_ROWS, count))
-
-
-def _value_block(track0, n: np.ndarray, values: np.ndarray, relation: bool) -> tuple:
-    """A sample block: the graph (n, value) in relation mode, else n -> value."""
-    if relation:
-        return track0, np.stack([n, values], axis=1), np.ones(len(n), dtype=bool)
-    return track0, n[:, None], values
-
-
-class _CodeFamilyOracle(WordOracle):
-    """(f, n, ...) relations read off one run column of the word of code f.
-
-    Subclasses choose the column of (starts, ends, lengths), whether the
-    empty code relates its virtual run 0, and the value at n = 0.  In
-    relation mode the last track carries the value x; in function mode the
-    value is the label.
+    A function-mode oracle labels a word v, 0 off the domain; a
+    relation-mode oracle reads x on its last track and accepts x = v.
+    Subclasses give `_value(raw, n)`, v at one index (raw: the track-0
+    symbols) or None off the domain, and `_tables(width)`, which yields
+    (codes, first, values) with values[c, k] = v(codes[c], first + k) for
+    every sample of the width in order (codes None without a code track).
     """
 
-    column: int
+    column: int  # run start, end or length: 0, 1 or 2
+
+    def _pick(self, lengths, ends):
+        """The run column of runs with these lengths and ends."""
+        return (ends - lengths + 1, ends, lengths)[self.column]
+
+    def label(self, word):
+        raw, nums = decode_raw(word, len(self.tracks) - self.has_instruction_track)
+        v = self._value(raw, nums[0])
+        if self.mode == "output":
+            return 0 if v is None else v
+        return v is not None and nums[1] == v
+
+    def samples(self, width: int) -> Iterator[tuple]:
+        for codes, first, values in self._tables(width):
+            for lo in range(0, values.size, SAMPLE_BLOCK_ROWS):
+                rows = np.arange(lo, min(lo + SAMPLE_BLOCK_ROWS, values.size))
+                code, k = np.divmod(rows, values.shape[1])
+                n, v, track0 = k + first, values[code, k], None
+                if codes is not None:
+                    track0 = np.zeros((len(rows), width), dtype=np.int8)
+                    track0[:, : codes.shape[1]] = codes[code]
+                if self.mode == "output":
+                    yield track0, n[:, None], v
+                else:
+                    yield track0, np.stack([n, v], axis=1), np.ones(len(n), dtype=bool)
+
+
+class _CodeFamilyOracle(_RunOracle):
+    """(f, n, ...) relations read off one run column of the word of code f.
+
+    Subclasses choose the column, whether the empty code relates its
+    virtual run 0, and the value at n = 0.
+    """
+
     empty_code_relates: bool = False
     value_at_zero: int = 0
 
@@ -420,40 +437,26 @@ class _CodeFamilyOracle(WordOracle):
         if t < 1 or n > 2 ** (t - 1):
             return None
         s, e = run_span(FoldCode(raw), n)
-        return (s, e, e - s + 1)[self.column]
+        return self._pick(e - s + 1, e)
 
-    def label(self, word):
-        raw, nums = decode_raw(word, len(self.tracks) - 1)
-        v = self._value(raw, nums[0])
-        if self.mode == "output":
-            return 0 if v is None else v
-        return v is not None and nums[1] == v
-
-    def _family(self, t: int) -> tuple:
-        """(codes, values) of every code of length t; values[c, n] is for run n.
+    def _table(self, t: int) -> tuple:
+        """(codes, 0, values) of every code of length t; values[c, n] is for run n.
 
         Column 0 holds the value at the virtual run n = 0; t = 0 is the
-        empty code alone.
+        empty code alone.  Built once per t and kept.
         """
         hit = self._rows.get(t)
         if hit is None:
             codes, column = np.zeros((1, 0), np.int8), np.zeros((1, 0), np.int32)
             if t:
-                codes, _, lengths, ends = _family_run_data(t)
-                column = (ends - lengths + 1, ends, lengths)[self.column]
+                codes, lengths, ends = _family_run_data(t)
+                column = self._pick(lengths, ends)
             zero = np.full((len(codes), 1), self.value_at_zero, dtype=np.int32)
-            hit = self._rows[t] = (codes, np.hstack([zero, column]))
+            hit = self._rows[t] = (codes, 0, np.hstack([zero, column]))
         return hit
 
-    def samples(self, width: int) -> Iterator[tuple]:
-        for t in range(0 if self.empty_code_relates else 1, width + 1):
-            codes, values = self._family(t)
-            per_code = values.shape[1]
-            for rows in _row_blocks(len(codes) * per_code):
-                code, n = np.divmod(rows, per_code)
-                track0 = np.zeros((len(rows), width), dtype=np.int8)
-                track0[:, :t] = codes[code]
-                yield _value_block(track0, n, values[code, n], self.mode == "accept")
+    def _tables(self, width: int) -> Iterator[tuple]:
+        return map(self._table, range(0 if self.empty_code_relates else 1, width + 1))
 
 
 class StartRelationOracle(_CodeFamilyOracle):
@@ -488,53 +491,40 @@ class RunLengthOracle(_CodeFamilyOracle):
     value_at_zero = 1
 
 
-class _RegularOracle(WordOracle):
-    """n -> f(n) for an index function f of the regular sequence, n >= 1.
+class _RegularOracle(_RunOracle):
+    """n -> v(n) for an index function v of the regular sequence, n >= 1.
 
-    Subclasses choose f by `column` of (run start, run end, run length,
-    gap t(n)).  Relation-mode oracles read the graph (n, x) on two bit
-    tracks; a function-mode oracle reads n and outputs f(n), 0 at n = 0.
-    `samples` reads one run or gap table per width; `label` evaluates f
-    pointwise, so a large index builds no table.
+    Column 3 is the gap t(n).  Relation-mode oracles read the graph (n, x)
+    on two bit tracks, and those with `zero_relates` also (0, 0); a
+    function-mode oracle reads n and outputs v(n), 0 at n = 0.  Samples
+    read one run or gap table per width; `label` evaluates v pointwise, so
+    a large index builds no table.
     """
 
     tracks = (BIT_TRACK, BIT_TRACK)
-    column: int
     zero_relates: bool = False
 
-    def _value(self, n: int) -> int:
+    def _value(self, raw: tuple, n: int) -> "int | None":
+        if n == 0:
+            return 0 if self.zero_relates else None
         if self.column == 3:
             return regular_gap_value(n)
         s, e = regular_run_span(n)
-        return (s, e, e - s + 1)[self.column]
+        return self._pick(e - s + 1, e)
 
-    def label(self, word):
-        _, nums = decode_raw(word, len(self.tracks))
-        n = nums[0]
-        if self.mode == "output":
-            return self._value(n) if n else 0
-        if n == 0:
-            return self.zero_relates and nums[1] == 0
-        return nums[1] == self._value(n)
-
-    def _table(self, width: int) -> np.ndarray:
-        """f(1), f(2), ... over every n < 2**width whose sample fits the width."""
+    def _tables(self, width: int) -> Iterator[tuple]:
+        """One table: f(n) for every n >= 1 whose sample fits the width."""
         top = 2**width - 1
         if self.column == 3:
-            return _regular_gaps(top)  # t(n) <= top forces n <= top
-        lengths, ends = _regular_run_data(top)
-        values = (ends - lengths + 1, ends, lengths)[self.column]
-        if self.mode == "accept":
-            values = values[values <= top]
-        return values
-
-    def samples(self, width: int) -> Iterator[tuple]:
-        values = self._table(width).astype(np.int64)
-        n = np.arange(1, len(values) + 1)
+            values = _regular_gaps(top)  # t(n) <= top forces n <= top
+        else:
+            values = self._pick(*_regular_run_data(top))
+            if self.mode == "accept":
+                values = values[values <= top]
+        values = values.astype(np.int64)
         if self.zero_relates:  # (0, 0) comes first
-            n, values = np.concatenate(([0], n)), np.concatenate(([0], values))
-        for rows in _row_blocks(len(n)):
-            yield _value_block(None, n[rows], values[rows], self.mode == "accept")
+            values = np.concatenate(([0], values))
+        yield None, 1 - self.zero_relates, values[None, :]
 
 
 class RegularStartOracle(_RegularOracle):
@@ -567,36 +557,6 @@ class GapOracle(_RegularOracle):
 
     name = "regular-gaps"
     column = 3
-
-
-class ValueSliceOracle(WordOracle):
-    """Relation view of one output value of a function-mode oracle.
-
-    Accepts exactly the words the base oracle maps to `value`; the value
-    must be nonzero so the sample stream of the base oracle is complete
-    for it.
-    """
-
-    def __init__(self, base: WordOracle, value: int):
-        if base.mode != "output":
-            raise ValueError("base oracle must be function-mode")
-        if value == base.default:
-            raise ValueError("cannot slice on the default value")
-        self.base = base
-        self.value = value
-        self.tracks = base.tracks
-        self.mode = "accept"
-        self.name = f"{base.name}={value}"
-
-    def label(self, word) -> bool:
-        return self.base.label(word) == self.value
-
-    def samples(self, width: int) -> Iterator[tuple]:
-        for track0, nums, labels in self.base.samples(width):
-            keep = labels == self.value
-            if keep.any():
-                track0 = None if track0 is None else track0[keep]
-                yield track0, nums[keep], np.ones(np.count_nonzero(keep), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +802,10 @@ def infer_automaton(
     extensions; counterexamples from bounded verification contribute all
     their suffixes as new experiments.  The hypothesis is verified against
     the oracle on every word of length <= sample_depth; the returned machine
-    is its minimization, proven equivalent to it at every length.
+    is its minimization, proven equivalent to it at every length.  Each
+    round verifies to test_depth first: the verifier returns the first
+    mismatch by width, so that pass finds only what the full pass would,
+    and test_depth changes the work of a round, never the machine.
     """
     if sample_depth < 1 or test_depth < 1:
         raise ValueError("depths must be >= 1")

@@ -27,9 +27,10 @@ from .foldcore import (
 def _word_array(w) -> np.ndarray:
     if isinstance(w, PaperfoldingWord):
         return w.array
-    if isinstance(w, np.ndarray):
-        return w
-    return np.asarray(list(w), dtype=np.int64)
+    arr = w if isinstance(w, np.ndarray) else np.asarray(list(w), dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("word terms must be one-dimensional")
+    return arr
 
 
 class RunDecomposition:
@@ -108,29 +109,29 @@ class RunCountError(ValueError):
 
 
 # Cells of the boundary matrix handled at once by _family_run_data: bounds the
-# int64 index temporaries of np.nonzero to a few MiB at any t.
+# block's words and the int64 index temporaries of np.nonzero to a few MiB at
+# any t.
 _RUN_BLOCK_CELLS = 2**18
 
 
 def _family_run_data(t: int):
-    """(codes, words, run lengths, 1-indexed run ends) for every code of length t.
+    """(codes, run lengths, 1-indexed run ends) for every code of length t.
 
-    Row r of each matrix belongs to row r of code_matrix(t).  Requires the
-    uniform run count 2**(t-1); a violation (none exists, but the reshape
-    depends on it) raises RunCountError instead of misaligning rows.
+    Row r of each matrix belongs to row r of code_matrix(t).  The words are
+    built one block of rows at a time and dropped.  Requires the uniform
+    run count 2**(t-1); a violation (none exists, but the reshape depends
+    on it) raises RunCountError instead of misaligning rows.
     """
     if t < 1:
         raise ValueError("run data needs t >= 1")
     codes = code_matrix(t)
-    words = word_matrix(codes)
-    rows, width = words.shape
-    expected = 2 ** (t - 1)
-    ends = np.empty((rows, expected), dtype=np.int32)
+    width, expected = 2**t - 1, 2 ** (t - 1)
+    ends = np.empty((len(codes), expected), dtype=np.int32)
     ends[:, -1] = width
-    lengths = np.empty((rows, expected), dtype=np.int8)
+    lengths = np.empty((len(codes), expected), dtype=np.int8)
     step = max(1, _RUN_BLOCK_CELLS // width)
-    for a in range(0, rows, step):
-        block = words[a : a + step]
+    for a in range(0, len(codes), step):
+        block = word_matrix(codes[a : a + step])
         boundary = block[:, 1:] != block[:, :-1]
         counts = 1 + boundary.sum(axis=1)
         bad = np.flatnonzero(counts != expected)
@@ -140,42 +141,47 @@ def _family_run_data(t: int):
             raise RunCountError(code, int(counts[r]), expected)
         ends[a : a + step, :-1] = np.nonzero(boundary)[1].reshape(len(block), -1) + 1
         lengths[a : a + step] = np.diff(ends[a : a + step], axis=1, prepend=0)
-    return codes, words, lengths, ends
+    return codes, lengths, ends
+
+
+def _assoc_codes(codes: np.ndarray) -> np.ndarray:
+    """Row r is the associated code g of the code codes[r], one instruction shorter.
+
+    g = (f0 f1, -f0 f2, ..., -f0 f(t-1)): by the first two instructions,
+    with x the remainder, (1,1)x -> 1,(-x); (1,-1)x -> -1,(-x);
+    (-1,1)x -> -1,x; (-1,-1)x -> 1,x.
+    """
+    g = codes[:, :1] * codes[:, 1:]
+    g[:, 1:] *= -1
+    return g
+
+
+def _predicted_ends(assoc_words: np.ndarray) -> np.ndarray:
+    """Row r: the predicted run ends 2n - [P_g[n] = -1], n = 1, 2, ...
+
+    assoc_words[r] is the word P_g of the associated code g of a code f; it
+    has one term per run end of f but the last, which closes the word.
+    """
+    n = np.arange(1, assoc_words.shape[1] + 1, dtype=np.int64)
+    return 2 * n - (assoc_words == -1)
 
 
 def assoc_code(f) -> FoldCode:
-    """The associated code g with |g| = |f| - 1 governing run endings.
-
-    Case rule on the first two instructions, with x the remainder:
-    (1,1)x -> 1,(-x); (1,-1)x -> -1,(-x); (-1,1)x -> -1,x; (-1,-1)x -> 1,x.
-    """
-    c = as_code(f)
-    eff = c.effective
+    """The associated code g with |g| = |f| - 1 governing run endings."""
+    eff = as_code(f).effective
     if len(eff) < 2:
         raise InvalidCodeError(
             f"associated code needs >= 2 effective instructions, got {len(eff)}"
         )
-    f0, f1, rest = eff[0], eff[1], eff[2:]
-    if f0 == 1:
-        head = 1 if f1 == 1 else -1
-        tail = tuple(-s for s in rest)
-    else:
-        head = -1 if f1 == 1 else 1
-        tail = rest
-    return FoldCode((head,) + tail)
+    return FoldCode(_assoc_codes(np.array([eff], dtype=np.int8))[0].tolist())
 
 
 def predicted_end_positions(f) -> np.ndarray:
     """Predicted run ends 2n - eps_n for 1 <= n < 2**(t-1).
 
     eps_n is 0 when the associated code's word has +1 at position n, else 1.
-    The associated word has exactly 2**(t-1) - 1 terms, one per predicted
-    index, so the whole range is a single vector expression.
     """
-    g = assoc_code(f)
-    pg = paperfolding_word(g).array
-    n = np.arange(1, pg.size + 1, dtype=np.int64)
-    return 2 * n - (pg == -1)
+    return _predicted_ends(paperfolding_word(assoc_code(f)).array[None])[0]
 
 
 def run_span(code, n: int) -> tuple[int, int]:
@@ -384,7 +390,9 @@ def _windowed_run_prefix(code, n: int) -> np.ndarray:
             f"code with {c.effective_length} effective instructions is too short "
             f"for factor length {n}: minimum required length is {need}"
         )
-    runs = run_decompose(paperfolding_word(c))
+    # the runs that end inside the window lie in the word of the first
+    # `need` instructions, a prefix of the whole word
+    runs = run_decompose(paperfolding_word(c.effective[:need]))
     bound = window_bound(n)
     k = int(np.searchsorted(runs.ends, bound, side="right"))
     assert k < runs.count  # window strictly inside the word by the length check

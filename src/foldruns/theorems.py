@@ -14,13 +14,16 @@ from itertools import product
 import numpy as np
 
 from . import contfrac
-from .foldcore import FoldCode, all_codes, code_matrix
+from .foldcore import FoldCode, all_codes, code_matrix, word_matrix
 from .runs import (
+    _RUN_BLOCK_CELLS,
     RunCountError,
+    _assoc_codes,
     _family_run_data,
     _join_ids,
     _palindromic_factors,
     _periodic_windows,
+    _predicted_ends,
     _regular_gaps,
     _regular_run_data,
     _right_extensions,
@@ -28,7 +31,6 @@ from .runs import (
     _window_ids,
     find_squares,
     min_code_length,
-    predicted_end_positions,
     right_special_count,
     run_length_word,
     subword_complexity,
@@ -152,7 +154,7 @@ def prop4(L: int = 12) -> CheckReport:
     """Every run of every code of effective length t <= L has length 1, 2, or 3."""
     bound = _codes_bound("prop4", L, 1)
     for t in range(1, L + 1):
-        codes, _, lengths, _ = _family_run_data(t)
+        codes, lengths, _ = _family_run_data(t)
         bad = np.argwhere((lengths < 1) | (lengths > 3))
         if bad.size:
             r, k = map(int, bad[0])
@@ -162,26 +164,26 @@ def prop4(L: int = 12) -> CheckReport:
 
 
 def thm3(L: int = 12) -> CheckReport:
-    """Run ends satisfy E[n] = 2n - [P_g[n] = -1] with g the derived code.
+    """Run ends satisfy E[n] = 2n - [P_g[n] = -1] with g the associated code.
 
     Swept for every code of effective length 2 <= t <= L over the full
-    range 1 <= n <= 2**(t-1) - 1, comparing each decomposition's ends
-    against predicted_end_positions.
+    range 1 <= n <= 2**(t-1) - 1: each block of family rows compares its
+    run ends with the ends predicted from the words of its associated codes.
     """
     bound = _codes_bound("thm3", L, 2)
     for t in range(2, L + 1):
-        codes, _, _, ends = _family_run_data(t)
-        for r in range(codes.shape[0]):
-            code = _row_code(codes, r)
-            predicted = predicted_end_positions(code)
-            head = ends[r, : predicted.size]
-            if not np.array_equal(head, predicted):
-                return _first(
-                    "thm3",
-                    bound,
-                    np.flatnonzero(head != predicted),
-                    lambda j: (code.to_text(), j + 1, int(head[j]), int(predicted[j])),
-                )
+        codes, _, ends = _family_run_data(t)
+        step = max(1, _RUN_BLOCK_CELLS // ends.shape[1])
+        for lo in range(0, len(codes), step):
+            block = slice(lo, lo + step)
+            head = ends[block, :-1]
+            predicted = _predicted_ends(word_matrix(_assoc_codes(codes[block])))
+            bad = np.argwhere(head != predicted)
+            if bad.size:
+                r, j = map(int, bad[0])
+                code = _row_code(codes, lo + r).to_text()
+                witness = (code, j + 1, int(head[r, j]), int(predicted[r, j]))
+                return CheckReport("thm3", bound, witness)
     return CheckReport("thm3", bound)
 
 
@@ -193,7 +195,7 @@ def overlapfree(L: int = 10) -> CheckReport:
     """Run-length words of all codes with t <= L contain no overlap axaxa."""
     bound = _codes_bound("overlapfree", L, 3)
     for t in range(1, L + 1):
-        codes, _, lengths, _ = _family_run_data(t)
+        codes, lengths, _ = _family_run_data(t)
         for p, hit in _periodic_windows(lengths, 1):
             if hit.any():
                 r, j = map(int, np.argwhere(hit)[0])
@@ -208,7 +210,7 @@ def squares_only(L: int = 10) -> CheckReport:
     bound = f"codes t<={L}"
     found: set = set()
     for t in range(1, L + 1):
-        found |= _square_factors(_family_run_data(t)[2])
+        found |= _square_factors(_family_run_data(t)[1])
     if found == set(EXPECTED_SQUARES):
         return CheckReport("squares_only", bound)
     extra = sorted(found - EXPECTED_SQUARES)
@@ -238,7 +240,7 @@ def squares_present(L: int = 7, flag_up_to: int = 10) -> CheckReport:
     bound = f"codes t={L}, sampled to t<={flag_up_to}"
     notes = []
     for t in range(L, max(L, flag_up_to) + 1):
-        codes, _, lengths, _ = _family_run_data(t)
+        codes, lengths, _ = _family_run_data(t)
         m = lengths.shape[1]
         for square in sorted(EXPECTED_SQUARES):
             q = len(square)
@@ -269,7 +271,7 @@ def palindromes(L: int = 9, max_len: int = 7) -> CheckReport:
     one of length k - 2, so absence at 6 and 7 rules out everything longer.
     """
     bound = f"codes t={L}, factor len<={max_len}"
-    found = _palindromic_factors(_family_run_data(L)[2], max_len)
+    found = _palindromic_factors(_family_run_data(L)[1], max_len)
     if found == set(EXPECTED_PALINDROMES):
         return CheckReport("palindromes", bound)
     extra = sorted(found - EXPECTED_PALINDROMES)
@@ -287,7 +289,7 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
     bound = _codes_bound("no_triple_extension", L, 3)
     bound += f", factor len 2..{max_factor_len}"
     for t in range(2, L + 1):
-        codes, _, lengths, _ = _family_run_data(t)
+        codes, lengths, _ = _family_run_data(t)
         # grow the window one run at a time: one renaming per factor length
         ones = ids = _window_ids(lengths, 1)
         for n in range(2, min(max_factor_len, lengths.shape[1] - 1) + 1):
@@ -395,7 +397,7 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     failures: dict[str, tuple] = {}  # name -> the first witness found
     for t in range(0, L + 1):
         if t:
-            codes, _, lengths, ends = _family_run_data(t)
+            codes, lengths, ends = _family_run_data(t)
         else:  # the empty code: no runs
             codes, lengths = np.zeros((1, 0), np.int8), np.zeros((1, 0), np.int8)
             ends = lengths

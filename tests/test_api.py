@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "RunLengthOracle",
     "SUITES",
     "StartRelationOracle",
-    "ValueSliceOracle",
     "WordOracle",
     "accepted_numeric_values",
     "accepted_second_values",
@@ -108,7 +107,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert exported == PUBLIC_NAMES
-    assert len(exported) == 88
+    assert len(exported) == 87
 
 
 @pytest.mark.parametrize(

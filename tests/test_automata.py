@@ -28,7 +28,6 @@ from foldruns import (
     RegularStartOracle,
     RunLengthOracle,
     StartRelationOracle,
-    ValueSliceOracle,
     accepted_numeric_values,
     accepted_second_values,
     all_codes,
@@ -166,9 +165,6 @@ SELF_CHECKED_ORACLES = [
     (StartRelationOracle, 4),
     (EndRelationOracle, 4),
     (RunLengthOracle, 4),
-    (lambda: ValueSliceOracle(RunLengthOracle(), 1), 4),
-    (lambda: ValueSliceOracle(RunLengthOracle(), 2), 4),
-    (lambda: ValueSliceOracle(RunLengthOracle(), 3), 4),
     (RegularStartOracle, 6),
     (RegularEndOracle, 6),
     (RegularLengthOracle, 6),
@@ -179,7 +175,7 @@ SELF_CHECKED_ORACLES = [
 @pytest.mark.parametrize(
     "make, max_width",
     SELF_CHECKED_ORACLES,
-    ids=["sp", "ep", "rl", "rl=1", "rl=2", "rl=3", "rs", "re", "rlen", "gap"],
+    ids=["sp", "ep", "rl", "rs", "re", "rlen", "gap"],
 )
 def test_oracle_samples_are_the_non_default_universe(make, max_width):
     # samples(width) must list each non-default word of the valid universe
@@ -860,7 +856,6 @@ def test_sample_blocks_may_split_anywhere(monkeypatch, rl_machine):
     oracles = [
         StartRelationOracle(),
         RunLengthOracle(),
-        ValueSliceOracle(RunLengthOracle(), 2),
         GapOracle(),
     ]
 
@@ -946,26 +941,17 @@ def regular_length_machine():
     return infer_automaton(RegularLengthOracle(), sample_depth=8, test_depth=5)
 
 
-@pytest.fixture(scope="module")
-def length_two_machine():
-    return infer_automaton(
-        ValueSliceOracle(RunLengthOracle(), 2), sample_depth=8, test_depth=5
-    )
-
-
 @pytest.mark.parametrize(
     "fixture, make_oracle",
     [
         ("sp_machine", StartRelationOracle),
         ("rl_machine", RunLengthOracle),
         ("regular_length_machine", RegularLengthOracle),
-        ("length_two_machine", lambda: ValueSliceOracle(RunLengthOracle(), 2)),
     ],
     ids=[
         "sp_machine-StartRelationOracle",
         "rl_machine-RunLengthOracle",
         "regular_length_machine-RegularLengthOracle",
-        "length_two_machine-ValueSliceOracle",
     ],
 )
 def test_verifier_matches_brute_force_on_mutants(request, fixture, make_oracle):
@@ -1048,11 +1034,9 @@ def test_specialized_length_machine_matches_direct_inference(rl_machine):
 
 
 def test_value_slices_combine_back_to_the_length_machine(rl_machine):
+    # each slice accepts the words the length machine maps to its value
     slices = [
-        infer_automaton(
-            ValueSliceOracle(RunLengthOracle(), v), sample_depth=8, test_depth=5
-        )
-        for v in (1, 2, 3)
+        minimize(product([rl_machine], lambda out, v=v: out == v)) for v in (1, 2, 3)
     ]
     combined = combine_value_acceptors(slices, (1, 2, 3), default=0)
     assert combined.n_states == rl_machine.n_states == 31

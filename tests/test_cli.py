@@ -572,6 +572,18 @@ def test_infer_depth_validation():
                 "--test-depth", "9"]) == 2
 
 
+@pytest.mark.parametrize("target", ["sp", "ep", "rl", "tt"])
+def test_test_depth_does_not_change_the_machine(target, capsys):
+    # the verifier returns the first mismatch by width, so the pass to
+    # --test-depth finds only counterexamples the full pass finds first
+    outs = []
+    for depth in ("2", "5", "8"):
+        argv = ["infer", "--target", target, "--sample-depth", "8"]
+        assert run(argv + ["--test-depth", depth]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0].startswith("tracks") and outs.count(outs[0]) == 3
+
+
 def test_dot_source_validation(tmp_path):
     assert run(["dot"]) == 2
     assert run(["dot", "--target", "sp", "--in", "x"]) == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from foldruns import (
     MINUS,
     PLUS,
+    FoldCode,
     all_codes,
     assoc_code,
     find_overlaps,
@@ -40,6 +41,7 @@ from foldruns.runs import (
     _rank,
     _regular_run_data,
     _window_ids,
+    _windowed_run_prefix,
 )
 from foldruns.theorems import _spread_codes
 
@@ -71,6 +73,22 @@ def test_decomposition_partitions_the_word(code):
         assert len(block) == 1
         if k < dec.count:
             assert w[dec.ends[k - 1]] != w[dec.starts[k]]
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [run_decompose, find_squares, find_overlaps, lambda w: find_palindromes(w, 3)],
+    ids=["decompose", "squares", "overlaps", "palindromes"],
+)
+@pytest.mark.parametrize(
+    "word",
+    [np.array([[1, -1], [1, 1]]), np.ones((2, 3)), np.array(1), [[1, -1], [1, 1]]],
+    ids=["rows", "ones", "scalar", "nested-list"],
+)
+def test_word_arrays_must_be_one_dimensional(scan, word):
+    # rows would be compared with each other, or flattened into one word
+    with pytest.raises(ValueError, match="word terms must be one-dimensional"):
+        scan(word)
 
 
 def test_run_count_and_lengths_small_sweep():
@@ -231,7 +249,7 @@ def _palindromes_by_scan(rows, max_len):
 
 
 def test_batched_palindromes_match_a_per_word_scan():
-    rows = _family_run_data(6)[2]
+    rows = _family_run_data(6)[1]
     assert _palindromic_factors(rows, 5) == _palindromes_by_scan(rows, 5)
 
 
@@ -270,7 +288,7 @@ def _assert_window_holds_every_factor(codes, lengths, ends, n):
 
 
 def test_window_bound_holds_every_factor_of_the_length_10_family():
-    codes, _, lengths, ends = _family_run_data(10)
+    codes, lengths, ends = _family_run_data(10)
     ns = [n for n in range(1, 31) if min_code_length(n) <= 10]
     assert ns == list(range(1, 13))
     for n in ns:
@@ -286,6 +304,38 @@ def test_window_bound_holds_every_factor_of_the_complexity_sample():
             _assert_window_holds_every_factor(
                 [code.to_text()], dec.lengths[None, :], dec.ends[None, :], n
             )
+
+
+def test_factor_scans_build_only_the_window_prefix(monkeypatch):
+    # the runs that end inside window_bound(n) lie in the word of the first
+    # min_code_length(n) instructions, so no scan builds more of the word
+    real, built = runs.paperfolding_word, []
+
+    def recording(code):
+        built.append(FoldCode(code).effective_length)
+        return real(code)
+
+    monkeypatch.setattr(runs, "paperfolding_word", recording)
+    code = "+-++--+-+++-+--++--+"
+    for n in (1, 6, 12, 30):
+        built.clear()
+        subword_complexity(code, n)
+        right_special_count(code, n)
+        right_extension_map(code, n)
+        assert len(built) == 3 and max(built) <= min_code_length(n + 1)
+
+
+def test_window_prefix_is_the_whole_words_window():
+    rng = np.random.default_rng(23)
+    for t in (8, 11, 14, 17, 20):
+        for code in rng.choice([PLUS, MINUS], size=(3, t)).tolist():
+            dec = run_decompose(paperfolding_word(code))
+            for n in range(1, 31):
+                if min_code_length(n) > t:
+                    break
+                k = np.searchsorted(dec.ends, window_bound(n), side="right")
+                want = dec.lengths[:k].tolist()
+                assert _windowed_run_prefix(code, n).tolist() == want
 
 
 def test_subword_complexity_examples():
@@ -334,11 +384,10 @@ def test_family_run_data_matches_per_word_decomposition(monkeypatch, block_cells
     # blocks of one row, of a few rows, and the default must all agree
     monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", block_cells)
     for t in range(1, 8):
-        codes, words, lengths, ends = _family_run_data(t)
+        codes, lengths, ends = _family_run_data(t)
         assert lengths.dtype == np.int8 and ends.dtype == np.int32
-        for code, word, row_lengths, row_ends in zip(codes, words, lengths, ends):
+        for code, row_lengths, row_ends in zip(codes, lengths, ends):
             dec = run_decompose(paperfolding_word(code.tolist()))
-            assert word.tolist() == paperfolding_word(code.tolist()).array.tolist()
             assert row_lengths.tolist() == dec.lengths.tolist()
             assert row_ends.tolist() == dec.ends.tolist()
 
