@@ -528,3 +528,7 @@ def run(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -108,27 +108,22 @@ class RunCountError(ValueError):
         super().__init__(f"code {code.to_text()} has {runs} runs, expected {expected}")
 
 
-# Cells of the boundary matrix handled at once by _family_run_data: bounds the
-# block's words and the int64 index temporaries of np.nonzero to a few MiB at
-# any t.
-_RUN_BLOCK_CELLS = 2**18
+# Cells of the boundary matrix handled at once by _run_blocks: bounds the
+# block's words and the int64 run-end indices to about 1 MiB at any t.
+_RUN_BLOCK_CELLS = 2**17
 
 
-def _family_run_data(t: int):
-    """(codes, run lengths, 1-indexed run ends) for every code of length t.
+def _run_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(a, ends, lengths) per block of rows, for the codes codes[a:a + len(ends)].
 
-    Row r of each matrix belongs to row r of code_matrix(t).  The words are
-    built one block of rows at a time and dropped.  Requires the uniform
-    run count 2**(t-1); a violation (none exists, but the reshape depends
-    on it) raises RunCountError instead of misaligning rows.
+    ends holds the 1-indexed run ends and lengths the run lengths, one row
+    per code.  The words of one block of rows are built with word_matrix
+    and dropped before the next block.  Requires the uniform run count
+    2**(t-1); a violation (none exists, but the reshape depends on it)
+    raises RunCountError instead of misaligning rows.
     """
-    if t < 1:
-        raise ValueError("run data needs t >= 1")
-    codes = code_matrix(t)
+    t = codes.shape[1]
     width, expected = 2**t - 1, 2 ** (t - 1)
-    ends = np.empty((len(codes), expected), dtype=np.int32)
-    ends[:, -1] = width
-    lengths = np.empty((len(codes), expected), dtype=np.int8)
     step = max(1, _RUN_BLOCK_CELLS // width)
     for a in range(0, len(codes), step):
         block = word_matrix(codes[a : a + step])
@@ -139,8 +134,37 @@ def _family_run_data(t: int):
             r = int(bad[0])
             code = FoldCode(codes[a + r].tolist())
             raise RunCountError(code, int(counts[r]), expected)
-        ends[a : a + step, :-1] = np.nonzero(boundary)[1].reshape(len(block), -1) + 1
-        lengths[a : a + step] = np.diff(ends[a : a + step], axis=1, prepend=0)
+        rows = len(block)
+        # flat index r * (width - 1) + c of the last symbol c of a run;
+        # np.nonzero's row and column pair costs several times more
+        last = np.flatnonzero(boundary).reshape(rows, -1)
+        # a generator's locals outlive its yield: drop the block's words first
+        del block, boundary
+        last -= (width - 1) * np.arange(rows)[:, None] - 1
+        ends = np.empty((rows, expected), dtype=np.int32)
+        ends[:, :-1] = last
+        ends[:, -1] = width
+        del last
+        lengths = np.empty_like(ends)
+        lengths[:, 0] = ends[:, 0]
+        np.subtract(ends[:, 1:], ends[:, :-1], out=lengths[:, 1:])
+        yield a, ends, lengths
+
+
+def _family_run_data(t: int):
+    """(codes, run lengths, 1-indexed run ends) for every code of length t.
+
+    Row r of each matrix belongs to row r of code_matrix(t); the rows come
+    block by block from _run_blocks, so no word matrix is held.
+    """
+    if t < 1:
+        raise ValueError("run data needs t >= 1")
+    codes = code_matrix(t)
+    ends = np.empty((len(codes), 2 ** (t - 1)), dtype=np.int32)
+    lengths = np.empty(ends.shape, dtype=np.int8)
+    for a, block_ends, block_lengths in _run_blocks(codes):
+        ends[a : a + len(block_ends)] = block_ends
+        lengths[a : a + len(block_ends)] = block_lengths
     return codes, lengths, ends
 
 

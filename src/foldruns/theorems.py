@@ -9,7 +9,6 @@ what the `verify` CLI subcommand dispatches to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -651,12 +650,15 @@ def cf_theorem_check(n_max: int) -> CheckReport:
     """Sweep all sign vectors with 2 <= n <= n_max against the prediction.
 
     The witness on failure is (eps, computed, predicted), both canonical
-    expansions.  Each vector is decided by value, cf_to_rational(predicted)
-    == alpha: canonical(x) is cf_from_rational(cf_to_rational(x)) and
-    cf_from_rational is injective, so equal values mean equal canonical
-    expansions.  The first vector of each n is also decided by Euclid
-    (predicted_cf is canonical by construction), and the two decisions
-    must agree.
+    expansions.  Each vector is decided by value: the pair (p, q) of its
+    family row of predicted expansions (contfrac._predicted_pairs) against
+    alpha_pair(eps), both in lowest terms.  canonical(x) is
+    cf_from_rational(cf_to_rational(x)) and cf_from_rational is injective,
+    so equal values mean equal canonical expansions.  The first vector of
+    each n is also checked through the one-vector path: predicted_cf(eps)
+    must be its family row, and the comparison by Fraction and the one by
+    Euclid (predicted_cf is canonical by construction) must agree with the
+    pair decision.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -667,19 +669,28 @@ def cf_theorem_check(n_max: int) -> CheckReport:
         )
     name, bound = "cf-run-length-correspondence", f"n<={n_max}"
     for n in range(2, n_max + 1):
-        for k, eps in enumerate(product((1, -1), repeat=n - 1)):
-            alpha = contfrac.alpha_value(eps)
-            terms = contfrac.predicted_cf(eps)
-            agrees = contfrac.cf_to_rational(terms) == alpha
-            if k == 0 and (contfrac.cf_from_rational(alpha) == terms) != agrees:
-                raise RuntimeError(
-                    f"value and Euclid comparisons disagree at eps={eps!r}"
-                )
+        for k, (eps, row, pair) in enumerate(contfrac._predicted_pairs(n)):
+            agrees = pair == contfrac.alpha_pair(eps)
+            if k == 0:
+                _cross_check(eps, tuple(row.tolist()), agrees)
             if not agrees:
-                computed = contfrac.cf_from_rational(alpha)
-                witness = (eps, computed, contfrac.canonical(terms))
+                computed = contfrac.cf_from_rational(contfrac.alpha_value(eps))
+                witness = (eps, computed, contfrac.canonical(row.tolist()))
                 return CheckReport(name, bound, witness)
     return CheckReport(name, bound)
+
+
+def _cross_check(eps: tuple[int, ...], terms: tuple[int, ...], agrees: bool) -> None:
+    """Decide one vector again through predicted_cf, Fraction and Euclid."""
+    if contfrac.predicted_cf(eps) != terms:
+        raise RuntimeError(f"family row and predicted_cf disagree at eps={eps!r}")
+    alpha = contfrac.alpha_value(eps)
+    by_value = contfrac.cf_to_rational(terms) == alpha
+    by_euclid = contfrac.cf_from_rational(alpha) == terms
+    if by_value != agrees or by_euclid != agrees:
+        raise RuntimeError(
+            f"pair, value and Euclid comparisons disagree at eps={eps!r}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -629,6 +629,30 @@ def test_entrypoint_raises_system_exit(monkeypatch, capsys):
     assert lines_of(capsys) == ["+"]
 
 
+def _run_module(*argv):
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_python_m_runs_the_cli():
+    # without a __main__ guard `python -m foldruns.cli` ran nothing and exited 0
+    done = _run_module("-m", "foldruns", "cf", "--eps", "+")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "rational\t13/16\n"
+        "computed\t0,1,4,3\n"
+        "predicted\t0,1,4,3\n"
+        "verdict\tMATCH\n"
+    )
+    done = _run_module("-m", "foldruns.cli", "cf", "--sweep", "1")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--sweep must be in 2..16" in done.stderr
+
+
 def test_factor_commands_do_not_import_numpy_ma():
     # a plain np.unique imports numpy.ma (about 1 MiB) on first use
     script = (
@@ -639,13 +663,6 @@ def test_factor_commands_do_not_import_numpy_ma():
         "    assert run(['complexity', '--code', sys.argv[1]]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, "+-++-+--+-++--+"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    done = _run_module("-c", script, "+-++-+--+-++--+")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"

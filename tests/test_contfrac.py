@@ -1,5 +1,6 @@
 """Exact continued fractions and the run-length correspondence."""
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from foldruns import (
     MAX_ALPHA_INDEX,
+    CheckReport,
     alpha_value,
     canonical,
     cf_from_rational,
@@ -374,7 +376,12 @@ BUMPED_EPS = (1, -1, -1, 1)  # n = 5
 
 
 def _bump_prediction(monkeypatch, target=BUMPED_EPS, index=3):
-    honest = contfrac.predicted_cf
+    """Add 1 to term `index` of the prediction for `target`.
+
+    Both sources of predictions are bumped: predicted_cf, the one-vector
+    path, and the family rows the sweep decides by.
+    """
+    honest, honest_blocks = contfrac.predicted_cf, contfrac._predicted_blocks
 
     def bumped(eps):
         terms = honest(eps)
@@ -382,7 +389,15 @@ def _bump_prediction(monkeypatch, target=BUMPED_EPS, index=3):
             terms = (*terms[:index], terms[index] + 1, *terms[index + 1 :])
         return terms
 
+    def bumped_blocks(n):
+        for signs, rows in honest_blocks(n):
+            for r, eps in enumerate(signs.tolist()):
+                if tuple(eps) == target:
+                    rows[r, index] += 1
+            yield signs, rows
+
     monkeypatch.setattr(contfrac, "predicted_cf", bumped)
+    monkeypatch.setattr(contfrac, "_predicted_blocks", bumped_blocks)
     return bumped
 
 
@@ -436,3 +451,181 @@ def test_cf_sweep_reports_a_bump_in_the_mirrored_half(monkeypatch, capsys):
     assert hashlib.sha256(str(report).encode()).hexdigest() == BUMPED_10_REPORT
     assert run(["cf", "--sweep", "10"]) == 1
     assert capsys.readouterr().out == str(report) + "\n"
+
+
+def _reference_check(n_max, n_min=2):
+    """cf_theorem_check one vector at a time: a word and a Fraction per vector.
+
+    With n_min > 2 it is the whole sweep only when every n < n_min passes.
+    """
+    name, bound = "cf-run-length-correspondence", f"n<={n_max}"
+    for n in range(n_min, n_max + 1):
+        for k, eps in enumerate(product((1, -1), repeat=n - 1)):
+            alpha = contfrac.alpha_value(eps)
+            terms = contfrac.predicted_cf(eps)
+            agrees = contfrac.cf_to_rational(terms) == alpha
+            if k == 0:
+                assert (contfrac.cf_from_rational(alpha) == terms) == agrees
+            if not agrees:
+                computed = contfrac.cf_from_rational(alpha)
+                witness = (eps, computed, contfrac.canonical(terms))
+                return CheckReport(name, bound, witness)
+    return CheckReport(name, bound)
+
+
+@functools.cache
+def _reference_passes_below(n):
+    return _reference_check(n - 1).passed
+
+
+_REGION_TARGETS = {
+    10: BUMPED_EPS_10,
+    12: (1, 1, 1, 1, 1, 1, -1, 1, -1, 1, -1),
+}
+
+# index of the bumped term of the predicted expansion, given its length
+_REGIONS = {
+    "head": lambda size: 1,
+    "first-of-p": lambda size: 2,
+    "inside-p": lambda size: 2 + (_seam(range(size)) - 2) // 3,
+    "seam-u": lambda size: _seam(range(size)),
+    "seam-v": lambda size: _seam(range(size)) + 1,
+    "mirrored-half": lambda size: (_seam(range(size)) + size) // 2,
+    "last": lambda size: size - 1,
+}
+
+
+@pytest.mark.parametrize("region", sorted(_REGIONS))
+@pytest.mark.parametrize("n", sorted(_REGION_TARGETS))
+def test_bump_by_region_matches_the_per_vector_sweep(monkeypatch, capsys, n, region):
+    target = _REGION_TARGETS[n]
+    index = _REGIONS[region](2 + 2 ** (n - 1))
+    assert _reference_passes_below(n)
+    _bump_prediction(monkeypatch, target, index)
+    reference = _reference_check(n, n_min=n)
+    assert reference.witness[0] == target
+    report = cf_theorem_check(n)
+    assert str(report) == str(reference)
+    assert run(["cf", "--sweep", str(n)]) == 1
+    assert capsys.readouterr().out == str(reference) + "\n"
+
+
+def test_family_rows_are_the_predictions():
+    for n in range(2, 10):
+        seen = []
+        for signs, rows in contfrac._predicted_blocks(n):
+            for eps, terms in zip(map(tuple, signs.tolist()), rows.tolist()):
+                assert tuple(terms) == predicted_cf(eps)
+                seen.append(eps)
+        assert seen == list(product((1, -1), repeat=n - 1))
+    rng = random.Random(12)
+    picked = {tuple(rng.choice((1, -1)) for _ in range(11)) for _ in range(64)}
+    found = {}
+    for signs, rows in contfrac._predicted_blocks(12):
+        for eps, terms in zip(map(tuple, signs.tolist()), rows):
+            if eps in picked:
+                found[eps] = tuple(terms.tolist())
+    assert found == {eps: predicted_cf(eps) for eps in picked}
+
+
+def test_cf_theorem_check_stops_when_family_and_predicted_cf_disagree(monkeypatch):
+    honest = contfrac.predicted_cf
+
+    def bent(eps):
+        terms = honest(eps)
+        return (*terms[:-1], terms[-1] + 1) if tuple(eps) == (1,) else terms
+
+    monkeypatch.setattr(contfrac, "predicted_cf", bent)
+    with pytest.raises(RuntimeError, match=r"disagree at eps=\(1,\)$"):
+        cf_theorem_check(4)
+
+
+def test_family_sweep_reaches_continuant_only_below_the_split(monkeypatch):
+    # each vector's long mirrored prefixes come from the carry, not recomputed
+    seen = []
+    continuant = contfrac._continuant
+
+    def counted(seq):
+        seen.append(len(seq))
+        return continuant(seq)
+
+    monkeypatch.setattr(contfrac, "_continuant", counted)
+    for n in range(2, 13):
+        for eps, _, pair in contfrac._predicted_pairs(n):
+            assert pair == contfrac.alpha_pair(eps)
+    assert seen and max(seen) < contfrac._MIRROR_MIN
+
+
+def _first_column(row):
+    a, _, c, _ = contfrac._chunked(contfrac._continuant(tuple(row[:-1])), row[-1:])
+    return a, c
+
+
+def _refold(rng, row, sizes, level):
+    """Keep the prefix of row below sizes[level]; mirror every level above again."""
+    if level == 0:
+        row[: sizes[0]] = [rng.randint(1, 9) for _ in range(sizes[0])]
+    for size in sizes[max(level, 1) :]:
+        j, k = contfrac._split(size)
+        row[:size] = _fold(row[:k], rng.randint(1, 9), rng.randint(1, 9), j)
+
+
+def _carried_row(rng, prev, sizes):
+    """A row of len(sizes[-1]) + 1 terms: prev bent, rebuilt or kept."""
+    kind = rng.choice(("refold", "refold", "bump", "same", "random"))
+    if prev is None or kind == "random":
+        return [rng.randint(-2, 9) for _ in range(sizes[-1] + 1)]
+    row = list(prev)
+    if kind == "refold":
+        _refold(rng, row, sizes, rng.randrange(len(sizes)))
+    elif kind == "bump":
+        # mostly next to a prefix end, where an off-by-one in the reuse shows
+        size = rng.choice(sizes)
+        index = rng.choice((size - 1, size, rng.randrange(len(row))))
+        row[index] += rng.choice((1, -1, 10**20))
+    row[-1] = rng.randint(1, 9)
+    return row
+
+
+@pytest.mark.parametrize("length", [1, 31, 32, 63, 64, 127, 255])
+def test_mirror_carry_matches_continuant(length):
+    rng = random.Random(length)
+    carry = contfrac._MirrorCarry(length)
+    rows, prev = [], None
+    for _ in range(120):
+        prev = _carried_row(rng, prev, carry._sizes)
+        rows.append(prev)
+    got, start = [], 0
+    while start < len(rows):
+        block = np.array(rows[start : start + rng.randint(1, 9)], dtype=object)
+        cores = np.array(block[:, :-1].tolist())
+        got.extend(carry.first_columns(cores, block[:, -1].tolist()))
+        start += len(block)
+    assert got == [_first_column(row) for row in rows]
+    sizes = carry._sizes
+    if len(sizes) > 2:
+        # a row that raises inside the halves (a new first term, then a float
+        # for the seam term of the second level) must not leave them to the
+        # next row, which shares only the shortest prefix with the last good one
+        row = list(rows[-1])
+        _refold(rng, row, sizes, 0)
+        good = carry.first_columns(np.array([row[:-1]]), row[-1:])
+        assert list(good) == [_first_column(row)]
+        bad = np.array([row[:-1]], dtype=object)
+        bad[0, 0] += 1
+        bad[0, contfrac._split(sizes[1])[1]] = 2.5
+        with pytest.raises(TypeError):
+            list(carry.first_columns(bad, [1]))
+        _refold(rng, row, sizes, 1)
+        again = carry.first_columns(np.array([row[:-1]]), row[-1:])
+        assert list(again) == [_first_column(row)]
+
+
+def test_pairs_are_in_lowest_terms():
+    assert contfrac.alpha_pair((1,)) == (13, 16)
+    assert contfrac.alpha_pair(EXAMPLE_EPS) == (3472818177, 2**32)
+    assert contfrac.cf_pair((0, 4, 2, 6)) == (13, 58)
+    assert contfrac.cf_pair((0, -2)) == (-1, 2)
+    assert contfrac.cf_pair(EXAMPLE_CF) == contfrac.alpha_pair(EXAMPLE_EPS)
+    with pytest.raises(ZeroDivisionError, match=r"^expansion \[0, 0\]"):
+        contfrac.cf_pair((0, 0))
