@@ -292,10 +292,10 @@ class _MirrorCarry:
     """Continuants of consecutive cores of one length, reusing nested halves.
 
     _continuant splits a mirrored core at its seam (_split) and splits the
-    prefix P = core[:k] again, so every core of one length has
-    the same chain of nested prefix lengths, down to the first one shorter
-    than _MIRROR_MIN.  The carry keeps M of each proper prefix of the chain
-    for the previous row.  A row reuses the longest one whose terms it
+    prefix P = core[:k] again, so every core of one length has the same
+    chain of nested prefix lengths, down to the first one shorter than
+    _MIRROR_MIN.  The carry keeps M of each proper prefix of the chain for
+    the previous row.  A row reuses the longest one whose terms it
     shares, found by a first-difference test against the previous row.
     Each longer prefix, and the core, is joined from the one below only
     where the row passes the mirror test there; any other goes to

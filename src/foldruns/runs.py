@@ -109,8 +109,9 @@ class RunCountError(ValueError):
 
 
 # Cells of the boundary matrix handled at once by _run_blocks: bounds the
-# block's words and the int64 run-end indices to about 1 MiB at any t.
-_RUN_BLOCK_CELLS = 2**17
+# block's words and the int64 run-end indices to a few hundred KiB at any t.
+# Larger blocks are no faster, and they raise the peak of the cf sweep.
+_RUN_BLOCK_CELLS = 2**16
 
 
 def _run_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
