@@ -44,6 +44,7 @@ from foldruns.runs import (
     _windowed_run_prefix,
 )
 from foldruns.theorems import _spread_codes
+from repetitions import periodic_hits
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=10).map(
     tuple
@@ -461,3 +462,66 @@ def test_factor_scans_match_reference_past_32():
     code = "+-++-+--+-++--+-"
     for n in (32, 33, 45):
         _assert_factor_scans_match_reference(code, n)
+
+
+def _seeded_codes():
+    rng = np.random.default_rng(2024)
+    return [
+        FoldCode(rng.choice([PLUS, MINUS], size=t).tolist()) for t in range(12, 17)
+    ]
+
+
+def _scan_top(t):
+    # the largest n whose right extensions fit the window of a length-t code
+    n = 1
+    while min_code_length(n + 2) <= t:
+        n += 1
+    return n
+
+
+def test_factor_scans_match_reference_on_seeded_codes():
+    for code in _seeded_codes():
+        for n in range(1, min(_scan_top(code.effective_length), 40) + 1):
+            _assert_factor_scans_match_reference(code, n)
+
+
+def _repeats(row, extra):
+    # (i, p): the first p + extra symbols at i equal the ones p places later
+    m = len(row)
+    return [
+        (i, p)
+        for p in range(1, (m - extra) // 2 + 1)
+        for i in range(m - 2 * p - extra + 1)
+        if row[i : i + p + extra] == row[i + p : i + 2 * p + extra]
+    ]
+
+
+def _squares_by_definition(row):
+    return {tuple(row[i : i + 2 * p]) for i, p in _repeats(row, 0)}
+
+
+def _overlaps_by_definition(row):
+    return sorted((i + 1, p) for i, p in _repeats(row, 1))
+
+
+def test_squares_and_overlaps_match_the_definition_on_the_length_10_family():
+    for t in range(1, 11):
+        codes, lengths, _ = _family_run_data(t)
+        squares = defaultdict(set)
+        overlaps = defaultdict(list)
+        for r, i, p in periodic_hits(lengths, 0):
+            squares[r].add(tuple(lengths[r, i : i + 2 * p].tolist()))
+        for r, i, p in periodic_hits(lengths, 1):
+            overlaps[r].append((i + 1, p))
+        for r, row in enumerate(lengths):
+            assert find_squares(row) == squares[r], (t, r)
+            assert find_overlaps(row) == sorted(overlaps[r]), (t, r)
+
+
+def test_squares_and_overlaps_match_the_definition_on_random_words():
+    rng = np.random.default_rng(31)
+    for _ in range(3000):
+        letters = int(rng.integers(1, 4))
+        row = rng.integers(1, letters + 1, size=int(rng.integers(1, 61))).tolist()
+        assert find_squares(row) == _squares_by_definition(row), row
+        assert find_overlaps(row) == _overlaps_by_definition(row), row

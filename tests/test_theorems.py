@@ -31,6 +31,7 @@ from foldruns import (
 from foldruns import theorems
 from foldruns.foldcore import FoldCode, code_matrix
 from foldruns.runs import _family_run_data, _regular_gaps, _regular_run_data
+from repetitions import periodic_hits
 from mutants import mutated_label, seeded_transition_mutants
 
 SP_NAMES = [
@@ -513,3 +514,151 @@ def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("bogus")
     assert SUITES == ("sp", "runs", "regular", "cf")
+
+
+@pytest.mark.parametrize(
+    "check, name", [(complexity, "subword_complexity"),
+                    (right_special_exactly_four, "right_special_count")]
+)
+@pytest.mark.parametrize(
+    "bad, witness_code, witness_n",
+    [
+        # (code number in the spread, n): the first bad code wins, then its first n
+        ({(3, 11), (3, 20), (5, 7)}, 3, 11),
+        ({(0, 30), (1, 6)}, 0, 30),
+        ({(15, 6)}, 15, 6),
+    ],
+    ids=["later-code", "first-code-last-n", "last-code"],
+)
+def test_spread_check_witness_is_the_first_bad_code_then_n(
+    monkeypatch, check, name, bad, witness_code, witness_n
+):
+    # the count is off by one at the chosen (code, n); a code is told apart
+    # by the object the check passes for it, the same for all its n
+    real, seen = getattr(theorems, name), []
+
+    def off(f, n):
+        if not any(f is s for s in seen):
+            seen.append(f)
+        number = next(k for k, s in enumerate(seen) if s is f)
+        return real(f, n) + ((number, n) in bad)
+
+    monkeypatch.setattr(theorems, name, off)
+    report = check()
+    code = theorems._spread_codes(14, 16)[witness_code].to_text()
+    want = 4 * witness_n + 4 if check is complexity else 4
+    assert report.witness == (code, witness_n, want + 1, want)
+    assert len(seen) == witness_code + 1
+
+
+@pytest.mark.parametrize("check", [complexity, right_special_exactly_four])
+def test_spread_check_witness_is_the_first_bad_n_of_the_first_code(
+    monkeypatch, check
+):
+    wrong = {9: -1, 12: 0}
+    report = theorems._spread_count_check(
+        check.__name__,
+        theorems.subword_complexity if check is complexity
+        else theorems.right_special_count,
+        lambda n: wrong.get(n, 4 * n + 4 if check is complexity else 4),
+        (6, 30), 14, 16,
+    )
+    got = 4 * 9 + 4 if check is complexity else 4
+    code = theorems._spread_codes(14, 16)[0].to_text()
+    assert report.witness == (code, 9, got, -1)
+
+
+def _first_overlap(families):
+    """overlapfree's witness from the definition: by period, then row, then start."""
+    for codes, lengths in families:
+        width = lengths.shape[1]
+        for p in range(1, (width - 1) // 2 + 1):
+            for r, row in enumerate(lengths.tolist()):
+                for j in range(width - 2 * p):
+                    if row[j : j + p + 1] == row[j + p : j + 2 * p + 1]:
+                        code = FoldCode(codes[r].tolist()).to_text()
+                        return (code, j + 1, p, tuple(row[j : j + 2 * p + 1]))
+    return None
+
+
+def _crafted_family(edits):
+    """_family_run_data with the run lengths of chosen rows overwritten."""
+
+    def family(t):
+        codes, lengths, ends = _family_run_data(t)
+        lengths = lengths.copy()
+        for r, j, runs in edits.get(t, ()):
+            lengths[r, j : j + len(runs)] = runs
+        return codes, lengths, ends
+
+    return family
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {},
+        # period 2 in row 5 and period 1 in row 9: the shorter period wins
+        {5: [(5, 3, (1, 2, 1, 2, 1))], 6: [(9, 10, (3, 3, 3))]},
+        # two rows with the same period: the earlier row wins
+        {6: [(20, 4, (2, 1, 3, 2, 1, 3, 2)), (7, 11, (3, 1, 2, 3, 1, 2, 3))]},
+        # one row, one period, two starts: the earlier start wins
+        {7: [(2, 30, (1, 3, 1, 3, 1)), (2, 8, (3, 1, 3, 1, 3))]},
+        # a period of 9 at the far end of the last t
+        {8: [(127, 109, (1, 2, 2, 3, 1, 2, 2, 1, 3) * 2 + (1,))]},
+    ],
+    ids=["none", "shorter-period", "earlier-row", "earlier-start", "long-period"],
+)
+def test_overlapfree_witness_on_crafted_rows(monkeypatch, edits):
+    family = _crafted_family(edits)
+    monkeypatch.setattr(theorems, "_family_run_data", family)
+    want = _first_overlap([family(t)[:2] for t in range(1, 9)])
+    assert (want is None) == (not edits)
+    assert overlapfree(8).witness == want
+
+
+def _squares_of(families):
+    return {
+        tuple(lengths[r, i : i + 2 * p].tolist())
+        for _, lengths in families
+        for r, i, p in periodic_hits(lengths, 0)
+    }
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {},
+        {6: [(4, 0, (3, 3))]},
+        {5: [(1, 2, (1, 3, 1, 3))], 7: [(60, 40, (1, 1))]},
+        {8: [(0, 100, (2, 1, 2, 3, 2, 1, 2, 3))]},
+    ],
+    ids=["none", "period-one", "two-squares", "period-four"],
+)
+def test_squares_only_witness_on_crafted_rows(monkeypatch, edits):
+    # crafted squares occur in no real word, so no code is named
+    family = _crafted_family(edits)
+    monkeypatch.setattr(theorems, "_family_run_data", family)
+    found = _squares_of([family(t)[:2] for t in range(1, 9)])
+    extra = sorted(found - EXPECTED_SQUARES)
+    assert bool(extra) == bool(edits)
+    want = ("unexpected", extra[0], None) if extra else None
+    assert squares_only(8).witness == want
+
+
+def _square_free(size):
+    """A square-free word over 1..3: the runs of 1s between the 0s of Thue-Morse."""
+    thue = [bin(k).count("1") % 2 for k in range(4 * size + 8)]
+    zeros = [k for k, v in enumerate(thue) if v == 0]
+    return [b - a for a, b in zip(zeros, zeros[1:])][:size]
+
+
+def test_squares_only_reports_a_missing_square(monkeypatch):
+    def family(t):
+        codes, lengths, ends = _family_run_data(t)
+        row = np.array(_square_free(lengths.shape[1]), dtype=np.int8)
+        return codes, np.resize(row, lengths.shape), ends
+
+    monkeypatch.setattr(theorems, "_family_run_data", family)
+    assert _squares_of([family(t)[:2] for t in range(1, 9)]) == set()
+    assert squares_only(8).witness == ("missing", (1, 2, 3, 1, 2, 3))
