@@ -16,6 +16,7 @@ import numpy as np
 
 from .foldcore import MAX_MATERIALIZED_CODE_LEN, PLUS, FoldCode, InvalidCodeError
 from .runs import (
+    _FactorIndex,
     find_overlaps,
     find_palindromes,
     find_squares,
@@ -40,6 +41,11 @@ from .contfrac import MAX_ALPHA_INDEX, alpha_value, cf_from_rational, predicted_
 from .theorems import MIN_CODE_LEN, SUITES, build_tt, cf_theorem_check, run_suite
 
 MAX_SWEEP_LENGTH = 12
+
+# Longest code whose run-length word `runs --factors squares|overlaps` scans.
+# On a 2-CPU x86-64 box the all-ones code takes 1.4 s and 55-68 MiB peak RSS
+# at 20, and each instruction past it doubles the time and adds 50-100 MiB.
+MAX_REPETITION_SCAN_LEN = 20
 
 
 class _UsageError(Exception):
@@ -230,6 +236,12 @@ def _cmd_runs(args) -> int:
         columns = [n, dec.lengths, dec.starts, dec.ends]
         _emit_rows(args.format, ["n", "R", "S", "E"], columns)
         return 0
+    t = code.effective_length
+    if args.factors != "palindromes" and t > MAX_REPETITION_SCAN_LEN:
+        raise _UsageError(
+            f"--factors {args.factors} scans codes of length up to "
+            f"{MAX_REPETITION_SCAN_LEN}, got {t}"
+        )
     w = run_length_word(code)
     if args.factors == "overlaps":
         witnesses = find_overlaps(w)
@@ -382,8 +394,9 @@ def _cmd_complexity(args) -> int:
             f"max factor length is {top}"
         )
     ns = range(args.n_from, n_to + 1)
-    factors = [subword_complexity(code, n) for n in ns]
-    special = [right_special_count(code, n) for n in ns]
+    index = _FactorIndex(code, n_to + 1)
+    factors = [subword_complexity(index, n) for n in ns]
+    special = [right_special_count(index, n) for n in ns]
     _emit_rows(args.format, ["n", "factors", "right_special"], [ns, factors, special])
     return 0
 
@@ -511,9 +524,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_eps(argv: list[str]) -> list[str]:
+    """argv with each `--eps V` whose V is a sign vector written as `--eps=V`.
+
+    argparse reads a separate value that starts with '-' as an option, so
+    a vector whose first sign is '-' would otherwise need the '=' form.
+    """
+    out: list[str] = []
+    for arg in argv:
+        vector = arg[:1] == "-" and arg[:2] != "--" and set(arg) <= set("+-, ")
+        if vector and out and out[-1] == "--eps":
+            out[-1] = f"--eps={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
     """Parse argv, run one subcommand, return the exit code."""
     parser = _build_parser()
+    argv = _joined_eps(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -303,40 +303,167 @@ def regular_run_length(n: int) -> int:
     return e - s + 1
 
 
-def _periodic_windows(rows: np.ndarray, extra: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(p, hit) per period p, hit[r, j] iff rows[r, j : j + 2p + extra] has period p.
+# Samples (row, period, position) tested at once by _repetitions: bounds
+# its int64 temporaries to a few MiB whatever the word's length.
+_SAMPLE_BLOCK = 2**15
+
+
+class _Levels:
+    """Prefix-doubling ids of the windows of rows, one level per power of two.
+
+    grid[k, r, j] names rows[r, j : j + 2**k] as int32, numbered in
+    lexicographic order of the level's windows (_join_ids), for each
+    2**k <= top; cells past a level's last window hold -1.  Level k is
+    built by the first need(k): the levels a scan never reaches cost no
+    time, and their pages stay untouched.
+    """
+
+    __slots__ = ("grid", "ids", "level_size", "built", "_last", "_asked")
+
+    def __init__(self, rows: np.ndarray, top: int):
+        rcount, width = rows.shape
+        depth = max(1, min(top, width).bit_length())
+        self.grid = np.empty((depth, rcount, width), dtype=np.int32)
+        self.ids = self.grid.reshape(-1)
+        self.level_size = rcount * width
+        self.built = -1
+        self._asked = [0] * depth
+        self._last = _rank(rows)
+        self._store()
+
+    def _store(self) -> None:
+        self.built += 1
+        cols = self._last.shape[1]
+        self.grid[self.built, :, :cols] = self._last
+        self.grid[self.built, :, cols:] = -1
+
+    def need(self, k: int) -> None:
+        """Build the levels up to k."""
+        while self.built < k:
+            self._last = _join_ids(self._last, self._last, 1 << self.built)
+            self._store()
+
+    def same(self, at: np.ndarray, shift: np.ndarray, k: int) -> np.ndarray:
+        """Whether the 2**k windows at level-0 flat cells at and at + shift agree.
+
+        A built level answers with one gather on each side.  Few windows are
+        compared as 2**(k - b) windows of the highest built level b instead,
+        until the windows asked of level k add up to a quarter of its size:
+        then it is built.  Every window must lie inside its row.
+        """
+        if k > self.built:
+            self._asked[k] += at.size << (k - self.built)
+            if self._asked[k] >= self.level_size:
+                self.need(k)
+        b = min(k, self.built)
+        if b == k:
+            cell = at + b * self.level_size
+            return self.ids[cell] == self.ids[cell + shift]
+        cell = (at + b * self.level_size)[:, None] + np.arange(0, 1 << k, 1 << b)
+        return (self.ids[cell] == self.ids[cell + shift[:, None]]).all(axis=1)
+
+
+def _repetitions(rows: np.ndarray, extra: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, i, p) of every window rows[r, i : i + 2p + extra] with period p.
 
     extra = 0 finds squares zz with |z| = p, extra = 1 overlaps axaxa with
-    |ax| = p; every row is scanned at once.  The window of length
-    n = p + extra at j must equal the one at j + p.  With h the largest
-    power of two <= n and s = n - h, that holds exactly when the length-h
-    windows at j and j + s equal those at j + p and j + p + s, so one level
-    of window ids (_window_ids), doubled as n grows, names every window.
+    |ax| = p: the window's first n = p + extra symbols equal the n symbols
+    p places later.  Sampled after Main and Lorentz (J. Algorithms 5,
+    1984): such a window at i holds the pair (j, j + p) for the one
+    multiple j of p in [i, i + p), so only those m/p pairs per period are
+    tested.  With F the longest common extension of the suffixes at j and
+    j + p (capped at n) and B that of the prefixes ending there (capped at
+    p - 1), the windows sampled at j are those at i in [j - B, j + F - n].
+    Hits come in no fixed order.
     """
-    m = rows.shape[1]
-    h, ids = 1, _window_ids(rows, 1)
-    for p in range(1, (m - extra) // 2 + 1):
+    rcount, m = rows.shape
+    # the first filter reads level 1 whenever some period fits
+    levels = _Levels(rows, max(2, (m - extra) // 2 + extra))
+    periods = np.arange(1, max((m - extra) // 2, 0) + 1)
+    # positions j = 0, p, 2p, ... up to m - p - extra - 1 in each row
+    per_row = (m - periods - extra - 1) // periods + 1
+    stops = np.cumsum(per_row)
+    pairs = int(stops[-1]) if stops.size else 0
+    step = max(1, _SAMPLE_BLOCK // max(rcount, 1))
+    out: list = []
+    for first in range(0, pairs, step):
+        s = np.arange(first, min(first + step, pairs))
+        q = np.searchsorted(stops, s, side="right")
+        p = periods[q]
+        j = (s - stops[q] + per_row[q]) * p
+        # F + B >= n needs F >= 1 + extra, as B <= p - 1: the level-extra
+        # windows at j and j + p agree, tested for every row at once
+        levels.need(1)
+        pair = levels.grid[1]
+        if extra:
+            hit = pair[:, j] == pair[:, j + p]
+        else:
+            hit = levels.grid[0][:, j] == levels.grid[0][:, j + p]
+            # and, for n >= 2, F >= 2 or B >= 1: a pair at j - 1 or j agrees
+            wide = p >= 2
+            jw, pw = j[wide], p[wide]
+            hit[:, wide] &= (pair[:, jw] == pair[:, jw + pw]) | (
+                pair[:, jw - 1] == pair[:, jw + pw - 1]
+            )
+        r, c = np.nonzero(hit)
+        p, j = p[c], j[c]
+        at = r * m + j  # the flat cell of (r, j) in level 0
         n = p + extra
-        while 2 * h <= n:
-            ids = _join_ids(ids, ids, h)
-            h *= 2
-        cols, s = m - 2 * p - extra + 1, n - h
-        hit = ids[:, :cols] == ids[:, p : p + cols]
-        if s:
-            hit &= ids[:, s : s + cols] == ids[:, p + s : p + s + cols]
-        yield p, hit
+        cap_f, cap_b = np.minimum(n, m - j - p), np.minimum(p - 1, j)
+        # and, where n >= 2 * 2**k, F or B to reach 2**k: one level at a time
+        k = 1
+        while at.size and 2 << k <= n.max():
+            size = 1 << k
+            keep = n < 2 * size
+            ahead = (size <= cap_f) & ~keep
+            keep[ahead] = levels.same(at[ahead], p[ahead], k)
+            behind = (size <= cap_b) & ~keep
+            keep[behind] = levels.same(at[behind] - size, p[behind], k)
+            at, p, n, cap_f, cap_b = (a[keep] for a in (at, p, n, cap_f, cap_b))
+            k += 1
+        f = _extension(levels, at, p, cap_f, 1)
+        keep = f + cap_b >= n
+        at, p, n, f, cap_b = (a[keep] for a in (at, p, n, f, cap_b))
+        size = f + _extension(levels, at, p, cap_b, -1) - n + 1
+        keep = size > 0
+        if keep.any():
+            size = size[keep]
+            shift = np.repeat(np.cumsum(size) - f[keep] + n[keep] - 1, size)
+            cell = np.repeat(at[keep], size) + np.arange(shift.size) - shift
+            out.append((cell, np.repeat(p[keep], size)))
+    if not out:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    cell, p = (np.concatenate(a) for a in zip(*out))
+    r, i = np.divmod(cell, m)
+    return r, i, p
+
+
+def _extension(levels: _Levels, at, p, cap, step):
+    """Longest common extension at flat cells at and at + p, capped at cap.
+
+    step = 1 extends forward (cells at, at + 1, ...), step = -1 backward
+    (cells at - 1, at - 2, ...).  Binary lifting: powers of two from the
+    largest one under the cap down, each kept when its windows agree.
+    """
+    length = np.zeros(at.size, dtype=np.int64)
+    for k in range(int(cap.max(initial=0)).bit_length() - 1, -1, -1):
+        size = 1 << k
+        grow = np.flatnonzero(length + size <= cap)
+        a = at[grow] + (length[grow] if step > 0 else -length[grow] - size)
+        length[grow[levels.same(a, p[grow], k)]] += size
+    return length
 
 
 def _square_factors(rows: np.ndarray) -> set[tuple[int, ...]]:
-    """The distinct square factors found in any row."""
+    """The distinct square factors zz found in any row, named by their z."""
     found: set = set()
-    for q, hit in _periodic_windows(rows, 0):
-        if hit.any():
-            pos = np.argwhere(hit)
-            windows = rows[pos[:, 0:1], pos[:, 1:2] + np.arange(2 * q)]
-            # return_index: a plain np.unique would import numpy.ma
-            _, first = np.unique(windows, axis=0, return_index=True)
-            found.update(map(tuple, windows[first].tolist()))
+    r, i, p = _repetitions(rows, 0)
+    for q in sorted(set(p.tolist())):
+        hit = p == q
+        halves = rows[r[hit, None], i[hit, None] + np.arange(q)]
+        _, first = np.unique(_window_ids(halves, q), return_index=True)
+        found.update(tuple(z + z) for z in halves[first].tolist())
     return found
 
 
@@ -346,12 +473,8 @@ def find_overlaps(w) -> list[tuple[int, int]]:
     An overlap of period p at position i is w[i..i+2p] with w[i+j] equal to
     w[i+j+p] for 0 <= j <= p, i.e. the shape a.x.a.x.a with |a.x| = p.
     """
-    row = _word_array(w).reshape(1, -1)
-    return sorted(
-        (int(j) + 1, p)
-        for p, hit in _periodic_windows(row, 1)
-        for j in np.flatnonzero(hit[0])
-    )
+    _, i, p = _repetitions(_word_array(w).reshape(1, -1), 1)
+    return sorted(zip((i + 1).tolist(), p.tolist()))
 
 
 def find_squares(w) -> frozenset[tuple[int, ...]]:
@@ -362,25 +485,39 @@ def find_squares(w) -> frozenset[tuple[int, ...]]:
 def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]:
     """The distinct palindromic factors of length <= max_len found in any row.
 
-    Windows are named by ids grown one symbol at a time (_join_ids), and
-    one occurrence of each distinct palindromic id is read back as a slice.
     A window is a palindrome when its ends agree and the window two symbols
-    shorter inside it is one.
+    shorter inside it is one, so only palindromic windows are named: the
+    id of one is the rank of (id of its inner palindrome, first symbol),
+    kept with its flat start for the palindromes two symbols longer.  One
+    occurrence of each id is read back as a slice.
     """
-    found: set = set()
     r, width = rows.shape
-    ones = ids = _window_ids(rows, 1)
-    inner, pal = np.ones((r, width + 1), dtype=bool), np.ones((r, width), dtype=bool)
-    for size in range(1, min(max_len, width) + 1):
-        if size > 1:
-            ids = _join_ids(ids, ones, size - 1)
-            ends = rows[:, : 1 - size] == rows[:, size - 1 :]
-            inner, pal = pal, inner[:, 1:-1] & ends
-        _, first = np.unique(ids[pal], return_index=True)
-        row, col = np.nonzero(pal)
-        found.update(
-            tuple(rows[row[i], col[i] : col[i] + size].tolist()) for i in first
-        )
+    flat = rows.ravel()
+    if flat.size == 0:
+        return set()
+    found = {(v,) for v in np.unique(flat).tolist()}
+    low = int(flat.min())
+    base = int(flat.max()) - low + 1
+    named = {}
+    for size in range(2, min(max_len, width) + 1):
+        if size <= 3:
+            # the first of each chain: compare the ends of every window
+            cols = width - size + 1
+            at = np.flatnonzero(rows[:, :cols] == rows[:, size - 1 :])
+            start = at + at // cols * (size - 1)
+            inner = flat[start + 1].astype(np.int64) - low if size == 3 else 0
+        else:
+            shorter, shorter_ids = named.pop(size - 2)
+            column = shorter % width
+            fits = (column >= 1) & (column <= width - size + 1)
+            start = shorter[fits] - 1
+            ends = flat[start] == flat[start + size - 1]
+            start = start[ends]
+            inner = shorter_ids[fits][ends]
+        ids = _rank(inner * base + (flat[start].astype(np.int64) - low))
+        named[size] = start, ids
+        _, first = np.unique(ids, return_index=True)
+        found.update(tuple(flat[i : i + size].tolist()) for i in start[first].tolist())
     return found
 
 
@@ -407,30 +544,22 @@ def min_code_length(n: int) -> int:
     return math.ceil(math.log2(window_bound(n) + 1)) + 1
 
 
-def _windowed_run_prefix(code, n: int) -> np.ndarray:
-    c = as_code(code)
-    need = min_code_length(n)
-    if c.effective_length < need:
-        raise ValueError(
-            f"code with {c.effective_length} effective instructions is too short "
-            f"for factor length {n}: minimum required length is {need}"
-        )
-    # the runs that end inside the window lie in the word of the first
-    # `need` instructions, a prefix of the whole word
-    runs = run_decompose(paperfolding_word(c.effective[:need]))
-    bound = window_bound(n)
-    k = int(np.searchsorted(runs.ends, bound, side="right"))
-    assert k < runs.count  # window strictly inside the word by the length check
-    return runs.lengths[:k]
-
-
 def _rank(keys: np.ndarray) -> np.ndarray:
     """Each key's index among the sorted distinct keys, in the shape of keys.
 
     The same numbers as np.unique(keys, return_inverse=True)[1]; a plain sort
     and a search among the few distinct keys beat its argsort, and skip the
-    numpy.ma import that a plain np.unique makes on first use.
+    numpy.ma import that a plain np.unique makes on first use.  Keys that
+    span no more values than there are keys are ranked by a table of the
+    values present instead, with no sort and no more memory.
     """
+    if keys.size:
+        low, high = int(keys.min()), int(keys.max())
+        if high - low < keys.size:
+            shifted = np.subtract(keys, low, dtype=np.intp)
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[shifted] = True
+            return (np.cumsum(present) - 1)[shifted]
     ordered = np.sort(keys, axis=None)
     first = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
@@ -448,7 +577,8 @@ def _join_ids(left: np.ndarray, right: np.ndarray, shift: int) -> np.ndarray:
     """
     cols = min(left.shape[1], right.shape[1] - shift)
     base = int(right.max(initial=0)) + 1
-    return _rank(left[:, :cols] * base + right[:, shift : shift + cols])
+    keys = np.multiply(left[:, :cols], base, dtype=np.int64)
+    return _rank(keys + right[:, shift : shift + cols])
 
 
 def _window_ids(rows: np.ndarray, m: int) -> np.ndarray:
@@ -488,31 +618,98 @@ def _right_extensions(
     return ids, follows
 
 
+class _FactorIndex:
+    """One code's windowed run prefix and its prefix-doubling levels.
+
+    Built once for factor windows up to length top: the runs that end
+    inside window_bound(top), read off the word of the first
+    min_code_length(top) instructions, and _Levels of them up to the
+    largest power of two <= top.  The length-n window at j is the pair of
+    level windows of length h, the largest power of two <= n, at j and
+    j + n - h, so every n <= top is counted from the one build.
+    """
+
+    __slots__ = ("top", "runs", "ends", "levels")
+
+    def __init__(self, code, top: int):
+        c = as_code(code)
+        need = min_code_length(top)
+        if c.effective_length < need:
+            raise ValueError(
+                f"code with {c.effective_length} effective instructions is too short "
+                f"for factor length {top}: minimum required length is {need}"
+            )
+        # the runs that end inside the window lie in the word of the first
+        # `need` instructions, a prefix of the whole word
+        runs = run_decompose(paperfolding_word(c.effective[:need]))
+        k = int(np.searchsorted(runs.ends, window_bound(top), side="right"))
+        assert k < runs.count  # window strictly inside the word by the length check
+        self.top = top
+        self.runs = runs.lengths[:k]
+        self.ends = runs.ends[:k]
+        self.levels = _Levels(self.runs[None, :], top)
+        self.levels.need(top.bit_length() - 1)
+
+    def columns(self, n: int) -> int:
+        """How many runs end inside window_bound(n)."""
+        return int(np.searchsorted(self.ends, window_bound(n), side="right"))
+
+    def window_keys(self, n: int, count: int) -> np.ndarray:
+        """Keys of the length-n windows at 0..count-1, equal exactly when they are."""
+        if n < 1:
+            raise ValueError("window length must be >= 1")
+        if n > self.top:
+            raise ValueError(f"index covers factor lengths up to {self.top}, not {n}")
+        k = n.bit_length() - 1
+        ids = self.levels.grid[k, 0].astype(np.int64)
+        tail = n - (1 << k)
+        return ids[:count] * (self.runs.size + 1) + ids[tail : tail + count]
+
+    def extensions(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, next runs) of the length-n windows followed by a run in the window of n + 1."""
+        count = self.columns(n + 1) - n
+        return self.window_keys(n, count), self.runs[n : n + count]
+
+
+def _index(f, top: int) -> _FactorIndex:
+    return f if isinstance(f, _FactorIndex) else _FactorIndex(f, top)
+
+
 def subword_complexity(f, n: int) -> int:
     """Number of distinct length-n factors of the run-length word of f.
 
     Scans only runs that end inside the guaranteed window, so the answer
     is a property of paperfolding sequences at large, not of the truncation.
+    f is a code or a _FactorIndex built for lengths up to at least n.
     """
-    prefix = _windowed_run_prefix(f, n)
-    return int(_window_ids(prefix[None, :], n).max(initial=-1)) + 1
+    index = _index(f, n)
+    keys = np.sort(index.window_keys(n, index.columns(n) - n + 1))
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 def right_extension_map(f, n: int) -> dict[tuple[int, ...], frozenset[int]]:
     """Each windowed length-n factor mapped to its observed right extensions."""
-    prefix = _windowed_run_prefix(f, n + 1)
-    rows = prefix[None, :]
-    ids, follows = _right_extensions(rows, _window_ids(rows, n))
-    present, first = np.unique(ids, return_index=True)
-    word = prefix.tolist()
+    index = _index(f, n + 1)
+    keys, follows = index.extensions(n)
+    ids = _rank(keys)
+    table = np.zeros((int(ids.max(initial=-1)) + 1, 4), dtype=bool)
+    table[ids, follows] = True
+    _, first = np.unique(ids, return_index=True)
+    word = index.runs.tolist()
     return {
         tuple(word[p : p + n]): frozenset(np.flatnonzero(ext).tolist())
-        for p, ext in zip(first.tolist(), follows[present])
+        for p, ext in zip(first.tolist(), table)
     }
 
 
 def right_special_count(f, n: int) -> int:
-    """Count of length-n factors with at least two distinct right extensions."""
-    rows = _windowed_run_prefix(f, n + 1)[None, :]
-    _, follows = _right_extensions(rows, _window_ids(rows, n))
-    return int(np.count_nonzero(follows.sum(axis=1) >= 2))
+    """Count of length-n factors with at least two distinct right extensions.
+
+    f is a code or a _FactorIndex built for lengths up to at least n + 1.
+    """
+    keys, follows = _index(f, n + 1).extensions(n)
+    pairs = np.sort(keys * 4 + follows)
+    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))] >> 2
+    # a factor repeats in the sorted distinct pairs once per extra extension
+    special = pairs[1:][pairs[1:] == pairs[:-1]]
+    return int(np.count_nonzero(special[1:] != special[:-1])) + int(special.size > 0)

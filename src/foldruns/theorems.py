@@ -17,14 +17,15 @@ from .foldcore import FoldCode, all_codes, code_matrix, word_matrix
 from .runs import (
     _RUN_BLOCK_CELLS,
     RunCountError,
+    _FactorIndex,
     _assoc_codes,
     _family_run_data,
     _join_ids,
     _palindromic_factors,
-    _periodic_windows,
     _predicted_ends,
     _regular_gaps,
     _regular_run_data,
+    _repetitions,
     _right_extensions,
     _square_factors,
     _window_ids,
@@ -195,12 +196,14 @@ def overlapfree(L: int = 10) -> CheckReport:
     bound = _codes_bound("overlapfree", L, 3)
     for t in range(1, L + 1):
         codes, lengths, _ = _family_run_data(t)
-        for p, hit in _periodic_windows(lengths, 1):
-            if hit.any():
-                r, j = map(int, np.argwhere(hit)[0])
-                overlap = tuple(int(v) for v in lengths[r, j : j + 2 * p + 1])
-                witness = (_row_code(codes, r).to_text(), j + 1, p, overlap)
-                return CheckReport("overlapfree", bound, witness)
+        rows, starts, periods = _repetitions(lengths, 1)
+        if rows.size:
+            # the first by period, then row, then start
+            h = np.lexsort((starts, rows, periods))[0]
+            r, j, p = int(rows[h]), int(starts[h]), int(periods[h])
+            overlap = tuple(int(v) for v in lengths[r, j : j + 2 * p + 1])
+            witness = (_row_code(codes, r).to_text(), j + 1, p, overlap)
+            return CheckReport("overlapfree", bound, witness)
     return CheckReport("overlapfree", bound)
 
 
@@ -305,24 +308,31 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
 
 
 def _spread_count_check(
-    name: str, count, expected, n_range: tuple[int, int], L: int, sample: int
+    name: str, count, expected, n_range: tuple[int, int], L: int, sample: int,
+    reach: int,
 ) -> CheckReport:
-    """count(code, n) == expected(n) on _spread_codes(L, sample), n in range."""
+    """count(index, n) == expected(n) on _spread_codes(L, sample), n in range.
+
+    count reads a factor index of each code that covers windows of length
+    hi + reach: 0 for the factors themselves, 1 for their right extensions.
+    """
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty factor-length range {lo}..{hi}")
     if not 1 <= sample <= 2**L:
         raise ValueError(f"sample must be in 1..{2**L} for codes of length {L}")
-    need = min_code_length(hi)
+    need = min_code_length(hi + reach)
     if L < need:
+        what = "right extensions of " if reach else ""
         raise ValueError(
-            f"codes of length {L} are too short for factor length {hi}: "
+            f"codes of length {L} are too short for {what}factor length {hi}: "
             f"minimum required length is {need}"
         )
     bound = f"n={lo}..{hi}, codes len {L}, sample {sample}"
     for code in _spread_codes(L, sample):
+        index = _FactorIndex(code, hi + reach)
         for n in range(lo, hi + 1):
-            got, want = count(code, n), expected(n)
+            got, want = count(index, n), expected(n)
             if got != want:
                 return CheckReport(name, bound, (code.to_text(), n, got, want))
     return CheckReport(name, bound)
@@ -338,7 +348,7 @@ def complexity(
     prefix, so the count is a property of the family, not the sample.
     """
     return _spread_count_check(
-        "complexity", subword_complexity, lambda n: 4 * n + 4, n_range, L, sample
+        "complexity", subword_complexity, lambda n: 4 * n + 4, n_range, L, sample, 0
     )
 
 
@@ -352,7 +362,7 @@ def right_special_exactly_four(
     """
     name = "right_special_exactly_four"
     return _spread_count_check(
-        name, right_special_count, lambda n: 4, n_range, L, sample
+        name, right_special_count, lambda n: 4, n_range, L, sample, 1
     )
 
 

@@ -242,6 +242,24 @@ def test_cf_usage_errors(argv):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("vector", ["-,+,+", "-", "-,-,+,-", "- ,+"])
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+def test_cf_eps_takes_a_vector_that_opens_with_minus(capsys, vector, fmt):
+    # `--eps V` and `--eps=V` give the same bytes and exit code
+    apart = run(["cf", "--eps", vector, "--format", fmt])
+    out_apart = capsys.readouterr()
+    joined = run(["cf", f"--eps={vector}", "--format", fmt])
+    out_joined = capsys.readouterr()
+    assert apart == joined == 0
+    assert out_apart == out_joined
+    assert out_apart.out
+
+
+def test_cf_eps_still_needs_a_value(capsys):
+    assert run(["cf", "--eps", "--sweep", "3"]) == 2
+    assert "argument --eps: expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # complexity
 
@@ -666,3 +684,16 @@ def test_factor_commands_do_not_import_numpy_ma():
     done = _run_module("-c", script, "+-++-+--+-++--+")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("factors", ["squares", "overlaps"])
+def test_repetition_scans_refuse_codes_past_the_cap(capsys, factors):
+    cap = cli.MAX_REPETITION_SCAN_LEN
+    argv = ["runs", "--regular", "--length", str(cap + 1), "--factors", factors]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: --factors {factors} scans codes of length up to {cap}, "
+        f"got {cap + 1}\n"
+    )
+    assert run(["runs", "--code", "+-" * 10 + "+", "--factors", factors]) == 2

@@ -34,14 +34,14 @@ from foldruns import (
 
 from foldruns import runs
 from foldruns.runs import (
+    _FactorIndex,
     _family_run_data,
     _join_ids,
     _palindromic_factors,
-    _periodic_windows,
     _rank,
     _regular_run_data,
+    _repetitions,
     _window_ids,
-    _windowed_run_prefix,
 )
 from foldruns.theorems import _spread_codes
 from repetitions import periodic_hits
@@ -199,15 +199,6 @@ def test_find_squares_for_1111():
     assert find_squares(run_length_word("++++")) == {(2, 2)}
 
 
-def _periodic_by_scan(rows, p, extra):
-    # hit[r, j]: the window of length p + extra at j equals the one at j + p
-    n, width = p + extra, rows.shape[1]
-    return [
-        [row[j : j + n] == row[j + p : j + p + n] for j in range(width - p - n + 1)]
-        for row in rows.tolist()
-    ]
-
-
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize("symbols", [1, 2, 3, 4])
 def test_periodic_windows_match_the_definition_on_random_rows(symbols, extra):
@@ -216,12 +207,21 @@ def test_periodic_windows_match_the_definition_on_random_rows(symbols, extra):
     for width in range(41):
         shape = (width % 4, width)
         rows = rng.integers(1, symbols + 1, size=shape).astype(np.int8)
-        periods = []
-        for p, hit in _periodic_windows(rows, extra):
-            periods.append(p)
-            assert hit.dtype == bool
-            assert hit.tolist() == _periodic_by_scan(rows, p, extra), (width, p)
-        assert periods == list(range(1, (width - extra) // 2 + 1))
+        r, i, p = _repetitions(rows, extra)
+        got = sorted(zip(r.tolist(), i.tolist(), p.tolist()))
+        assert got == sorted(periodic_hits(rows, extra)), width
+
+
+@pytest.mark.parametrize("block", [3, 100, 2**15])
+def test_repetitions_do_not_depend_on_the_sample_block(monkeypatch, block):
+    rows = _family_run_data(6)[1].copy()
+    rows[3, 10:15] = (1, 2, 1, 2, 1)
+    rows[9, 0:4] = (3, 3, 3, 3)
+    monkeypatch.setattr(runs, "_SAMPLE_BLOCK", block)
+    for extra in (0, 1):
+        r, i, p = _repetitions(rows, extra)
+        got = sorted(zip(r.tolist(), i.tolist(), p.tolist()))
+        assert got == sorted(periodic_hits(rows, extra))
 
 
 def test_squares_and_overlaps_of_a_square_rich_word():
@@ -335,8 +335,9 @@ def test_window_prefix_is_the_whole_words_window():
                 if min_code_length(n) > t:
                     break
                 k = np.searchsorted(dec.ends, window_bound(n), side="right")
-                want = dec.lengths[:k].tolist()
-                assert _windowed_run_prefix(code, n).tolist() == want
+                index = _FactorIndex(code, n)
+                assert index.runs.tolist() == dec.lengths[:k].tolist()
+                assert index.columns(n) == k
 
 
 def test_subword_complexity_examples():

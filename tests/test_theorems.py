@@ -267,6 +267,34 @@ def test_spread_checks_refuse_bounds_that_check_nothing(check, bounds, message):
         check(**bounds)
 
 
+@pytest.mark.parametrize(
+    "check, n_range, message",
+    [
+        (
+            complexity,
+            (52, 52),
+            "codes of length 12 are too short for factor length 52: "
+            "minimum required length is 13",
+        ),
+        (
+            right_special_exactly_four,
+            (50, 51),
+            "codes of length 12 are too short for right extensions of factor "
+            "length 51: minimum required length is 13",
+        ),
+    ],
+    ids=["complexity", "right-special"],
+)
+def test_spread_checks_refuse_codes_below_their_own_floor(check, n_range, message):
+    # right extensions of length-n factors need the window of n + 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(n_range=n_range, L=12, sample=2)
+
+
+def test_complexity_keeps_the_floor_of_its_own_factor_length():
+    assert complexity(n_range=(50, 51), L=12, sample=2).passed
+
+
 def test_right_special_narrow_range():
     report = right_special_exactly_four(n_range=(6, 10), L=12, sample=4)
     assert report.passed
@@ -561,7 +589,7 @@ def test_spread_check_witness_is_the_first_bad_n_of_the_first_code(
         theorems.subword_complexity if check is complexity
         else theorems.right_special_count,
         lambda n: wrong.get(n, 4 * n + 4 if check is complexity else 4),
-        (6, 30), 14, 16,
+        (6, 30), 14, 16, 0 if check is complexity else 1,
     )
     got = 4 * 9 + 4 if check is complexity else 4
     code = theorems._spread_codes(14, 16)[0].to_text()
