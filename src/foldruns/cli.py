@@ -43,8 +43,8 @@ from .theorems import MIN_CODE_LEN, SUITES, build_tt, cf_theorem_check, run_suit
 MAX_SWEEP_LENGTH = 12
 
 # Longest code whose run-length word `runs --factors squares|overlaps` scans.
-# On a 2-CPU x86-64 box the all-ones code takes 1.4 s and 55-68 MiB peak RSS
-# at 20, and each instruction past it doubles the time and adds 50-100 MiB.
+# On a 2-CPU x86-64 box the all-ones code takes about 1 s and 73 MiB peak RSS
+# at 20; each instruction past it about doubles the time and adds 40-80 MiB.
 MAX_REPETITION_SCAN_LEN = 20
 
 

@@ -311,59 +311,57 @@ _SAMPLE_BLOCK = 2**15
 class _Levels:
     """Prefix-doubling ids of the windows of rows, one level per power of two.
 
-    grid[k, r, j] names rows[r, j : j + 2**k] as int32, numbered in
-    lexicographic order of the level's windows (_join_ids), for each
-    2**k <= top; cells past a level's last window hold -1.  Level k is
-    built by the first need(k): the levels a scan never reaches cost no
-    time, and their pages stay untouched.
+    ids[k][r, j] names rows[r, j : j + 2**k] as int32, numbered in
+    lexicographic order of the level's windows (_join_ids); cells past a
+    level's last window hold -1, so every level has the rows' shape and
+    the flat cell r * width + j is (r, j) in each.  Level k is built by
+    the first need(k): the levels a scan never reaches cost nothing.
     """
 
-    __slots__ = ("grid", "ids", "level_size", "built", "_last", "_asked")
+    __slots__ = ("ids", "_last", "_asked")
 
-    def __init__(self, rows: np.ndarray, top: int):
-        rcount, width = rows.shape
-        depth = max(1, min(top, width).bit_length())
-        self.grid = np.empty((depth, rcount, width), dtype=np.int32)
-        self.ids = self.grid.reshape(-1)
-        self.level_size = rcount * width
-        self.built = -1
-        self._asked = [0] * depth
+    def __init__(self, rows: np.ndarray):
+        self.ids: list[np.ndarray] = []
+        self._asked: dict[int, int] = {}
         self._last = _rank(rows)
         self._store()
 
     def _store(self) -> None:
-        self.built += 1
-        cols = self._last.shape[1]
-        self.grid[self.built, :, :cols] = self._last
-        self.grid[self.built, :, cols:] = -1
+        shape = self.ids[0].shape if self.ids else self._last.shape
+        level = np.full(shape, -1, dtype=np.int32)
+        level[:, : self._last.shape[1]] = self._last
+        self.ids.append(level)
 
     def need(self, k: int) -> None:
         """Build the levels up to k."""
-        while self.built < k:
-            self._last = _join_ids(self._last, self._last, 1 << self.built)
+        while len(self.ids) <= k:
+            self._last = _join_ids(self._last, self._last, 1 << (len(self.ids) - 1))
             self._store()
 
     def same(self, at: np.ndarray, shift: np.ndarray, k: int) -> np.ndarray:
-        """Whether the 2**k windows at level-0 flat cells at and at + shift agree.
+        """Whether the 2**k windows at flat cells at and at + shift agree.
 
         A built level answers with one gather on each side.  Few windows are
         compared as 2**(k - b) windows of the highest built level b instead,
-        until the windows asked of level k add up to a quarter of its size:
-        then it is built.  Every window must lie inside its row.
+        until the windows asked of level k add up to the level's size: then
+        it is built.  Every window must lie inside its row.
         """
-        if k > self.built:
-            self._asked[k] += at.size << (k - self.built)
-            if self._asked[k] >= self.level_size:
+        b = min(k, len(self.ids) - 1)
+        if k > b:
+            self._asked[k] = self._asked.get(k, 0) + (at.size << (k - b))
+            if self._asked[k] >= self.ids[0].size:
                 self.need(k)
-        b = min(k, self.built)
+                b = k
+        ids = self.ids[b].reshape(-1)
         if b == k:
-            cell = at + b * self.level_size
-            return self.ids[cell] == self.ids[cell + shift]
-        cell = (at + b * self.level_size)[:, None] + np.arange(0, 1 << k, 1 << b)
-        return (self.ids[cell] == self.ids[cell + shift[:, None]]).all(axis=1)
+            return ids[at] == ids[at + shift]
+        cell = at[:, None] + np.arange(0, 1 << k, 1 << b)
+        return (ids[cell] == ids[cell + shift[:, None]]).all(axis=1)
 
 
-def _repetitions(rows: np.ndarray, extra: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _repetitions(
+    rows: np.ndarray, extra: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, i, p) of every window rows[r, i : i + 2p + extra] with period p.
 
     extra = 0 finds squares zz with |z| = p, extra = 1 overlaps axaxa with
@@ -377,8 +375,7 @@ def _repetitions(rows: np.ndarray, extra: int) -> tuple[np.ndarray, np.ndarray, 
     Hits come in no fixed order.
     """
     rcount, m = rows.shape
-    # the first filter reads level 1 whenever some period fits
-    levels = _Levels(rows, max(2, (m - extra) // 2 + extra))
+    levels = _Levels(rows)
     periods = np.arange(1, max((m - extra) // 2, 0) + 1)
     # positions j = 0, p, 2p, ... up to m - p - extra - 1 in each row
     per_row = (m - periods - extra - 1) // periods + 1
@@ -394,11 +391,11 @@ def _repetitions(rows: np.ndarray, extra: int) -> tuple[np.ndarray, np.ndarray, 
         # F + B >= n needs F >= 1 + extra, as B <= p - 1: the level-extra
         # windows at j and j + p agree, tested for every row at once
         levels.need(1)
-        pair = levels.grid[1]
+        single, pair = levels.ids[:2]
         if extra:
             hit = pair[:, j] == pair[:, j + p]
         else:
-            hit = levels.grid[0][:, j] == levels.grid[0][:, j + p]
+            hit = single[:, j] == single[:, j + p]
             # and, for n >= 2, F >= 2 or B >= 1: a pair at j - 1 or j agrees
             wide = p >= 2
             jw, pw = j[wide], p[wide]
@@ -496,8 +493,6 @@ def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]
     if flat.size == 0:
         return set()
     found = {(v,) for v in np.unique(flat).tolist()}
-    low = int(flat.min())
-    base = int(flat.max()) - low + 1
     named = {}
     for size in range(2, min(max_len, width) + 1):
         if size <= 3:
@@ -505,7 +500,7 @@ def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]
             cols = width - size + 1
             at = np.flatnonzero(rows[:, :cols] == rows[:, size - 1 :])
             start = at + at // cols * (size - 1)
-            inner = flat[start + 1].astype(np.int64) - low if size == 3 else 0
+            inner = _rank(flat[start + 1]) if size == 3 else 0
         else:
             shorter, shorter_ids = named.pop(size - 2)
             column = shorter % width
@@ -514,10 +509,11 @@ def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]
             ends = flat[start] == flat[start + size - 1]
             start = start[ends]
             inner = shorter_ids[fits][ends]
-        ids = _rank(inner * base + (flat[start].astype(np.int64) - low))
+        first = _rank(flat[start])
+        ids = _rank(inner * (int(first.max(initial=0)) + 1) + first)
         named[size] = start, ids
-        _, first = np.unique(ids, return_index=True)
-        found.update(tuple(flat[i : i + size].tolist()) for i in start[first].tolist())
+        _, once = np.unique(ids, return_index=True)
+        found.update(tuple(flat[i : i + size].tolist()) for i in start[once].tolist())
     return found
 
 
@@ -647,7 +643,7 @@ class _FactorIndex:
         self.top = top
         self.runs = runs.lengths[:k]
         self.ends = runs.ends[:k]
-        self.levels = _Levels(self.runs[None, :], top)
+        self.levels = _Levels(self.runs[None, :])
         self.levels.need(top.bit_length() - 1)
 
     def columns(self, n: int) -> int:
@@ -661,12 +657,12 @@ class _FactorIndex:
         if n > self.top:
             raise ValueError(f"index covers factor lengths up to {self.top}, not {n}")
         k = n.bit_length() - 1
-        ids = self.levels.grid[k, 0].astype(np.int64)
+        ids = self.levels.ids[k][0].astype(np.int64)
         tail = n - (1 << k)
         return ids[:count] * (self.runs.size + 1) + ids[tail : tail + count]
 
     def extensions(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, next runs) of the length-n windows followed by a run in the window of n + 1."""
+        """Keys of the length-n windows followed inside n + 1's window, and the runs."""
         count = self.columns(n + 1) - n
         return self.window_keys(n, count), self.runs[n : n + count]
 

@@ -239,6 +239,13 @@ def test_palindromes_tiny_word():
     assert find_palindromes((2,), 1) == {(2,)}
 
 
+def test_palindromes_of_symbols_far_apart():
+    # symbols are ranked, never packed, so no key can overflow int64
+    big = 2**62
+    word = (big, -big, big, -big, -big, big)
+    assert find_palindromes(word, 6) == _palindromes_by_scan(np.array([word]), 6)
+
+
 def _palindromes_by_scan(rows, max_len):
     return {
         w
