@@ -308,7 +308,12 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
 
 
 def _spread_count_check(
-    name: str, count, expected, n_range: tuple[int, int], L: int, sample: int,
+    name: str,
+    count,
+    expected,
+    n_range: tuple[int, int],
+    L: int,
+    sample: int,
     reach: int,
 ) -> CheckReport:
     """count(index, n) == expected(n) on _spread_codes(L, sample), n in range.
