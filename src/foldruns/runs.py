@@ -360,7 +360,7 @@ class _Levels:
 
 
 def _repetitions(
-    rows: np.ndarray, extra: int
+    levels: _Levels, extra: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, i, p) of every window rows[r, i : i + 2p + extra] with period p.
 
@@ -372,10 +372,9 @@ def _repetitions(
     tested.  With F the longest common extension of the suffixes at j and
     j + p (capped at n) and B that of the prefixes ending there (capped at
     p - 1), the windows sampled at j are those at i in [j - B, j + F - n].
-    Hits come in no fixed order.
+    levels = _Levels(rows) names the windows.  Hits come in no fixed order.
     """
-    rcount, m = rows.shape
-    levels = _Levels(rows)
+    rcount, m = levels.ids[0].shape
     periods = np.arange(1, max((m - extra) // 2, 0) + 1)
     # positions j = 0, p, 2p, ... up to m - p - extra - 1 in each row
     per_row = (m - periods - extra - 1) // periods + 1
@@ -453,15 +452,33 @@ def _extension(levels: _Levels, at, p, cap, step):
 
 
 def _square_factors(rows: np.ndarray) -> set[tuple[int, ...]]:
-    """The distinct square factors zz found in any row, named by their z."""
-    found: set = set()
-    r, i, p = _repetitions(rows, 0)
-    for q in sorted(set(p.tolist())):
-        hit = p == q
-        halves = rows[r[hit, None], i[hit, None] + np.arange(q)]
-        _, first = np.unique(_window_ids(halves, q), return_index=True)
-        found.update(tuple(z + z) for z in halves[first].tolist())
-    return found
+    """The distinct square factors zz found in any row.
+
+    A square is named by its period and the two level windows that name
+    its z, and one occurrence of each name is read back as a slice.
+    """
+    levels = _Levels(rows)
+    r, i, p = _repetitions(levels, 0)
+    at = r * rows.shape[1] + i
+    k = np.frexp(p)[1] - 1
+    levels.need(int(k.max(initial=0)))
+    head, tail = np.empty_like(at), np.empty_like(at)
+    for b in set(k.tolist()):
+        hit = k == b
+        ids = levels.ids[b].reshape(-1)
+        head[hit] = ids[at[hit]]
+        tail[hit] = ids[at[hit] + p[hit] - (1 << b)]
+    order = np.lexsort((tail, head, p))
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for name in (p, head, tail):
+        ordered = name[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    return {
+        tuple(z + z)
+        for h in order[new].tolist()
+        for z in [rows[r[h], i[h] : i[h] + p[h]].tolist()]
+    }
 
 
 def find_overlaps(w) -> list[tuple[int, int]]:
@@ -470,7 +487,7 @@ def find_overlaps(w) -> list[tuple[int, int]]:
     An overlap of period p at position i is w[i..i+2p] with w[i+j] equal to
     w[i+j+p] for 0 <= j <= p, i.e. the shape a.x.a.x.a with |a.x| = p.
     """
-    _, i, p = _repetitions(_word_array(w).reshape(1, -1), 1)
+    _, i, p = _repetitions(_Levels(_word_array(w).reshape(1, -1)), 1)
     return sorted(zip((i + 1).tolist(), p.tolist()))
 
 

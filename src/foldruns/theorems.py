@@ -18,6 +18,7 @@ from .runs import (
     _RUN_BLOCK_CELLS,
     RunCountError,
     _FactorIndex,
+    _Levels,
     _assoc_codes,
     _family_run_data,
     _join_ids,
@@ -196,7 +197,7 @@ def overlapfree(L: int = 10) -> CheckReport:
     bound = _codes_bound("overlapfree", L, 3)
     for t in range(1, L + 1):
         codes, lengths, _ = _family_run_data(t)
-        rows, starts, periods = _repetitions(lengths, 1)
+        rows, starts, periods = _repetitions(_Levels(lengths), 1)
         if rows.size:
             # the first by period, then row, then start
             h = np.lexsort((starts, rows, periods))[0]

@@ -35,6 +35,7 @@ from foldruns import (
 from foldruns import runs
 from foldruns.runs import (
     _FactorIndex,
+    _Levels,
     _family_run_data,
     _join_ids,
     _palindromic_factors,
@@ -207,7 +208,7 @@ def test_periodic_windows_match_the_definition_on_random_rows(symbols, extra):
     for width in range(41):
         shape = (width % 4, width)
         rows = rng.integers(1, symbols + 1, size=shape).astype(np.int8)
-        r, i, p = _repetitions(rows, extra)
+        r, i, p = _repetitions(_Levels(rows), extra)
         got = sorted(zip(r.tolist(), i.tolist(), p.tolist()))
         assert got == sorted(periodic_hits(rows, extra)), width
 
@@ -219,7 +220,7 @@ def test_repetitions_do_not_depend_on_the_sample_block(monkeypatch, block):
     rows[9, 0:4] = (3, 3, 3, 3)
     monkeypatch.setattr(runs, "_SAMPLE_BLOCK", block)
     for extra in (0, 1):
-        r, i, p = _repetitions(rows, extra)
+        r, i, p = _repetitions(_Levels(rows), extra)
         got = sorted(zip(r.tolist(), i.tolist(), p.tolist()))
         assert got == sorted(periodic_hits(rows, extra))
 
@@ -533,3 +534,10 @@ def test_squares_and_overlaps_match_the_definition_on_random_words():
         row = rng.integers(1, letters + 1, size=int(rng.integers(1, 61))).tolist()
         assert find_squares(row) == _squares_by_definition(row), row
         assert find_overlaps(row) == _overlaps_by_definition(row), row
+
+
+def test_squares_and_overlaps_of_highly_periodic_words():
+    # Θ(m²) hits over many periods: each square is read back once per name
+    for word in ([1] * 150, [1, 2, 1] * 40 + [1] * 60 + [2, 1] * 20):
+        assert find_squares(word) == _squares_by_definition(word)
+        assert find_overlaps(word) == _overlaps_by_definition(word)
