@@ -465,9 +465,10 @@ def _square_factors(rows: np.ndarray) -> set[tuple[int, ...]]:
     head, tail = np.empty_like(at), np.empty_like(at)
     for b in set(k.tolist()):
         hit = k == b
-        ids = levels.ids[b].reshape(-1)
-        head[hit] = ids[at[hit]]
-        tail[hit] = ids[at[hit] + p[hit] - (1 << b)]
+        head[hit] = levels.ids[b].reshape(-1)[at[hit]]
+        tail[hit] = levels.ids[b].reshape(-1)[at[hit] + p[hit] - (1 << b)]
+    # the levels go first, so sorting the names can reuse their memory
+    del levels
     order = np.lexsort((tail, head, p))
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
