@@ -506,7 +506,7 @@ def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]
     kept with its flat start for the palindromes two symbols longer.  One
     occurrence of each id is read back as a slice.
     """
-    r, width = rows.shape
+    width = rows.shape[1]
     flat = rows.ravel()
     if flat.size == 0:
         return set()
