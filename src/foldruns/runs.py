@@ -303,9 +303,12 @@ def regular_run_length(n: int) -> int:
     return e - s + 1
 
 
-# Samples (row, period, position) tested at once by _repetitions: bounds
-# its int64 temporaries to a few MiB whatever the word's length.
-_SAMPLE_BLOCK = 2**15
+# Samples (row, period, position) tested at once by _repetitions: each int64
+# temporary stays at 64 KiB whatever the word's length.  Blocks of 2**15 were
+# no faster, and their 256 KiB temporaries left the heap so fragmented that a
+# large table built later in the same process (a `runs` table of t = 20)
+# could peak 12-28 MiB higher.
+_SAMPLE_BLOCK = 2**13
 
 
 class _Levels:
