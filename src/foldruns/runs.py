@@ -513,7 +513,11 @@ def _palindromic_factors(rows: np.ndarray, max_len: int) -> set[tuple[int, ...]]
     flat = rows.ravel()
     if flat.size == 0:
         return set()
-    found = {(v,) for v in np.unique(flat).tolist()}
+    found = set()
+    if max_len >= 1:
+        # with return_index np.unique skips the numpy.ma import of the plain call
+        symbols = np.unique(flat, return_index=True)[0]
+        found = {(v,) for v in symbols.tolist()}
     named = {}
     for size in range(2, min(max_len, width) + 1):
         if size <= 3:
@@ -566,17 +570,8 @@ def _rank(keys: np.ndarray) -> np.ndarray:
 
     The same numbers as np.unique(keys, return_inverse=True)[1]; a plain sort
     and a search among the few distinct keys beat its argsort, and skip the
-    numpy.ma import that a plain np.unique makes on first use.  Keys that
-    span no more values than there are keys are ranked by a table of the
-    values present instead, with no sort and no more memory.
+    numpy.ma import that a plain np.unique makes on first use.
     """
-    if keys.size:
-        low, high = int(keys.min()), int(keys.max())
-        if high - low < keys.size:
-            shifted = np.subtract(keys, low, dtype=np.intp)
-            present = np.zeros(high - low + 1, dtype=bool)
-            present[shifted] = True
-            return (np.cumsum(present) - 1)[shifted]
     ordered = np.sort(keys, axis=None)
     first = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])

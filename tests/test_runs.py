@@ -44,6 +44,7 @@ from foldruns.runs import (
     _repetitions,
     _window_ids,
 )
+from foldruns import theorems
 from foldruns.theorems import _spread_codes
 from repetitions import periodic_hits
 
@@ -245,6 +246,15 @@ def test_palindromes_of_symbols_far_apart():
     big = 2**62
     word = (big, -big, big, -big, -big, big)
     assert find_palindromes(word, 6) == _palindromes_by_scan(np.array([word]), 6)
+
+
+def test_palindromes_up_to_length_zero_are_none():
+    rows = np.array([[1, 2, 1, 3], [2, 2, 3, 3]])
+    assert runs._palindromic_factors(rows, 0) == set()
+    assert runs._palindromic_factors(rows, 1) == {(1,), (2,), (3,)}
+    # the check finds nothing at max_len 0, so its witness is the first missing
+    witness = theorems.palindromes(max_len=0).witness
+    assert witness == ("missing", min(theorems.EXPECTED_PALINDROMES))
 
 
 def _palindromes_by_scan(rows, max_len):
