@@ -524,17 +524,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _joined_eps(argv: list[str]) -> list[str]:
-    """argv with each `--eps V` whose V is a sign vector written as `--eps=V`.
+# Options whose values are written in signs, with the symbols each takes.
+_SIGN_OPTIONS = {"--eps": set("+-, "), "--code": set("+-0")}
+
+
+def _joined_signs(argv: list[str]) -> list[str]:
+    """argv with `--eps V` and `--code V` joined as `--eps=V`, `--code=V`.
 
     argparse reads a separate value that starts with '-' as an option, so
-    a vector whose first sign is '-' would otherwise need the '=' form.
+    a vector or code whose first sign is '-' would otherwise need the '='
+    form.  Only a V made of the option's own signs is joined, so a missing
+    value (`--eps --sweep 3`) still fails as before.
     """
     out: list[str] = []
     for arg in argv:
-        vector = arg[:1] == "-" and arg[:2] != "--" and set(arg) <= set("+-, ")
-        if vector and out and out[-1] == "--eps":
-            out[-1] = f"--eps={arg}"
+        option = out[-1] if out else None
+        signs = _SIGN_OPTIONS.get(option)
+        if signs and arg[:1] == "-" and arg[:2] != "--" and set(arg) <= signs:
+            out[-1] = f"{option}={arg}"
         else:
             out.append(arg)
     return out
@@ -543,7 +550,7 @@ def _joined_eps(argv: list[str]) -> list[str]:
 def run(argv=None) -> int:
     """Parse argv, run one subcommand, return the exit code."""
     parser = _build_parser()
-    argv = _joined_eps(sys.argv[1:] if argv is None else list(argv))
+    argv = _joined_signs(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

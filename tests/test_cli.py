@@ -260,6 +260,24 @@ def test_cf_eps_still_needs_a_value(capsys):
     assert "argument --eps: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "runs", "complexity"])
+@pytest.mark.parametrize("code", ["-+", "-++-+00", "-+-++-+--+-+"])
+def test_code_takes_a_literal_that_opens_with_minus(capsys, command, code):
+    # `--code V` and `--code=V` give the same bytes and exit code
+    apart = run([command, "--code", code])
+    out_apart = capsys.readouterr()
+    joined = run([command, f"--code={code}"])
+    out_joined = capsys.readouterr()
+    assert apart == joined
+    assert out_apart == out_joined
+    assert out_apart.out or out_apart.err
+
+
+def test_code_still_needs_a_value(capsys):
+    assert run(["gen", "--code", "--regular", "--length", "3"]) == 2
+    assert "argument --code: expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # complexity
 
@@ -679,6 +697,8 @@ def test_factor_commands_do_not_import_numpy_ma():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert run(['runs', '--code', sys.argv[1], '--factors', 'squares']) == 0\n"
         "    assert run(['complexity', '--code', sys.argv[1]]) == 0\n"
+        "    assert run(['runs', '--code', sys.argv[1], '--factors', 'palindromes']) == 0\n"
+        "    assert run(['verify', '--suite', 'runs']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     done = _run_module("-c", script, "+-++-+--+-++--+")
