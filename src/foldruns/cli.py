@@ -43,7 +43,7 @@ from .theorems import MIN_CODE_LEN, SUITES, build_tt, cf_theorem_check, run_suit
 MAX_SWEEP_LENGTH = 12
 
 # Longest code whose run-length word `runs --factors squares|overlaps` scans.
-# On a 2-CPU x86-64 box the all-ones code takes about 1 s and 73 MiB peak RSS
+# On a 2-CPU x86-64 box the all-ones code takes about 1.4 s and 69 MiB peak RSS
 # at 20; each instruction past it about doubles the time and adds 40-80 MiB.
 MAX_REPETITION_SCAN_LEN = 20
 
