@@ -126,3 +126,28 @@ def test_package_imports_sit_at_module_level(path):
         if isinstance(node, ast.ImportFrom) and node.level > 0
     ]
     assert local == []
+
+
+def _private_definitions_and_uses():
+    """(name, file, line) of each private def or class in the package, and every use.
+
+    A use is a name read or an attribute, so an import alone is not one.
+    """
+    defined, used = [], set()
+    for path in sorted(Path(foldruns.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((node.name, path.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return defined, used
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a helper that only tests still call, or that a deletion left behind
+    defined, used = _private_definitions_and_uses()
+    assert defined
+    assert [d for d in defined if d[0] not in used] == []

@@ -221,6 +221,36 @@ def test_no_triple_extension_on_crafted_rows(monkeypatch, tails):
     assert report.witness == want
 
 
+# n on both sides of each switch of the prefix-doubling level (4, 8, 16, 32)
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 16, 17, 32, 33])
+@pytest.mark.parametrize("triple", [False, True])
+def test_no_triple_extension_witness_at_each_level(monkeypatch, n, triple):
+    if triple:
+        # 12 extends by 1, 2 and 3 and first sits at n in the second row;
+        # 33 extends three ways too, earlier, but is larger
+        rows = [
+            [3] * (n + 3) + [2],
+            [3] * (n - 1) + [1, 2, 1] + [3] * 2,
+            [1, 2, 2] + [3] * (n + 1),
+            [1, 2, 3] + [3] * (n + 1),
+        ]
+    else:
+        # 1**n extends by 1 and 2, 1**(n-1) 2 by 3: a key that loses the
+        # last run of a length-n window merges them into a false triple
+        rows = [[3] * (n + 1), [1] * (n + 1), [1] * n + [2], [1] * (n - 1) + [2, 3]]
+    codes = code_matrix(2)
+    lengths = np.array(rows, dtype=np.int8)
+    monkeypatch.setattr(
+        theorems, "_family_run_data", lambda t: (codes, lengths, None)
+    )
+    want = _reference_triple([(codes, lengths)], 40)
+    if triple:
+        assert want == ("+-", (1, 2), (1, 2, 3), n)
+    else:
+        assert want is None
+    assert no_triple_extension(L=3, max_factor_len=40).witness == want
+
+
 def test_squares_present_passes_at_seven():
     report = squares_present(L=7, flag_up_to=8)
     assert report.passed
