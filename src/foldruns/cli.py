@@ -14,7 +14,14 @@ import sys
 
 import numpy as np
 
-from .foldcore import MAX_MATERIALIZED_CODE_LEN, PLUS, FoldCode, InvalidCodeError
+from .foldcore import (
+    MAX_MATERIALIZED_CODE_LEN,
+    PLUS,
+    FoldCode,
+    InvalidCodeError,
+    _int64_terms,
+    paperfolding_word,
+)
 from .runs import (
     _FactorIndex,
     find_overlaps,
@@ -26,7 +33,6 @@ from .runs import (
     run_length_word,
     subword_complexity,
 )
-from .foldcore import paperfolding_word
 from .automata import (
     AutomatonFormatError,
     EndRelationOracle,
@@ -56,9 +62,6 @@ class _UsageError(Exception):
 # cell matrix built at once, whatever the table's length.
 _BLOCK_ROWS = 2**14
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
 def _digit_groups() -> np.ndarray:
     """The ASCII digits of every group 0..9999, four bytes in one uint32 each.
 
@@ -77,30 +80,6 @@ def _digit_groups() -> np.ndarray:
 
 _GROUPS = _digit_groups()
 _GROUP = np.uint64(10**4)
-
-
-def _int64_column(name: str, column) -> np.ndarray:
-    """An integer column (array, list or range) as int64.
-
-    Nothing is truncated or wrapped: a value that is not an integer raises
-    TypeError and an integer outside int64 raises ValueError.
-    """
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind not in "iu":
-            raise TypeError(f"column {name!r} holds {column.dtype}, not integers")
-    else:
-        if not all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-            for v in column
-        ):
-            raise TypeError(f"column {name!r} holds a value that is not an integer")
-        # numpy would type ints past int64 as uint64, float64 or object
-        column = np.array(column, dtype=object)
-    if column.size and not (
-        _INT64_MIN <= int(column.min()) and int(column.max()) <= _INT64_MAX
-    ):
-        raise ValueError(f"column {name!r} holds a value outside int64")
-    return column.astype(np.int64, copy=False)
 
 
 def _digit_cells(values: np.ndarray) -> list[np.ndarray]:
@@ -138,7 +117,9 @@ def _emit_rows(fmt: str, header: list[str], columns) -> None:
     NULs from the matrix's bytes leaves every field at its own width, so the
     block is written as one string and no Python object is made per row.
     """
-    columns = [_int64_column(h, c) for h, c in zip(header, columns, strict=True)]
+    columns = [
+        _int64_terms(f"column {h!r}", c) for h, c in zip(header, columns, strict=True)
+    ]
     if len({c.size for c in columns}) > 1:
         raise ValueError("table columns differ in length")
     if fmt == "tsv":
@@ -230,6 +211,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_runs(args) -> int:
     code = _resolve_code(args)
+    if code.effective_length == 0:
+        raise _UsageError("runs needs a code with at least one instruction")
     if args.factors is None:
         dec = run_decompose(paperfolding_word(code))
         n = np.arange(1, dec.count + 1)

@@ -23,6 +23,8 @@ PAD = 0
 # Single-term queries stay available at any size through paperfolding_term.
 MAX_MATERIALIZED_CODE_LEN = 24
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 _CHAR_TO_SYMBOL = {"+": PLUS, "-": MINUS, "0": PAD}
 _SYMBOL_TO_CHAR = {PLUS: "+", MINUS: "-", PAD: "0"}
 
@@ -33,6 +35,31 @@ class InvalidCodeError(ValueError):
 
 class MaterializationLimitError(ValueError):
     """Raised when a whole-word construction would exceed the size cap."""
+
+
+def _int64_terms(what: str, values) -> np.ndarray:
+    """Integer values (array, list, tuple or range) as int64.
+
+    Nothing is truncated or wrapped: a value that is not an integer raises
+    TypeError and an integer outside int64 raises ValueError; `what` names
+    the values in the message.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise TypeError(f"{what} holds {values.dtype}, not integers")
+    else:
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            for v in values
+        ):
+            raise TypeError(f"{what} holds a value that is not an integer")
+        # numpy would type ints past int64 as uint64, float64 or object
+        values = np.array(values, dtype=object)
+    if values.size and not (
+        _INT64_MIN <= int(values.min()) and int(values.max()) <= _INT64_MAX
+    ):
+        raise ValueError(f"{what} holds a value outside int64")
+    return values.astype(np.int64, copy=False)
 
 
 def is_valid_code(symbols: Sequence[int]) -> bool:

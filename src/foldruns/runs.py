@@ -17,6 +17,7 @@ from .foldcore import (
     FoldCode,
     InvalidCodeError,
     PaperfoldingWord,
+    _int64_terms,
     as_code,
     code_matrix,
     paperfolding_word,
@@ -25,12 +26,14 @@ from .foldcore import (
 
 
 def _word_array(w) -> np.ndarray:
+    """The terms of a word as int64; a term that is not an integer raises TypeError."""
     if isinstance(w, PaperfoldingWord):
         return w.array
-    arr = w if isinstance(w, np.ndarray) else np.asarray(list(w), dtype=np.int64)
-    if arr.ndim != 1:
+    if not isinstance(w, np.ndarray):
+        w = list(w)
+    if np.ndim(w) != 1:
         raise ValueError("word terms must be one-dimensional")
-    return arr
+    return _int64_terms("word", w)
 
 
 class RunDecomposition:
@@ -315,31 +318,45 @@ class _Levels:
     """Prefix-doubling ids of the windows of rows, one level per power of two.
 
     ids[k][r, j] names rows[r, j : j + 2**k] as int32, numbered in
-    lexicographic order of the level's windows (_join_ids); cells past a
-    level's last window hold -1, so every level has the rows' shape and
-    the flat cell r * width + j is (r, j) in each.  Level k is built by
-    the first need(k): the levels a scan never reaches cost nothing.
+    lexicographic order of the level's windows; cells past a level's last
+    window hold -1, so every level has the rows' shape and the flat cell
+    r * width + j is (r, j) in each.  Level k is built by the first
+    need(k): the levels a scan never reaches cost nothing.
     """
 
-    __slots__ = ("ids", "_last", "_asked")
+    __slots__ = ("ids", "_asked")
 
     def __init__(self, rows: np.ndarray):
-        self.ids: list[np.ndarray] = []
+        self.ids: list[np.ndarray] = [_rank(rows).astype(np.int32)]
         self._asked: dict[int, int] = {}
-        self._last = _rank(rows)
-        self._store()
-
-    def _store(self) -> None:
-        shape = self.ids[0].shape if self.ids else self._last.shape
-        level = np.full(shape, -1, dtype=np.int32)
-        level[:, : self._last.shape[1]] = self._last
-        self.ids.append(level)
 
     def need(self, k: int) -> None:
-        """Build the levels up to k."""
+        """Build the levels up to k; a level ranks the keys of its windows."""
+        width = self.ids[0].shape[1]
         while len(self.ids) <= k:
-            self._last = _join_ids(self._last, self._last, 1 << (len(self.ids) - 1))
-            self._store()
+            size = 1 << len(self.ids)
+            cols = max(width - size + 1, 0)
+            level = np.full(self.ids[0].shape, -1, dtype=np.int32)
+            level[:, :cols] = _rank(self.window_keys(size, cols))
+            self.ids.append(level)
+
+    def window_keys(self, n: int, count: int) -> np.ndarray:
+        """Keys of the length-n windows at j < count of each row, int64.
+
+        After Karp, Miller and Rosenberg (STOC 1972), the key pairs the ids
+        of level k at j and j + n - 2**k, 2**k the largest power of two
+        below n (1 for n = 1), so keys are equal exactly when the windows
+        are and order them lexicographically.  Every window must lie
+        inside its row.
+        """
+        if n < 1:
+            raise ValueError("window length must be >= 1")
+        k = max(n - 1, 1).bit_length() - 1
+        self.need(k)
+        ids, tail = self.ids[k], n - (1 << k)
+        keys = np.multiply(ids[:, :count], ids.size, dtype=np.int64)
+        keys += ids[:, tail : tail + count]
+        return keys
 
     def same(self, at: np.ndarray, shift: np.ndarray, k: int) -> np.ndarray:
         """Whether the 2**k windows at flat cells at and at + shift agree.
@@ -580,65 +597,13 @@ def _rank(keys: np.ndarray) -> np.ndarray:
     return np.searchsorted(ordered, keys)
 
 
-def _join_ids(left: np.ndarray, right: np.ndarray, shift: int) -> np.ndarray:
-    """Ids of the windows made of a left window at j and a right window at j + shift.
-
-    left and right are ids of windows of the same rows, each numbered in
-    lexicographic order; the joined ids are ranked in lexicographic order
-    of the (left, right) pairs, so keys stay below K**2 for K distinct ids.
-    """
-    cols = min(left.shape[1], right.shape[1] - shift)
-    base = int(right.max(initial=0)) + 1
-    keys = np.multiply(left[:, :cols], base, dtype=np.int64)
-    return _rank(keys + right[:, shift : shift + cols])
-
-
-def _window_ids(rows: np.ndarray, m: int) -> np.ndarray:
-    """ids[r, j] names rows[r, j : j + m]; ids are equal exactly when windows are.
-
-    Prefix doubling after Karp, Miller and Rosenberg (STOC 1972): a length-m
-    window is the join of its two overlapping length-h windows, h = ceil(m/2),
-    at offsets 0 and m - h, so no width of symbols or factor length can
-    overflow.  Ids are numbered in lexicographic order of the windows.
-    """
-    if m < 1:
-        raise ValueError("window length must be >= 1")
-    r, width = rows.shape
-    cols = width - m + 1
-    if cols < 1 or r == 0:
-        return np.zeros((r, max(cols, 0)), dtype=np.intp)
-    if m == 1:
-        return _rank(rows)
-    h = (m + 1) // 2
-    half = _window_ids(rows, h)
-    return _join_ids(half, half, m - h)
-
-
-def _right_extensions(
-    rows: np.ndarray, ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, follows) over the windows of run-length rows that have a next run.
-
-    ids name the windows of one length n of rows (as _window_ids does) and
-    come back without each row's last window; follows[i, s] is True when the
-    factor with id i is followed by run length s (1..3) somewhere.
-    """
-    n = rows.shape[1] - ids.shape[1] + 1
-    ids = ids[:, :-1]
-    follows = np.zeros((int(ids.max(initial=-1)) + 1, 4), dtype=bool)
-    follows[ids, rows[:, n:]] = True
-    return ids, follows
-
-
 class _FactorIndex:
     """One code's windowed run prefix and its prefix-doubling levels.
 
     Built once for factor windows up to length top: the runs that end
     inside window_bound(top), read off the word of the first
-    min_code_length(top) instructions, and _Levels of them up to the
-    largest power of two <= top.  The length-n window at j is the pair of
-    level windows of length h, the largest power of two <= n, at j and
-    j + n - h, so every n <= top is counted from the one build.
+    min_code_length(top) instructions, and _Levels of them, whose
+    window_keys count every n <= top from the one build.
     """
 
     __slots__ = ("top", "runs", "ends", "levels")
@@ -660,31 +625,41 @@ class _FactorIndex:
         self.runs = runs.lengths[:k]
         self.ends = runs.ends[:k]
         self.levels = _Levels(self.runs[None, :])
-        self.levels.need(top.bit_length() - 1)
 
     def columns(self, n: int) -> int:
         """How many runs end inside window_bound(n)."""
         return int(np.searchsorted(self.ends, window_bound(n), side="right"))
 
-    def window_keys(self, n: int, count: int) -> np.ndarray:
-        """Keys of the length-n windows at 0..count-1, equal exactly when they are."""
-        if n < 1:
-            raise ValueError("window length must be >= 1")
-        if n > self.top:
-            raise ValueError(f"index covers factor lengths up to {self.top}, not {n}")
-        k = n.bit_length() - 1
-        ids = self.levels.ids[k][0].astype(np.int64)
-        tail = n - (1 << k)
-        return ids[:count] * (self.runs.size + 1) + ids[tail : tail + count]
-
     def extensions(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Keys of the length-n windows followed inside n + 1's window, and the runs."""
         count = self.columns(n + 1) - n
-        return self.window_keys(n, count), self.runs[n : n + count]
+        return self.levels.window_keys(n, count), self.runs[n : n + count]
 
 
 def _index(f, top: int) -> _FactorIndex:
-    return f if isinstance(f, _FactorIndex) else _FactorIndex(f, top)
+    if not isinstance(f, _FactorIndex):
+        return _FactorIndex(f, top)
+    if top > f.top:
+        raise ValueError(f"index covers factor lengths up to {f.top}, not {top}")
+    return f
+
+
+def _right_extension_pairs(
+    keys: np.ndarray, follows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(factors, runs): each factor's key once per right extension, and that run.
+
+    keys are window_keys of windows that have a next run and follows are
+    those runs (0..3).  The pairs are sorted, so a factor with e right
+    extensions has e neighbouring entries, in lexicographic order of the
+    factors.  keys is overwritten: the pairs are packed and sorted in it.
+    """
+    keys <<= 2
+    keys += follows
+    pairs = keys.reshape(-1)
+    pairs.sort()
+    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+    return pairs >> 2, pairs & 3
 
 
 def subword_complexity(f, n: int) -> int:
@@ -695,7 +670,8 @@ def subword_complexity(f, n: int) -> int:
     f is a code or a _FactorIndex built for lengths up to at least n.
     """
     index = _index(f, n)
-    keys = np.sort(index.window_keys(n, index.columns(n) - n + 1))
+    keys = index.levels.window_keys(n, index.columns(n) - n + 1)
+    keys = np.sort(keys, axis=None)
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
@@ -703,14 +679,15 @@ def right_extension_map(f, n: int) -> dict[tuple[int, ...], frozenset[int]]:
     """Each windowed length-n factor mapped to its observed right extensions."""
     index = _index(f, n + 1)
     keys, follows = index.extensions(n)
-    ids = _rank(keys)
-    table = np.zeros((int(ids.max(initial=-1)) + 1, 4), dtype=bool)
-    table[ids, follows] = True
-    _, first = np.unique(ids, return_index=True)
+    # the first window of each factor, in the factors' order, before the
+    # pairs are packed into keys
+    _, first = np.unique(keys, return_index=True)
+    factors, follows = _right_extension_pairs(keys, follows)
+    groups = np.split(follows, np.flatnonzero(factors[1:] != factors[:-1]) + 1)
     word = index.runs.tolist()
     return {
-        tuple(word[p : p + n]): frozenset(np.flatnonzero(ext).tolist())
-        for p, ext in zip(first.tolist(), table)
+        tuple(word[p : p + n]): frozenset(runs.tolist())
+        for p, runs in zip(first.tolist(), groups)
     }
 
 
@@ -719,9 +696,7 @@ def right_special_count(f, n: int) -> int:
 
     f is a code or a _FactorIndex built for lengths up to at least n + 1.
     """
-    keys, follows = _index(f, n + 1).extensions(n)
-    pairs = np.sort(keys * 4 + follows)
-    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))] >> 2
-    # a factor repeats in the sorted distinct pairs once per extra extension
-    special = pairs[1:][pairs[1:] == pairs[:-1]]
+    factors, _ = _right_extension_pairs(*_index(f, n + 1).extensions(n))
+    # a factor repeats in the sorted pairs once per extra extension
+    special = factors[1:][factors[1:] == factors[:-1]]
     return int(np.count_nonzero(special[1:] != special[:-1])) + int(special.size > 0)

@@ -21,15 +21,13 @@ from .runs import (
     _Levels,
     _assoc_codes,
     _family_run_data,
-    _join_ids,
     _palindromic_factors,
     _predicted_ends,
     _regular_gaps,
     _regular_run_data,
     _repetitions,
-    _right_extensions,
+    _right_extension_pairs,
     _square_factors,
-    _window_ids,
     find_squares,
     min_code_length,
     right_special_count,
@@ -105,10 +103,15 @@ def _first(name: str, bound: str, bad: np.ndarray, witness) -> CheckReport:
     return CheckReport(name, bound, witness(int(bad[0])) if bad.size else None)
 
 
-def _codes_bound(name: str, L: int, least: int) -> str:
-    """The bound of a sweep over codes with t <= L; refuses an L below `least`."""
+def _needs(name: str, L: int, least: int) -> None:
+    """Refuse a code-length bound L below `least`, where the check sweeps nothing."""
     if L < least:
         raise ValueError(f"{name} needs L >= {least}, got {L}")
+
+
+def _codes_bound(name: str, L: int, least: int) -> str:
+    """The bound of a sweep over codes with t <= L; refuses an L below `least`."""
+    _needs(name, L, least)
     return f"codes t<={L}"
 
 
@@ -210,7 +213,7 @@ def overlapfree(L: int = 10) -> CheckReport:
 
 def squares_only(L: int = 10) -> CheckReport:
     """The union of square factors over all codes with t <= L is the known trio."""
-    bound = f"codes t<={L}"
+    bound = _codes_bound("squares_only", L, 1)
     found: set = set()
     for t in range(1, L + 1):
         found |= _square_factors(_family_run_data(t)[1])
@@ -240,6 +243,7 @@ def squares_present(L: int = 7, flag_up_to: int = 10) -> CheckReport:
     square is noted (not failed), since only the length-L statement carries
     a sweep guarantee.
     """
+    _needs("squares_present", L, 1)
     bound = f"codes t={L}, sampled to t<={flag_up_to}"
     notes = []
     for t in range(L, max(L, flag_up_to) + 1):
@@ -273,6 +277,7 @@ def palindromes(L: int = 9, max_len: int = 7) -> CheckReport:
     max_len 7 is exhaustive for the claim: a palindrome of length k contains
     one of length k - 2, so absence at 6 and 7 rules out everything longer.
     """
+    _needs("palindromes", L, 1)
     bound = f"codes t={L}, factor len<={max_len}"
     found = _palindromic_factors(_family_run_data(L)[1], max_len)
     if found == set(EXPECTED_PALINDROMES):
@@ -292,17 +297,21 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
     bound = _codes_bound("no_triple_extension", L, 3)
     bound += f", factor len 2..{max_factor_len}"
     for t in range(2, L + 1):
-        codes, lengths, _ = _family_run_data(t)
-        # grow the window one run at a time: one renaming per factor length
-        ones = ids = _window_ids(lengths, 1)
-        for n in range(2, min(max_factor_len, lengths.shape[1] - 1) + 1):
-            ids = _join_ids(ids, ones, n - 1)
-            extended, follows = _right_extensions(lengths, ids)
-            bad = np.flatnonzero(follows.sum(axis=1) >= 3)
-            if bad.size:
-                r, j = map(int, np.argwhere(extended == bad[0])[0])
+        codes, lengths = _family_run_data(t)[:2]
+        levels, m = _Levels(lengths), lengths.shape[1]
+        for n in range(2, min(max_factor_len, m - 1) + 1):
+            count = m - n  # the windows that have a next run
+            factors, follows = _right_extension_pairs(
+                levels.window_keys(n, count), lengths[:, n:]
+            )
+            # a factor repeats in the sorted pairs once per extra extension
+            triple = factors[2:][factors[2:] == factors[:-2]]
+            if triple.size:
+                # the smallest such factor, where it first occurs row by row
+                keys = levels.window_keys(n, count)
+                r, j = divmod(int(np.argmax(keys == triple[0])), count)
                 factor = tuple(lengths[r, j : j + n].tolist())
-                exts = tuple(np.flatnonzero(follows[bad[0]]).tolist())
+                exts = tuple(follows[factors == triple[0]].tolist())
                 witness = (_row_code(codes, r).to_text(), factor, exts, j + 1)
                 return CheckReport("no_triple_extension", bound, witness)
     return CheckReport("no_triple_extension", bound)

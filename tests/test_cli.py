@@ -135,6 +135,19 @@ def test_runs_palindromes_json(capsys):
     assert {"factor": "22"} in rows
 
 
+@pytest.mark.parametrize("factors", [None, "squares", "overlaps", "palindromes"])
+@pytest.mark.parametrize("code", ["0", "", "000"])
+def test_runs_refuses_codes_without_instructions(capsys, code, factors):
+    # the empty word has no runs; gen --code 0 still prints it
+    argv = ["runs", "--code", code] + (["--factors", factors] if factors else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: runs needs a code with at least one instruction\n"
+    assert run(["gen", "--code", code]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_runs_max_len_range(capsys):
     assert run(["runs", "--code", "++++", "--factors", "palindromes",
                 "--max-len", "0"]) == 2

@@ -1,6 +1,7 @@
 """Run decomposition, predicted boundaries, and factor scans."""
 
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,12 +38,10 @@ from foldruns.runs import (
     _FactorIndex,
     _Levels,
     _family_run_data,
-    _join_ids,
     _palindromic_factors,
     _rank,
     _regular_run_data,
     _repetitions,
-    _window_ids,
 )
 from foldruns import theorems
 from foldruns.theorems import _spread_codes
@@ -92,6 +91,41 @@ def test_word_arrays_must_be_one_dimensional(scan, word):
     # rows would be compared with each other, or flattened into one word
     with pytest.raises(ValueError, match="word terms must be one-dimensional"):
         scan(word)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [run_decompose, find_squares, find_overlaps, lambda w: find_palindromes(w, 3)],
+    ids=["decompose", "squares", "overlaps", "palindromes"],
+)
+@pytest.mark.parametrize(
+    "word",
+    [
+        [1.2, 1.7],
+        np.array([1.2, 1.7]),
+        [0.5, 0.9, 0.1],
+        np.array([0.5, 0.9, 0.1]),
+        [1, 2, 1.0],
+        [Fraction(3, 2), 1],
+        [True, False, True],
+        np.array([True, False, True]),
+    ],
+)
+def test_word_terms_must_be_integers(scan, word):
+    # a term is never truncated: 1.2 and 1.7 would both read as 1
+    with pytest.raises(TypeError, match="word holds"):
+        scan(word)
+
+
+def test_integer_word_terms_of_any_type_agree():
+    words = [(1, 2, 1, 2, 1), [np.int8(v) for v in (1, 2, 1, 2, 1)]]
+    words += [np.array((1, 2, 1, 2, 1), dtype=d) for d in (np.int8, np.uint16)]
+    for w in words:
+        assert run_decompose(w).lengths.tolist() == [1] * 5
+        assert find_squares(w) == {(1, 2, 1, 2), (2, 1, 2, 1)}
+        assert find_overlaps(w) == [(1, 2)]
+        palindromes = {(1,), (2,), (1, 2, 1), (2, 1, 2), (1, 2, 1, 2, 1)}
+        assert find_palindromes(w, 5) == palindromes
 
 
 def test_run_count_and_lengths_small_sweep():
@@ -420,23 +454,20 @@ def test_rank_is_the_unique_inverse(shape):
 
 
 @pytest.mark.parametrize("low, high", [(0, 2), (1, 4), (-128, 128)])
-def test_window_ids_name_windows_exactly(low, high):
-    # equal ids exactly when the slices are equal, numbered 0..K-1 in
-    # lexicographic order; int8 rows cover negative symbols and sparse keys.
-    # Growing the windows one symbol at a time with _join_ids gives the same ids.
+def test_window_keys_name_windows_exactly(low, high):
+    # equal keys exactly when the slices are equal, and ranked they number
+    # the windows 0..K-1 in lexicographic order; int8 rows cover negative
+    # symbols and sparse keys
     rows = np.random.default_rng(7).integers(low, high, (5, 40), dtype=np.int8)
-    ones = grown = _window_ids(rows, 1)
-    for m in range(1, 43):
-        ids = _window_ids(rows, m)
-        assert ids.shape == (5, max(0, 41 - m))
+    levels = _Levels(rows)
+    for m in range(1, 41):
+        keys = levels.window_keys(m, 41 - m)
+        assert keys.shape == (5, 41 - m)
         windows = [
             tuple(row[j : j + m]) for row in rows.tolist() for j in range(41 - m)
         ]
         rank = {w: i for i, w in enumerate(sorted(set(windows)))}
-        assert ids.ravel().tolist() == [rank[w] for w in windows]
-        if 1 < m <= 40:
-            grown = _join_ids(grown, ones, m - 1)
-            assert grown.tolist() == ids.tolist()
+        assert _rank(keys).ravel().tolist() == [rank[w] for w in windows]
 
 
 def _windowed_prefix(code, n):

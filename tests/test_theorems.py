@@ -137,6 +137,10 @@ def _reference_triple(families, max_factor_len):
         # an overlap, and a length-2 factor with a follower, need three runs
         (overlapfree, (2,), "overlapfree needs L >= 3, got 2"),
         (no_triple_extension, (2,), "no_triple_extension needs L >= 3, got 2"),
+        (squares_only, (0,), "squares_only needs L >= 1, got 0"),
+        (squares_present, (0,), "squares_present needs L >= 1, got 0"),
+        (palindromes, (0,), "palindromes needs L >= 1, got 0"),
+        (palindromes, (-1,), "palindromes needs L >= 1, got -1"),
     ],
     ids=[
         "prop1",
@@ -147,6 +151,10 @@ def _reference_triple(families, max_factor_len):
         "triple-factor",
         "overlapfree-two-runs",
         "triple-L-two-runs",
+        "squares_only",
+        "squares_present",
+        "palindromes",
+        "palindromes-negative",
     ],
 )
 def test_family_checks_refuse_bounds_that_check_nothing(check, args, message):
