@@ -874,6 +874,72 @@ def test_sample_blocks_may_split_anywhere(monkeypatch, rl_machine):
     assert verify_exhaustive(mutant, RunLengthOracle(), 6) == cex
 
 
+# depth-10 counterexamples (word, automaton label, oracle label) of
+# single-edge mutants (state, symbol index, new successor) of the depth-8
+# machines.  No such mutant is told apart from its machine by more than six
+# symbols, so each counterexample lies at width <= 6; the mutants that
+# differ only off the valid universe (None) walk every grid up to width 10,
+# and a block size of 7 splits the widths the others fail at into many
+# blocks.
+MUTANT_COUNTEREXAMPLES = {
+    "rl": [
+        ((26, 0, 19), ((1, 1), (1, 1), (1, 1), (-1, 0), (1, 1), (1, 0)), 2, 1),
+        ((24, 4, 11), ((1, 0), (1, 1), (1, 1), (1, 0), (1, 1), (-1, 0)), 3, 2),
+        ((30, 3, 9), ((-1, 0), (1, 1), (1, 0), (0, 0), (0, 1)), 1, 0),
+        ((23, 0, 6), ((-1, 0), (-1, 1), (-1, 0), (-1, 0), (-1, 1)), 2, 0),
+        ((19, 2, 23), None),
+    ],
+    "sp": [
+        (
+            (16, 1, 10),
+            ((1, 0, 1), (1, 1, 1), (1, 1, 0), (-1, 0, 1), (1, 1, 0), (1, 0, 1)),
+            False,
+            True,
+        ),
+        (
+            (16, 0, 3),
+            ((-1, 0, 0), (1, 1, 1), (-1, 1, 0), (-1, 0, 0), (-1, 1, 0), (-1, 0, 1)),
+            True,
+            False,
+        ),
+        (
+            (16, 10, 9),
+            ((-1, 0, 0), (1, 1, 1), (-1, 1, 0), (1, 1, 0), (-1, 1, 0), (1, 0, 1)),
+            True,
+            False,
+        ),
+        ((5, 2, 9), None),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, fixture, make",
+    [("rl", "rl_machine", RunLengthOracle), ("sp", "sp_machine", StartRelationOracle)],
+)
+def test_depth_10_mutant_counterexamples_are_pinned(
+    request, monkeypatch, name, fixture, make
+):
+    machine = request.getfixturevalue(fixture)
+
+    def outcomes(pins):
+        got = []
+        for (q, j, dst), *_ in pins:
+            mutant = mutated_transition(machine, q, machine.symbols[j], dst)
+            cex = verify_exhaustive(mutant, make(), 10)
+            got.append(
+                ((q, j, dst), None)
+                if cex is None
+                else ((q, j, dst), cex.word, cex.automaton_label, cex.oracle_label)
+            )
+        return got
+
+    pins = MUTANT_COUNTEREXAMPLES[name]
+    assert outcomes(pins) == pins
+    monkeypatch.setattr(automata, "SAMPLE_BLOCK_ROWS", 7)
+    assert outcomes(pins[:-1]) == pins[:-1]
+
+
 # counterexample words verify_exhaustive hands the learner at depths 6/4,
 # in order: the learner path is pinned to these
 LEARNER_COUNTEREXAMPLES = {
