@@ -357,10 +357,13 @@ class WordOracle:
     An oracle provides `label(word)`, the machine's required verdict on any
     product word, and `samples(width)`, which enumerates, exactly once
     each, every width-`width` input whose label differs from the default
-    (False or 0).  It yields blocks of at most SAMPLE_BLOCK_ROWS samples:
-    (track0 int8[N, width] | None, numeric values int64[N, m], labels[N]).
-    Rows come in strictly increasing order of (code length, code rank in
-    code_matrix order, numeric values), which the verifier checks.
+    (False or 0).  It yields grid blocks (codes int8[R, t] | None, first,
+    values[R, K]) of at most SAMPLE_BLOCK_ROWS cells: cell (r, k) is the
+    code codes[r] (entries +-1, t <= width), the index n = first + k and
+    its value v, the label in function mode and the x accepted with n in
+    relation mode.  Within a block the codes come in strictly increasing
+    (length, code_matrix rank) order, and each block's first cell follows
+    the last cell of the one before, which the verifier checks.
     """
 
     tracks: tuple = ()
@@ -401,18 +404,14 @@ class _RunOracle(WordOracle):
         return v is not None and nums[1] == v
 
     def samples(self, width: int) -> Iterator[tuple]:
+        # whole rows per block, or column ranges of a row wider than a block
         for codes, first, values in self._tables(width):
-            for lo in range(0, values.size, SAMPLE_BLOCK_ROWS):
-                rows = np.arange(lo, min(lo + SAMPLE_BLOCK_ROWS, values.size))
-                code, k = np.divmod(rows, values.shape[1])
-                n, v, track0 = k + first, values[code, k], None
-                if codes is not None:
-                    track0 = np.zeros((len(rows), width), dtype=np.int8)
-                    track0[:, : codes.shape[1]] = codes[code]
-                if self.mode == "output":
-                    yield track0, n[:, None], v
-                else:
-                    yield track0, np.stack([n, v], axis=1), np.ones(len(n), dtype=bool)
+            rows = max(1, SAMPLE_BLOCK_ROWS // max(1, values.shape[1]))
+            span = SAMPLE_BLOCK_ROWS
+            for r in range(0, len(values), rows):
+                block = None if codes is None else codes[r : r + rows]
+                for lo in range(0, values.shape[1], span):
+                    yield block, first + lo, values[r : r + rows, lo : lo + span]
 
 
 class _CodeFamilyOracle(_RunOracle):
@@ -589,43 +588,6 @@ class Counterexample:
         )
 
 
-def _row_word(track0, nums: np.ndarray, width: int, r: int) -> tuple[tuple, ...]:
-    """The width-symbol word of sample row r: track 0 (if any), nums lsd-first."""
-    tracks = [[(v >> i) & 1 for i in range(width)] for v in nums[r].tolist()]
-    if track0 is not None:
-        tracks.insert(0, track0[r].tolist())
-    return tuple(zip(*tracks))
-
-
-def _sample_keys(track0, nums: np.ndarray, width: int) -> np.ndarray:
-    """Each row's enumeration key (code length, code rank, values) as one int64.
-
-    A code of length t and code_matrix rank r is code number 2**t - 1 + r
-    in (length, rank) order; each value, below 2**width, follows as a
-    width-bit digit.
-    """
-    key = np.zeros(len(nums), dtype=np.int64)
-    if track0 is not None:
-        t = np.count_nonzero(track0, axis=1)
-        minus = (track0 == -1).astype(np.int64) @ (1 << np.arange(width)[::-1])
-        key = (1 << t) - 1 + (minus >> (width - t))
-    for v in nums.T:
-        key = (key << width) | v
-    return key
-
-
-def _final_states(a: MultiTrackAutomaton, track0, nums: np.ndarray, width: int):
-    """The state each row's word leads to, by one table gather per position."""
-    numeric = np.ascontiguousarray(nums.T)
-    q = np.zeros(len(nums), dtype=np.intp)
-    for i in range(width):
-        symbol = [(v >> i) & 1 for v in numeric]
-        if track0 is not None:
-            symbol.insert(0, track0[:, i])
-        q = a.table[q, a.columns(symbol)]
-    return q
-
-
 def _padding(a: MultiTrackAutomaton, constrained: bool) -> np.ndarray:
     """1 for the symbols that pad track 0 (read 0 there), else 0.
 
@@ -722,10 +684,12 @@ def verify_exhaustive(
 ) -> "Counterexample | None":
     """Compare A with the oracle on every valid-track-0 word of length <= depth.
 
-    Positive side: walk every block of non-default samples through the
-    dense table, one gather per position, and compare the labels as
-    vectors.  The samples of a width must come in strictly increasing key
-    order, so none is counted twice.  Negative side: count words per label
+    Positive side: walk every grid block of non-default samples through one
+    flat copy of the table, premultiplied by the symbol count, one gather
+    per position over all the block's cells, and compare the labels as
+    arrays.  The codes of a width must come in strictly increasing order,
+    and each block must start past the last cell of the block before, so
+    no sample is counted twice.  Negative side: count words per label
     (valid track 0 only) and match against the sample tally; a count
     mismatch means A labels some default word otherwise, which a pruned
     search then materializes.  Together these two sides are exactly
@@ -737,44 +701,68 @@ def verify_exhaustive(
         raise ValueError("automaton and oracle modes differ")
     if depth < 0:
         raise ValueError(f"verification depth must be >= 0, got {depth}")
-    default = oracle.default
+    default, relation = oracle.default, a.mode == "accept"
     constrained = oracle.has_instruction_track
     numeric = len(a.tracks) - constrained
-    # keys take depth + 1 bits for the code and depth bits per value.  The
-    # int64 label counts need the universe below 2**63: with a code track
-    # it is below 2**bits, without one it is 2**bits.
+    # the int64 label counts need the universe below 2**63: with a code
+    # track it is below 2**bits, without one it is 2**bits
     bits = (depth + 1 if constrained else 0) + depth * numeric
     if bits > 63 or (bits == 63 and not constrained):
-        raise ValueError(
-            f"sample keys or label counts at depth {depth} do not fit in int64"
-        )
+        raise ValueError(f"label counts at depth {depth} do not fit in int64")
     values, counts = _completion_counts(a, depth, constrained)
+    # a symbol's column: its digits in mixed radix, track 0 most significant;
+    # an instruction's digit is its value + 1 (padding 1), a bit's the bit
+    size = len(a.symbols)
+    weight = [size // math.prod(map(len, a.tracks[: j + 1])) for j in range(2)]
+    flat, pad = (a.table.astype(np.intp) * size).ravel(), weight[0] * constrained
     for width in range(depth + 1):
         tally: dict = defaultdict(int)
-        last = np.array([-1])
-        for track0, nums, expected in oracle.samples(width):
-            if nums.size and not 0 <= nums.min() <= nums.max() < 2**width:
+        last = (-1, 0)  # (code key, n) of the previous block's last cell
+        for codes, first, grid in oracle.samples(width):
+            if grid.size == 0:
+                continue
+            if codes is None:
+                codes = np.zeros((len(grid), 0), dtype=np.int8)
+            t, n = codes.shape[1], first + np.arange(grid.shape[1])
+            if t > width or first < 0 or n[-1] >= 2**width or (
+                relation and not 0 <= grid.min() <= grid.max() < 2**width
+            ):
                 raise InferenceError(
-                    f"{oracle.name}: a sample value does not fit width {width}"
+                    f"{oracle.name}: a sample code or value does not fit width {width}"
                 )
-            keys = np.concatenate([last, _sample_keys(track0, nums, width)])
-            if np.any(keys[1:] <= keys[:-1]):
+            if not np.isin(codes, (-1, 1)).all():
+                raise InferenceError(
+                    f"{oracle.name}: a sample code at width {width} has an "
+                    "entry other than -1 or +1"
+                )
+            # the code of length t and code_matrix rank r is number 2**t - 1 + r
+            keys = (1 << t) - 1 + (codes == -1) @ (1 << np.arange(t)[::-1])
+            if np.any(keys[1:] <= keys[:-1]) or (keys[0].item(), first) <= last:
                 raise InferenceError(
                     f"{oracle.name}: samples at width {width} repeat or are "
                     "out of order"
                 )
-            last = keys[-1:]
-            got = a.labels[_final_states(a, track0, nums, width)]
-            bad = np.flatnonzero(got != expected)
+            last = (keys[-1].item(), n[-1].item())
+            digits, q = (codes + 1) * weight[0], np.zeros(grid.shape, dtype=np.intp)
+            for i in range(width):
+                col = ((n >> i) & 1) * weight[constrained]
+                col = col + (digits[:, i : i + 1] if i < t else pad)
+                if relation:
+                    col = col + ((grid >> i) & 1)
+                q = flat[q + col]
+            got = a.labels[q // size]
+            bad = np.flatnonzero(got != (True if relation else grid))
             if len(bad):
-                r = bad[0]
+                r, k = divmod(bad[0].item(), grid.shape[1])
+                nums = [n[k].item(), grid[r, k].item()][:numeric]
+                tracks = [[(v >> i) & 1 for i in range(width)] for v in nums]
+                if constrained:
+                    tracks.insert(0, codes[r].tolist() + [0] * (width - t))
+                want = True if relation else grid[r, k].item()
                 return Counterexample(
-                    _row_word(track0, nums, width, r),
-                    got[r].item(),
-                    expected[r].item(),
-                    constrained,
+                    tuple(zip(*tracks)), got[r, k].item(), want, constrained
                 )
-            for lbl, count in zip(*np.unique(expected, return_counts=True)):
+            for lbl, count in zip(*np.unique(got, return_counts=True)):
                 tally[lbl.item()] += int(count)
         tally[default] += _universe_size(oracle, width) - sum(tally.values())
         found = dict(zip(values, counts[width][0, 0].tolist()))

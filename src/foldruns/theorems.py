@@ -158,7 +158,7 @@ def prop4(L: int = 12) -> CheckReport:
     """Every run of every code of effective length t <= L has length 1, 2, or 3."""
     bound = _codes_bound("prop4", L, 1)
     for t in range(1, L + 1):
-        codes, lengths, _ = _family_run_data(t)
+        codes, lengths = _family_run_data(t)[:2]
         bad = np.argwhere((lengths < 1) | (lengths > 3))
         if bad.size:
             r, k = map(int, bad[0])
@@ -199,7 +199,7 @@ def overlapfree(L: int = 10) -> CheckReport:
     """Run-length words of all codes with t <= L contain no overlap axaxa."""
     bound = _codes_bound("overlapfree", L, 3)
     for t in range(1, L + 1):
-        codes, lengths, _ = _family_run_data(t)
+        codes, lengths = _family_run_data(t)[:2]
         rows, starts, periods = _repetitions(_Levels(lengths), 1)
         if rows.size:
             # the first by period, then row, then start
@@ -247,7 +247,7 @@ def squares_present(L: int = 7, flag_up_to: int = 10) -> CheckReport:
     bound = f"codes t={L}, sampled to t<={flag_up_to}"
     notes = []
     for t in range(L, max(L, flag_up_to) + 1):
-        codes, lengths, _ = _family_run_data(t)
+        codes, lengths = _family_run_data(t)[:2]
         m = lengths.shape[1]
         for square in sorted(EXPECTED_SQUARES):
             q = len(square)

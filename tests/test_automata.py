@@ -147,8 +147,32 @@ def _sample_word(track0, nums, width):
     return tuple((track0[i],) + bits[i] for i in range(width))
 
 
+def _sample_tables(oracle, width):
+    """Each table's samples as rows (track0 int8[N, width] | None, nums
+    int64[N, m], labels[N]): the grid blocks of one code length, or of no
+    code, flattened cell by cell in order."""
+    def code_length(block):
+        return None if block[0] is None else block[0].shape[1]
+
+    for _, group in itertools.groupby(oracle.samples(width), code_length):
+        parts = []
+        for codes, first, values in group:
+            code, k = np.divmod(np.arange(values.size), values.shape[1])
+            n, v, track0 = first + k, values.ravel(), None
+            if codes is not None:
+                track0 = np.zeros((values.size, width), dtype=np.int8)
+                track0[:, : codes.shape[1]] = codes[code]
+            if oracle.mode == "output":
+                parts.append((track0, n[:, None], v))
+            else:
+                parts.append((track0, np.stack([n, v], axis=1), np.ones(v.size, bool)))
+        yield tuple(
+            None if part[0] is None else np.concatenate(part) for part in zip(*parts)
+        )
+
+
 def _sample_rows(oracle, width):
-    """(word, label) of every sample, the blocks flattened into rows."""
+    """(word, label) of every sample, the grid blocks flattened into rows."""
     return [
         (
             _sample_word(
@@ -156,7 +180,7 @@ def _sample_rows(oracle, width):
             ),
             lbl,
         )
-        for track0, nums, labels in oracle.samples(width)
+        for track0, nums, labels in _sample_tables(oracle, width)
         for r, lbl in enumerate(labels.tolist())
     ]
 
@@ -191,17 +215,26 @@ def test_oracle_samples_are_the_non_default_universe(make, max_width):
 
 
 def _samples_digest(oracle, max_width):
-    """SHA-256 of every sample row, as lists, with its block's dtypes."""
+    """SHA-256 of every sample row, as lists, with its block's dtypes.
+
+    The rows of each table are cut into blocks of SAMPLE_BLOCK_ROWS rows,
+    as the oracles yielded them when the digests were pinned.
+    """
     h = hashlib.sha256()
     for width in range(max_width + 1):
-        for track0, nums, labels in oracle.samples(width):
-            dtypes = (nums.dtype, labels.dtype)
-            if track0 is not None:
-                dtypes += (track0.dtype,)
-            h.update(repr((width, *map(str, dtypes))).encode())
-            t0 = [None] * len(nums) if track0 is None else track0.tolist()
-            for row in zip(t0, nums.tolist(), labels.tolist()):
-                h.update(repr(row).encode())
+        for table in _sample_tables(oracle, width):
+            for lo in range(0, len(table[1]), automata.SAMPLE_BLOCK_ROWS):
+                track0, nums, labels = (
+                    None if part is None else part[lo : lo + automata.SAMPLE_BLOCK_ROWS]
+                    for part in table
+                )
+                dtypes = (nums.dtype, labels.dtype)
+                if track0 is not None:
+                    dtypes += (track0.dtype,)
+                h.update(repr((width, *map(str, dtypes))).encode())
+                t0 = [None] * len(nums) if track0 is None else track0.tolist()
+                for row in zip(t0, nums.tolist(), labels.tolist()):
+                    h.update(repr(row).encode())
     return h.hexdigest()
 
 
@@ -766,33 +799,46 @@ def test_infer_rejects_a_minimization_that_changes_behavior(monkeypatch):
 
 
 class _RepeatingOracle(RunLengthOracle):
-    """Run lengths with one sample repeated: in a block, or as a block of its own."""
+    """Run lengths with one sample repeated: a code row in a block, or a
+    block's last cell as a block of its own."""
 
     def __init__(self, across_blocks: bool):
         super().__init__()
         self.across_blocks = across_blocks
 
     def samples(self, width):
-        for track0, nums, labels in super().samples(width):
+        for codes, first, values in super().samples(width):
             if width == 3 and self.across_blocks:
-                yield track0, nums, labels
-                yield track0[-1:], nums[-1:], labels[-1:]
+                yield codes, first, values
+                yield codes[-1:], first + values.shape[1] - 1, values[-1:, -1:]
             elif width == 3:
-                again = [0, *range(len(nums))]
-                yield track0[again], nums[again], labels[again]
+                again = [0, *range(len(values))]
+                yield codes[again], first, values[again]
             else:
-                yield track0, nums, labels
+                yield codes, first, values
 
 
 class _OverflowingOracle(RegularLengthOracle):
-    """Regular run lengths with one sample index too wide for its width."""
+    """Regular run lengths with the last sample index too wide for its width."""
 
     def samples(self, width):
-        for track0, nums, labels in super().samples(width):
-            if width == 2:
-                nums = nums.copy()
-                nums[-1, 0] = 4
-            yield track0, nums, labels
+        for codes, first, values in super().samples(width):
+            yield codes, first + (width == 2), values
+
+
+class _BadCodeOracle(RunLengthOracle):
+    """Run lengths with one code entry of a width-3 block replaced."""
+
+    def __init__(self, entry: int):
+        super().__init__()
+        self.entry = entry
+
+    def samples(self, width):
+        for codes, first, values in super().samples(width):
+            if width == 3:
+                codes = codes.copy()
+                codes[-1, -1] = self.entry
+            yield codes, first, values
 
 
 @pytest.mark.parametrize("across_blocks", [False, True])
@@ -809,6 +855,29 @@ def test_verifier_rejects_samples_outside_the_width():
     machine = infer_automaton(RegularLengthOracle(), sample_depth=6, test_depth=4)
     with pytest.raises(InferenceError, match="does not fit width 2"):
         verify_exhaustive(machine, _OverflowingOracle(), 4)
+
+
+class _WideCodeOracle(RunLengthOracle):
+    """Run lengths with every code one instruction longer than its table's."""
+
+    def samples(self, width):
+        for codes, first, values in super().samples(width):
+            yield np.hstack([codes, codes[:, :1]]), first, values
+
+
+def test_verifier_rejects_codes_longer_than_the_width(rl_machine):
+    with pytest.raises(InferenceError, match="code or value does not fit width 1"):
+        verify_exhaustive(rl_machine, _WideCodeOracle(), 4)
+
+
+@pytest.mark.parametrize("entry", [0, 2, -2])
+def test_verifier_rejects_code_entries_other_than_plus_or_minus_one(rl_machine, entry):
+    # a 0 inside a code would walk a padding symbol, and the code key assumes
+    # a code of +-1 entries, so such a sample is an error, whatever the machine
+    with pytest.raises(
+        InferenceError, match="run-length: a sample code at width 3 has an entry"
+    ):
+        verify_exhaustive(rl_machine, _BadCodeOracle(entry), 4)
 
 
 def test_verifier_rejects_negative_depths():
@@ -829,7 +898,7 @@ class _CountsReached(Exception):
 def test_verifier_rejects_depths_whose_keys_overflow(
     monkeypatch, sp_machine, rl_machine, regular_length_machine
 ):
-    # keys take depth + 1 bits for the code and depth bits per value
+    # the universe takes depth + 1 bits for the code and depth bits per value
     with pytest.raises(ValueError, match="do not fit in int64"):
         verify_exhaustive(sp_machine, StartRelationOracle(), 21)
     with pytest.raises(ValueError, match="do not fit in int64"):
@@ -851,7 +920,7 @@ def test_verifier_rejects_depths_whose_keys_overflow(
 
 
 def test_sample_blocks_may_split_anywhere(monkeypatch, rl_machine):
-    # a block boundary may fall inside the rows of one code; the rows, the
+    # a block boundary may fall inside the row of one code; the rows, the
     # verdicts and the counterexamples do not depend on where it falls
     oracles = [
         StartRelationOracle(),
@@ -868,10 +937,34 @@ def test_sample_blocks_may_split_anywhere(monkeypatch, rl_machine):
     assert cex is not None
     monkeypatch.setattr(automata, "SAMPLE_BLOCK_ROWS", 5)
     for oracle in oracles:
-        assert all(len(nums) <= 5 for _, nums, _ in oracle.samples(6))
+        assert all(values.size <= 5 for _, _, values in oracle.samples(6))
     assert all_rows() == whole
     assert verify_exhaustive(rl_machine, RunLengthOracle(), 6) is None
     assert verify_exhaustive(mutant, RunLengthOracle(), 6) == cex
+
+
+@pytest.mark.parametrize("make", [RegularLengthOracle, GapOracle])
+def test_codeless_grids_split_by_columns_keep_the_verdicts(monkeypatch, make):
+    # a regular table is one row of every index; cut into column ranges
+    # narrower than the row, it gives the same verdicts and counterexamples
+    machine = infer_automaton(make(), sample_depth=6, test_depth=4)
+    rng = random.Random(make.__name__)
+    mutants = [machine] + [
+        mutated_transition(
+            machine,
+            rng.randrange(machine.n_states),
+            rng.choice(machine.symbols),
+            rng.randrange(machine.n_states),
+        )
+        for _ in range(8)
+    ]
+    whole = [verify_exhaustive(m, make(), 8) for m in mutants]
+    assert whole[0] is None and any(cex is not None for cex in whole)
+    monkeypatch.setattr(automata, "SAMPLE_BLOCK_ROWS", 5)
+    blocks = list(make().samples(8))
+    assert len(blocks) > 1
+    assert all(c is None and values.shape == (1, 5) for c, _, values in blocks[:-1])
+    assert [verify_exhaustive(m, make(), 8) for m in mutants] == whole
 
 
 # depth-10 counterexamples (word, automaton label, oracle label) of
