@@ -407,11 +407,11 @@ class _RunOracle(WordOracle):
         # whole rows per block, or column ranges of a row wider than a block
         for codes, first, values in self._tables(width):
             rows = max(1, SAMPLE_BLOCK_ROWS // max(1, values.shape[1]))
-            span = SAMPLE_BLOCK_ROWS
             for r in range(0, len(values), rows):
                 block = None if codes is None else codes[r : r + rows]
-                for lo in range(0, values.shape[1], span):
-                    yield block, first + lo, values[r : r + rows, lo : lo + span]
+                for lo in range(0, values.shape[1], SAMPLE_BLOCK_ROWS):
+                    cells = values[r : r + rows, lo : lo + SAMPLE_BLOCK_ROWS]
+                    yield block, first + lo, cells
 
 
 class _CodeFamilyOracle(_RunOracle):

@@ -857,6 +857,28 @@ def test_verifier_rejects_samples_outside_the_width():
         verify_exhaustive(machine, _OverflowingOracle(), 4)
 
 
+class _WideValueOracle(RegularStartOracle):
+    """Regular run starts with the last value at width 2 replaced."""
+
+    def __init__(self, value: int):
+        super().__init__()
+        self.value = value
+
+    def samples(self, width):
+        for codes, first, values in super().samples(width):
+            if width == 2:
+                values = values.copy()
+                values[0, -1] = self.value
+            yield codes, first, values
+
+
+@pytest.mark.parametrize("value", [4, -1])
+def test_verifier_rejects_related_values_outside_the_width(value):
+    machine = infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
+    with pytest.raises(InferenceError, match="code or value does not fit width 2"):
+        verify_exhaustive(machine, _WideValueOracle(value), 4)
+
+
 class _WideCodeOracle(RunLengthOracle):
     """Run lengths with every code one instruction longer than its table's."""
 
