@@ -151,6 +151,7 @@ def _sample_tables(oracle, width):
     """Each table's samples as rows (track0 int8[N, width] | None, nums
     int64[N, m], labels[N]): the grid blocks of one code length, or of no
     code, flattened cell by cell in order."""
+
     def code_length(block):
         return None if block[0] is None else block[0].shape[1]
 
@@ -826,19 +827,21 @@ class _OverflowingOracle(RegularLengthOracle):
             yield codes, first + (width == 2), values
 
 
-class _BadCodeOracle(RunLengthOracle):
-    """Run lengths with one code entry of a width-3 block replaced."""
+def _edited_oracle(base, width, edit):
+    """An oracle of class `base` whose blocks at `width` pass through `edit`."""
 
-    def __init__(self, entry: int):
-        super().__init__()
-        self.entry = entry
+    class Edited(base):
+        def samples(self, w):
+            for block in super().samples(w):
+                yield edit(*block) if w == width else block
 
-    def samples(self, width):
-        for codes, first, values in super().samples(width):
-            if width == 3:
-                codes = codes.copy()
-                codes[-1, -1] = self.entry
-            yield codes, first, values
+    return Edited()
+
+
+def _with(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
 
 
 @pytest.mark.parametrize("across_blocks", [False, True])
@@ -857,49 +860,35 @@ def test_verifier_rejects_samples_outside_the_width():
         verify_exhaustive(machine, _OverflowingOracle(), 4)
 
 
-class _WideValueOracle(RegularStartOracle):
-    """Regular run starts with the last value at width 2 replaced."""
-
-    def __init__(self, value: int):
-        super().__init__()
-        self.value = value
-
-    def samples(self, width):
-        for codes, first, values in super().samples(width):
-            if width == 2:
-                values = values.copy()
-                values[0, -1] = self.value
-            yield codes, first, values
-
-
 @pytest.mark.parametrize("value", [4, -1])
 def test_verifier_rejects_related_values_outside_the_width(value):
     machine = infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
+    oracle = _edited_oracle(
+        RegularStartOracle, 2, lambda c, f, v: (c, f, _with(v, (0, -1), value))
+    )
     with pytest.raises(InferenceError, match="code or value does not fit width 2"):
-        verify_exhaustive(machine, _WideValueOracle(value), 4)
-
-
-class _WideCodeOracle(RunLengthOracle):
-    """Run lengths with every code one instruction longer than its table's."""
-
-    def samples(self, width):
-        for codes, first, values in super().samples(width):
-            yield np.hstack([codes, codes[:, :1]]), first, values
+        verify_exhaustive(machine, oracle, 4)
 
 
 def test_verifier_rejects_codes_longer_than_the_width(rl_machine):
+    oracle = _edited_oracle(
+        RunLengthOracle, 1, lambda c, f, v: (np.hstack([c, c[:, :1]]), f, v)
+    )
     with pytest.raises(InferenceError, match="code or value does not fit width 1"):
-        verify_exhaustive(rl_machine, _WideCodeOracle(), 4)
+        verify_exhaustive(rl_machine, oracle, 4)
 
 
 @pytest.mark.parametrize("entry", [0, 2, -2])
 def test_verifier_rejects_code_entries_other_than_plus_or_minus_one(rl_machine, entry):
     # a 0 inside a code would walk a padding symbol, and the code key assumes
     # a code of +-1 entries, so such a sample is an error, whatever the machine
+    oracle = _edited_oracle(
+        RunLengthOracle, 3, lambda c, f, v: (_with(c, (-1, -1), entry), f, v)
+    )
     with pytest.raises(
         InferenceError, match="run-length: a sample code at width 3 has an entry"
     ):
-        verify_exhaustive(rl_machine, _BadCodeOracle(entry), 4)
+        verify_exhaustive(rl_machine, oracle, 4)
 
 
 def test_verifier_rejects_negative_depths():
@@ -1051,8 +1040,9 @@ def test_depth_10_mutant_counterexamples_are_pinned(
 
     pins = MUTANT_COUNTEREXAMPLES[name]
     assert outcomes(pins) == pins
+    failing = [pin for pin in pins if pin[1] is not None]
     monkeypatch.setattr(automata, "SAMPLE_BLOCK_ROWS", 7)
-    assert outcomes(pins[:-1]) == pins[:-1]
+    assert outcomes(failing) == failing
 
 
 # counterexample words verify_exhaustive hands the learner at depths 6/4,
