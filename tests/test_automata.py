@@ -69,7 +69,7 @@ from foldruns.automata import (
 )
 from foldruns.foldcore import code_matrix
 from foldruns.runs import _regular_gaps
-from mutants import mutated_label, mutated_transition
+from mutants import mutated_label, mutated_transition, seeded_transition_mutants
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=0, max_size=5).map(
     tuple
@@ -976,6 +976,91 @@ def test_codeless_grids_split_by_columns_keep_the_verdicts(monkeypatch, make):
     assert len(blocks) > 1
     assert all(c is None and values.shape == (1, 5) for c, _, values in blocks[:-1])
     assert [verify_exhaustive(m, make(), 8) for m in mutants] == whole
+
+
+def _one_cell_verdicts(monkeypatch, machines, make, depth):
+    """verify_exhaustive's verdicts with blocks of one cell each."""
+    with monkeypatch.context() as patch:
+        patch.setattr(automata, "SAMPLE_BLOCK_ROWS", 1)
+        assert all(values.size == 1 for _, _, values in make().samples(3))
+        return [verify_exhaustive(m, make(), depth) for m in machines]
+
+
+@pytest.mark.parametrize(
+    "fixture, make",
+    [
+        ("rl_machine", RunLengthOracle),
+        ("sp_machine", StartRelationOracle),
+        ("tt_machine", GapOracle),
+    ],
+)
+def test_one_cell_blocks_keep_the_counterexamples_of_mutants(
+    request, monkeypatch, fixture, make
+):
+    # a block of one cell is walked symbol by symbol from the initial
+    # state, so every block shape must find the same first counterexample.
+    # A mutant that passes walks the whole depth-8 universe, which takes
+    # seconds one cell at a time, so only the failing mutants are compared
+    machine = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    mutants = seeded_transition_mutants(machine, 6, seed=2025)
+    mutants += [mutated_label(machine, q) for q in rng.sample(range(machine.n_states), 3)]
+    whole = [verify_exhaustive(m, make(), 8) for m in mutants]
+    failing = [(m, cex) for m, cex in zip(mutants, whole) if cex is not None]
+    assert len(failing) >= 6 and max(len(cex.word) for _, cex in failing) >= 4
+    per_cell = _one_cell_verdicts(monkeypatch, [m for m, _ in failing], make, 8)
+    assert per_cell == [cex for _, cex in failing]
+
+
+@pytest.mark.parametrize("make", [RegularStartOracle, RegularLengthOracle])
+def test_one_cell_blocks_keep_the_verdicts_of_random_machines(monkeypatch, make):
+    # random tables, and random edits of the inferred machine, which agree
+    # with the oracle on more words; a codeless universe is small enough to
+    # compare the machines that pass, too
+    rng = random.Random(make.__name__)
+    states, symbols = rng.randrange, rng.choice
+    machines = []
+    for _ in range(8):
+        m = _random_machine(rng, make.tracks)
+        if make.mode == "output":
+            labels = [rng.randrange(4) for _ in range(m.n_states)]
+            m = MultiTrackAutomaton(m.tracks, m.table, labels, "output")
+        machines.append(m)
+    machine = infer_automaton(make(), sample_depth=8, test_depth=5)
+    for _ in range(16):
+        m = machine
+        for _ in range(rng.randint(1, 3)):
+            m = mutated_transition(
+                m, states(m.n_states), symbols(m.symbols), states(m.n_states)
+            )
+        machines.append(mutated_label(m, states(m.n_states)) if rng.random() < 0.3 else m)
+    whole = [verify_exhaustive(m, make(), 8) for m in machines]
+    assert _one_cell_verdicts(monkeypatch, machines, make, 8) == whole
+    assert max(len(cex.word) for cex in whole if cex is not None) >= 4
+
+
+@pytest.mark.parametrize(
+    "make, depths, calls",
+    [
+        (RunLengthOracle, (10, 6), 1903),
+        (StartRelationOracle, (8, 5), 2085),
+        (GapOracle, (10, 6), 211),
+    ],
+)
+def test_learner_label_calls_are_pinned(make, depths, calls):
+    # the learner asks the oracle about each word once, whatever the table
+    # layout; the count is the number of distinct words it ever needs
+    oracle = make()
+    asked = Counter()
+    real = oracle.label
+
+    def counting(word):
+        asked[word] += 1
+        return real(word)
+
+    oracle.label = counting
+    infer_automaton(oracle, *depths)
+    assert sum(asked.values()) == calls
 
 
 # depth-10 counterexamples (word, automaton label, oracle label) of
