@@ -33,9 +33,9 @@ from .runs import (
     _family_run_data,
     _regular_gaps,
     _regular_run_data,
+    _span,
     regular_run_end,
     regular_run_span,
-    run_span,
 )
 from .foldcore import PAD, FoldCode, InvalidCodeError, as_code, is_valid_code
 
@@ -394,7 +394,9 @@ class _RunOracle(WordOracle):
 
     def _pick(self, lengths, ends):
         """The run column of runs with these lengths and ends."""
-        return (ends - lengths + 1, ends, lengths)[self.column]
+        if self.column == 0:  # only the starts are computed
+            return ends - lengths + 1
+        return ends if self.column == 1 else lengths
 
     def label(self, word):
         raw, nums = decode_raw(word, len(self.tracks) - self.has_instruction_track)
@@ -435,7 +437,7 @@ class _CodeFamilyOracle(_RunOracle):
             return self.value_at_zero if t >= 1 or self.empty_code_relates else None
         if t < 1 or n > 2 ** (t - 1):
             return None
-        s, e = run_span(FoldCode(raw), n)
+        s, e = _span(raw, t, n)  # a valid code's first t symbols are its instructions
         return self._pick(e - s + 1, e)
 
     def _table(self, t: int) -> tuple:
@@ -679,21 +681,56 @@ def _find_overaccepted(
     return Counterexample(w, target, oracle.label(w), constrained)
 
 
+def _final_states(
+    flat: np.ndarray, digits: np.ndarray, n: np.ndarray, grid, relation: bool, wn: int
+) -> np.ndarray:
+    """The premultiplied state of every cell of a grid block after its word.
+
+    digits[r, i] is the column part of code row r at position i, n the
+    block's indices (weight wn) and grid its values, whose bits are read
+    as x in relation mode.  A cell's state after i symbols depends only on
+    its row and the low i bits of n, and of x in relation mode, so the walk
+    first grows each row's table of those states, of shape (R, 2**i, 1) or
+    (R, 2**i, 2**i), while a row's table is no larger than its K cells.
+    Each cell then looks its state up once and walks the remaining
+    positions on its own, in place.
+    """
+    (rows, cells), width = grid.shape, digits.shape[1]
+    ns, xs = np.arange(2) * wn, np.arange(1 + relation)
+    i, table = 0, np.zeros((rows, 1, 1), dtype=np.intp)
+    while i < width and 1 << (i + 1) * (1 + relation) <= cells:
+        step = digits[:, i, None, None, None, None] + ns[:, None, None, None] + xs[:, None]
+        table = flat[table[:, None, :, None, :] + step].reshape(rows, 2 << i, -1)
+        i += 1
+    mask = (1 << i) - 1
+    if relation:
+        q = table[np.arange(rows)[:, None], n & mask, grid & mask]
+    else:
+        q = table[:, n & mask, 0]
+    for i in range(i, width):
+        q += digits[:, i, None]
+        q += (n >> i & 1) * wn
+        if relation:
+            q += grid >> i & 1
+        np.take(flat, q, out=q)
+    return q
+
+
 def verify_exhaustive(
     a: MultiTrackAutomaton, oracle: WordOracle, depth: int
 ) -> "Counterexample | None":
     """Compare A with the oracle on every valid-track-0 word of length <= depth.
 
     Positive side: walk every grid block of non-default samples through one
-    flat copy of the table, premultiplied by the symbol count, one gather
-    per position over all the block's cells, and compare the labels as
-    arrays.  The codes of a width must come in strictly increasing order,
-    and each block must start past the last cell of the block before, so
-    no sample is counted twice.  Negative side: count words per label
-    (valid track 0 only) and match against the sample tally; a count
-    mismatch means A labels some default word otherwise, which a pruned
-    search then materializes.  Together these two sides are exactly
-    word-by-word comparison over the whole universe.
+    flat copy of the table, premultiplied by the symbol count
+    (_final_states), and compare the labels as arrays.  The codes of a
+    width must come in strictly increasing order, and each block must start
+    past the last cell of the block before, so no sample is counted twice.
+    Negative side: count words per label (valid track 0 only) and match
+    against the sample tally; a count mismatch means A labels some default
+    word otherwise, which a pruned search then materializes.  Together
+    these two sides are exactly word-by-word comparison over the whole
+    universe.
     """
     if tuple(tuple(t) for t in oracle.tracks) != a.tracks:
         raise ValueError("automaton and oracle alphabets differ")
@@ -715,8 +752,9 @@ def verify_exhaustive(
     size = len(a.symbols)
     weight = [size // math.prod(map(len, a.tracks[: j + 1])) for j in range(2)]
     flat, pad = (a.table.astype(np.intp) * size).ravel(), weight[0] * constrained
+    label = np.repeat(a.labels, size)  # the label of a premultiplied state
     for width in range(depth + 1):
-        tally: dict = defaultdict(int)
+        reached = np.zeros(len(flat), dtype=np.int64)  # cells per end state
         last = (-1, 0)  # (code key, n) of the previous block's last cell
         for codes, first, grid in oracle.samples(width):
             if grid.size == 0:
@@ -730,27 +768,24 @@ def verify_exhaustive(
                 raise InferenceError(
                     f"{oracle.name}: a sample code or value does not fit width {width}"
                 )
-            if not np.isin(codes, (-1, 1)).all():
+            minus = codes == -1
+            if not (minus | (codes == 1)).all():
                 raise InferenceError(
                     f"{oracle.name}: a sample code at width {width} has an "
                     "entry other than -1 or +1"
                 )
             # the code of length t and code_matrix rank r is number 2**t - 1 + r
-            keys = (1 << t) - 1 + (codes == -1) @ (1 << np.arange(t)[::-1])
+            keys = (1 << t) - 1 + minus @ (1 << np.arange(t)[::-1])
             if np.any(keys[1:] <= keys[:-1]) or (keys[0].item(), first) <= last:
                 raise InferenceError(
                     f"{oracle.name}: samples at width {width} repeat or are "
                     "out of order"
                 )
             last = (keys[-1].item(), n[-1].item())
-            digits, q = (codes + 1) * weight[0], np.zeros(grid.shape, dtype=np.intp)
-            for i in range(width):
-                col = ((n >> i) & 1) * weight[constrained]
-                col = col + (digits[:, i : i + 1] if i < t else pad)
-                if relation:
-                    col = col + ((grid >> i) & 1)
-                q = flat[q + col]
-            got = a.labels[q // size]
+            digits = np.full((len(grid), width), pad, dtype=np.intp)
+            digits[:, :t] = (codes + 1) * weight[0]
+            q = _final_states(flat, digits, n, grid, relation, weight[constrained])
+            got = label[q]
             bad = np.flatnonzero(got != (True if relation else grid))
             if len(bad):
                 r, k = divmod(bad[0].item(), grid.shape[1])
@@ -762,8 +797,10 @@ def verify_exhaustive(
                 return Counterexample(
                     tuple(zip(*tracks)), got[r, k].item(), want, constrained
                 )
-            for lbl, count in zip(*np.unique(got, return_counts=True)):
-                tally[lbl.item()] += int(count)
+            reached += np.bincount(q.ravel(), minlength=len(flat))
+        tally: dict = defaultdict(int)
+        for lbl, count in zip(a.labels.tolist(), reached[::size].tolist()):
+            tally[lbl] += count
         tally[default] += _universe_size(oracle, width) - sum(tally.values())
         found = dict(zip(values, counts[width][0, 0].tolist()))
         labels = sorted(set(found) | set(tally))
@@ -788,7 +825,10 @@ def infer_automaton(
     Observation-table learning: access words with pairwise distinct
     residual signatures become states; the table is closed under one-symbol
     extensions; counterexamples from bounded verification contribute all
-    their suffixes as new experiments.  The hypothesis is verified against
+    their suffixes as new experiments.  Each word keeps its observation
+    row across rounds, and a round extends it only with the cells of the
+    new experiments; each distinct word is labeled by the oracle once, one
+    `label` call per word.  The hypothesis is verified against
     the oracle on every word of length <= sample_depth; the returned machine
     is its minimization, proven equivalent to it at every length.  Each
     round verifies to test_depth first: the verifier returns the first
@@ -808,41 +848,41 @@ def infer_automaton(
 
     experiments: list[tuple] = [()]
     experiment_set = {()}
+    observed: dict = {}  # word -> its cells for the experiments so far
 
     def row(word: tuple) -> tuple:
-        return tuple(member(word + e) for e in experiments)
+        cells = observed.get(word, ())
+        if len(cells) < len(experiments):
+            new = experiments[len(cells) :]
+            cells = observed[word] = cells + tuple(member(word + e) for e in new)
+        return cells
 
     access: list[tuple] = [()]
 
-    for round_no in range(max_rounds):
-        # close the table: every one-symbol extension must match a known row
-        rows = {row(u): i for i, u in enumerate(access)}
-        if len(rows) < len(access):
-            seen: dict = {}
-            for u in access:
-                r = row(u)
-                if r in seen:
-                    raise InferenceError(
-                        f"access words {seen[r]!r} and {u!r} collapsed to one "
-                        f"signature; experiments cannot separate them"
-                    )
-                seen[r] = u
-        changed = True
-        while changed:
-            changed = False
-            for u in list(access):
-                for sym in symbols:
-                    r = row(u + (sym,))
-                    if r not in rows:
-                        rows[r] = len(access)
-                        access.append(u + (sym,))
-                        changed = True
-
+    for _ in range(max_rounds):
+        rows: dict = {}
+        for i, u in enumerate(access):
+            r = row(u)
+            if r in rows:
+                raise InferenceError(
+                    f"access words {access[rows[r]]!r} and {u!r} collapsed to one "
+                    f"signature; experiments cannot separate them"
+                )
+            rows[r] = i
+        # close the table: every one-symbol extension must match a known
+        # row; `access` grows while it is scanned, so each word is scanned once
+        table = []
+        for u in access:
+            successors = []
+            for sym in symbols:
+                r = row(u + (sym,))
+                if r not in rows:
+                    rows[r] = len(access)
+                    access.append(u + (sym,))
+                successors.append(rows[r])
+            table.append(successors)
         hypothesis = MultiTrackAutomaton(
-            oracle.tracks,
-            [[rows[row(u + (sym,))] for sym in symbols] for u in access],
-            [member(u) for u in access],
-            oracle.mode,
+            oracle.tracks, table, [row(u)[0] for u in access], oracle.mode
         )
 
         ce = verify_exhaustive(hypothesis, oracle, min(test_depth, sample_depth))

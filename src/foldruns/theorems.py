@@ -176,7 +176,7 @@ def thm3(L: int = 12) -> CheckReport:
     """
     bound = _codes_bound("thm3", L, 2)
     for t in range(2, L + 1):
-        codes, _, ends = _family_run_data(t)
+        codes, ends = _family_run_data(t)[::2]
         step = max(1, _RUN_BLOCK_CELLS // ends.shape[1])
         for lo in range(0, len(codes), step):
             block = slice(lo, lo + step)

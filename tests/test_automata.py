@@ -1040,6 +1040,27 @@ def test_one_cell_blocks_keep_the_verdicts_of_random_machines(monkeypatch, make)
 
 
 @pytest.mark.parametrize(
+    "fixture, make, cells",
+    [("sp_machine", StartRelationOracle, 16), ("rl_machine", RunLengthOracle, 8)],
+)
+def test_prefix_tables_as_large_as_their_blocks_keep_the_verdicts(
+    request, monkeypatch, fixture, make, cells
+):
+    # rows wider than a block split into one-row blocks of `cells` cells,
+    # and each such row's prefix table grows to exactly `cells` states:
+    # 4**2 entries of (n, x) low bits in relation mode, 2**3 of n in
+    # function mode, so every cell is looked up with no bit left to walk
+    machine = request.getfixturevalue(fixture)
+    mutants = [machine] + seeded_transition_mutants(machine, 6, seed=2026)
+    mutants += [mutated_label(machine, q) for q in (1, 2, 3)]
+    whole = [verify_exhaustive(m, make(), 7) for m in mutants]
+    assert whole[0] is None and sum(cex is not None for cex in whole) >= 6
+    monkeypatch.setattr(automata, "SAMPLE_BLOCK_ROWS", cells)
+    assert (1, cells) in {values.shape for _, _, values in make().samples(7)}
+    assert [verify_exhaustive(m, make(), 7) for m in mutants] == whole
+
+
+@pytest.mark.parametrize(
     "make, depths, calls",
     [
         (RunLengthOracle, (10, 6), 1903),
