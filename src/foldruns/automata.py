@@ -696,11 +696,13 @@ def _final_states(
     positions on its own, in place.
     """
     (rows, cells), width = grid.shape, digits.shape[1]
-    ns, xs = np.arange(2) * wn, np.arange(1 + relation)
+    # a new entry's axes are (row, n bit i, low n bits, x bit i, low x bits),
+    # so C order numbers its low bits b * 2**i + m and c * 2**i + y
+    ns, xs = (np.arange(2) * wn)[:, None, None, None], np.arange(1 + relation)[:, None]
     i, table = 0, np.zeros((rows, 1, 1), dtype=np.intp)
     while i < width and 1 << (i + 1) * (1 + relation) <= cells:
-        step = digits[:, i, None, None, None, None] + ns[:, None, None, None] + xs[:, None]
-        table = flat[table[:, None, :, None, :] + step].reshape(rows, 2 << i, -1)
+        col = digits[:, i, None, None, None, None] + ns + xs
+        table = flat[table[:, None, :, None, :] + col].reshape(rows, 2 << i, -1)
         i += 1
     mask = (1 << i) - 1
     if relation:
