@@ -265,13 +265,16 @@ def decode_raw(
     """
     if len(word) == 0:
         return (), (0,) * (numeric_tracks or 0)
-    k = len(word[0])
-    m = k - 1 if numeric_tracks is None else numeric_tracks
-    raw = tuple(sym[0] for sym in word)
-    nums = tuple(
-        sum((sym[j] & 1) << i for i, sym in enumerate(word)) for j in range(k - m, k)
-    )
-    return raw, nums
+    tracks = tuple(zip(*word))
+    if numeric_tracks is None:
+        numeric_tracks = len(tracks) - 1
+    nums = []
+    for track in tracks[len(tracks) - numeric_tracks :]:
+        v = 0
+        for bit in reversed(track):  # the last symbol carries the top bit
+            v = v << 1 | bit & 1
+        nums.append(v)
+    return tracks[0], tuple(nums)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +435,7 @@ class _CodeFamilyOracle(_RunOracle):
     def _value(self, raw: tuple[int, ...], n: int) -> "int | None":
         if not is_valid_code(raw):
             return None
-        t = sum(1 for s in raw if s != 0)
+        t = len(raw) - raw.count(0)
         if n == 0:
             return self.value_at_zero if t >= 1 or self.empty_code_relates else None
         if t < 1 or n > 2 ** (t - 1):
