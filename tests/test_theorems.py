@@ -28,9 +28,14 @@ from foldruns import (
     squares_present,
     thm3,
 )
-from foldruns import theorems
-from foldruns.foldcore import FoldCode, code_matrix
-from foldruns.runs import _family_run_data, _regular_gaps, _regular_run_data
+from foldruns import runs, theorems
+from foldruns.foldcore import FoldCode, code_matrix, paperfolding_word
+from foldruns.runs import (
+    _family_run_data,
+    _regular_gaps,
+    _regular_run_data,
+    run_decompose,
+)
 from repetitions import periodic_hits
 from mutants import mutated_label, seeded_transition_mutants
 
@@ -196,6 +201,72 @@ def test_thm3_witness_of_a_moved_run_end(monkeypatch, L, moves, witness):
 
     monkeypatch.setattr(theorems, "_family_run_data", moved)
     assert thm3(L).witness == witness
+
+
+def _move_run_end(monkeypatch, t, row, k, shift):
+    """Move the end of run k of code row `row` of length t `shift` symbols later.
+
+    The first `shift` symbols of run k + 1 take run k's symbol in the words
+    the run blocks are built from, so the run count stays and only run k's
+    end moves.  Returns the code's text and the true (length, end) of run k.
+    """
+    code = code_matrix(t)[row]
+    dec = run_decompose(paperfolding_word(code.tolist()))
+    length, end = int(dec.lengths[k - 1]), int(dec.ends[k - 1])
+    assert int(dec.lengths[k]) > shift
+    real = runs.word_matrix
+
+    def moved(codes):
+        words = real(codes)
+        if codes.shape[1] == t:
+            for r in np.flatnonzero((codes == code).all(axis=1)):
+                words[r, end : end + shift] = words[r, end - 1]
+        return words
+
+    monkeypatch.setattr(runs, "word_matrix", moved)
+    return FoldCode(code.tolist()).to_text(), length, end
+
+
+# (t, code row, run k, shift): run k grows past 3.  With 100 cells a block
+# holds 6 rows at t = 4 and 3 at t = 5, so rows 8 and 10 sit inside blocks
+@pytest.mark.parametrize(
+    "t, row, k, shift", [(4, 8, 6, 2), (5, 10, 13, 2), (6, 0, 5, 1), (6, 37, 17, 2)]
+)
+@pytest.mark.parametrize("cells", [None, 1, 7, 100])
+def test_prop4_and_thm3_witness_of_a_moved_run_end(
+    monkeypatch, t, row, k, shift, cells
+):
+    if cells is not None:
+        monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", cells)
+    code, length, end = _move_run_end(monkeypatch, t, row, k, shift)
+    assert length + shift > 3
+    assert prop1(6).passed
+    assert prop4(6).witness == (code, k, length + shift)
+    assert thm3(6).witness == (code, k, end + shift, end)
+
+
+@pytest.fixture(scope="module")
+def sp_label_mutants(sp_machine):
+    labels = [mutated_label(sp_machine, q) for q in range(sp_machine.n_states)]
+    return [sp_machine] + labels
+
+
+def _block_reports(mutants):
+    return [prop1(6), prop4(6), thm3(6)] + [sp_suite(6, m) for m in mutants]
+
+
+@pytest.fixture(scope="module")
+def default_block_reports(sp_label_mutants):
+    return _block_reports(sp_label_mutants)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_family_reports_do_not_depend_on_the_run_block_size(
+    monkeypatch, sp_label_mutants, default_block_reports, cells
+):
+    monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", cells)
+    assert _block_reports(sp_label_mutants) == default_block_reports
+    assert sum(not r.passed for rs in default_block_reports[3:] for r in rs) > 17
 
 
 def test_no_triple_extension_matches_reference_on_long_factors():
