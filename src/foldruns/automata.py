@@ -451,10 +451,8 @@ class _CodeFamilyOracle(_RunOracle):
         """
         hit = self._rows.get(t)
         if hit is None:
-            codes, column = np.zeros((1, 0), np.int8), np.zeros((1, 0), np.int32)
-            if t:
-                codes, lengths, ends = _family_run_data(t)
-                column = self._pick(lengths, ends)
+            codes, lengths, ends = _family_run_data(t)
+            column = self._pick(lengths, ends)
             zero = np.full((len(codes), 1), self.value_at_zero, dtype=np.int32)
             hit = self._rows[t] = (codes, 0, np.hstack([zero, column]))
         return hit
@@ -659,11 +657,11 @@ def _find_overaccepted(
     k = values.index(target)
     word: list = []
 
-    def descend(q: int, padded: int, remaining: int) -> "tuple | None":
+    def descend(q: int, padded: int, remaining: int) -> "Counterexample | None":
         if remaining == 0:
-            w = tuple(word)
-            if oracle.label(w) != target:
-                return w
+            got = oracle.label(tuple(word))
+            if got != target:
+                return Counterexample(tuple(word), target, got, constrained)
             return None
         for j, sym in enumerate(a.symbols):
             if padded and not pads[j]:
@@ -678,10 +676,7 @@ def _find_overaccepted(
             word.pop()
         return None
 
-    w = descend(0, 0, width)
-    if w is None:
-        return None
-    return Counterexample(w, target, oracle.label(w), constrained)
+    return descend(0, 0, width)
 
 
 def _final_states(
@@ -735,7 +730,7 @@ def verify_exhaustive(
     against the sample tally; a count mismatch means A labels some default
     word otherwise, which a pruned search then materializes.  Together
     these two sides are exactly word-by-word comparison over the whole
-    universe.
+    universe.  A count mismatch that no word explains raises InferenceError.
     """
     if tuple(tuple(t) for t in oracle.tracks) != a.tracks:
         raise ValueError("automaton and oracle alphabets differ")
@@ -811,7 +806,12 @@ def verify_exhaustive(
         labels = sorted(set(found) | set(tally))
         if any(found.get(lb, 0) != tally[lb] for lb in labels):
             over = next(lb for lb in labels if found.get(lb, 0) > tally[lb])
-            return _find_overaccepted(a, oracle, values, counts, width, over)
+            cex = _find_overaccepted(a, oracle, values, counts, width, over)
+            if cex is None:
+                raise InferenceError(
+                    f"{oracle.name}: the samples at width {width} disagree with labels"
+                )
+            return cex
     return None
 
 

@@ -120,13 +120,18 @@ _RUN_BLOCK_CELLS = 2**16
 def _run_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(a, ends, lengths) per block of rows, for the codes codes[a:a + len(ends)].
 
-    ends holds the 1-indexed run ends and lengths the run lengths, one row
-    per code.  The words of one block of rows are built with word_matrix
+    ends holds the 1-indexed run ends and lengths the run lengths, one int32
+    row per code.  The words of one block of rows are built with word_matrix
     and dropped before the next block.  Requires the uniform run count
     2**(t-1); a violation (none exists, but the reshape depends on it)
-    raises RunCountError instead of misaligning rows.
+    raises RunCountError instead of misaligning rows.  The empty code
+    (t = 0) is one block of one row with no runs.
     """
     t = codes.shape[1]
+    if t == 0:
+        empty = np.zeros((len(codes), 0), dtype=np.int32)
+        yield 0, empty, empty.copy()
+        return
     width, expected = 2**t - 1, 2 ** (t - 1)
     step = max(1, _RUN_BLOCK_CELLS // width)
     for a in range(0, len(codes), step):
@@ -156,15 +161,13 @@ def _run_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
 
 
 def _family_run_data(t: int):
-    """(codes, run lengths, 1-indexed run ends) for every code of length t.
+    """(codes, run lengths, 1-indexed run ends) for every code of length t >= 0.
 
-    Row r of each matrix belongs to row r of code_matrix(t); the rows come
-    block by block from _run_blocks, so no word matrix is held.
+    Row r of each matrix belongs to row r of code_matrix(t); the rows are
+    copied from _run_blocks, for the checks that need every row at once.
     """
-    if t < 1:
-        raise ValueError("run data needs t >= 1")
     codes = code_matrix(t)
-    ends = np.empty((len(codes), 2 ** (t - 1)), dtype=np.int32)
+    ends = np.empty((len(codes), 2**t // 2), dtype=np.int32)
     lengths = np.empty(ends.shape, dtype=np.int8)
     for a, block_ends, block_lengths in _run_blocks(codes):
         ends[a : a + len(block_ends)] = block_ends

@@ -15,7 +15,6 @@ import numpy as np
 from . import contfrac
 from .foldcore import FoldCode, all_codes, code_matrix, word_matrix
 from .runs import (
-    _RUN_BLOCK_CELLS,
     RunCountError,
     _FactorIndex,
     _Levels,
@@ -27,6 +26,7 @@ from .runs import (
     _regular_run_data,
     _repetitions,
     _right_extension_pairs,
+    _run_blocks,
     _square_factors,
     find_squares,
     min_code_length,
@@ -35,7 +35,6 @@ from .runs import (
     subword_complexity,
 )
 from .automata import (
-    SAMPLE_BLOCK_ROWS,
     GapOracle,
     InferenceError,
     MultiTrackAutomaton,
@@ -148,7 +147,8 @@ def prop1(L: int = 12) -> CheckReport:
     bound = _codes_bound("prop1", L, 1)
     for t in range(1, L + 1):
         try:
-            _family_run_data(t)
+            for _ in _run_blocks(code_matrix(t)):
+                pass
         except RunCountError as exc:
             return CheckReport("prop1", bound, exc.witness)
     return CheckReport("prop1", bound)
@@ -158,12 +158,13 @@ def prop4(L: int = 12) -> CheckReport:
     """Every run of every code of effective length t <= L has length 1, 2, or 3."""
     bound = _codes_bound("prop4", L, 1)
     for t in range(1, L + 1):
-        codes, lengths = _family_run_data(t)[:2]
-        bad = np.argwhere((lengths < 1) | (lengths > 3))
-        if bad.size:
-            r, k = map(int, bad[0])
-            witness = (_row_code(codes, r).to_text(), k + 1, int(lengths[r, k]))
-            return CheckReport("prop4", bound, witness)
+        codes = code_matrix(t)
+        for a, _, lengths in _run_blocks(codes):
+            bad = np.argwhere((lengths < 1) | (lengths > 3))
+            if bad.size:
+                r, k = map(int, bad[0])
+                witness = (_row_code(codes, a + r).to_text(), k + 1, int(lengths[r, k]))
+                return CheckReport("prop4", bound, witness)
     return CheckReport("prop4", bound)
 
 
@@ -171,21 +172,20 @@ def thm3(L: int = 12) -> CheckReport:
     """Run ends satisfy E[n] = 2n - [P_g[n] = -1] with g the associated code.
 
     Swept for every code of effective length 2 <= t <= L over the full
-    range 1 <= n <= 2**(t-1) - 1: each block of family rows compares its
+    range 1 <= n <= 2**(t-1) - 1: each block of _run_blocks compares its
     run ends with the ends predicted from the words of its associated codes.
     """
     bound = _codes_bound("thm3", L, 2)
     for t in range(2, L + 1):
-        codes, ends = _family_run_data(t)[::2]
-        step = max(1, _RUN_BLOCK_CELLS // ends.shape[1])
-        for lo in range(0, len(codes), step):
-            block = slice(lo, lo + step)
-            head = ends[block, :-1]
-            predicted = _predicted_ends(word_matrix(_assoc_codes(codes[block])))
+        codes = code_matrix(t)
+        for a, ends, _ in _run_blocks(codes):
+            head = ends[:, :-1]
+            block = codes[a : a + len(ends)]
+            predicted = _predicted_ends(word_matrix(_assoc_codes(block)))
             bad = np.argwhere(head != predicted)
             if bad.size:
                 r, j = map(int, bad[0])
-                code = _row_code(codes, lo + r).to_text()
+                code = _row_code(codes, a + r).to_text()
                 witness = (code, j + 1, int(head[r, j]), int(predicted[r, j]))
                 return CheckReport("thm3", bound, witness)
     return CheckReport("thm3", bound)
@@ -401,8 +401,8 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     probed at widths t, t+1, and t+2; the three extractions must agree
     (checks 1 and 8 see any padding-dependence), which pins every accept
     bit the valid-code language can reach at these lengths.  The codes of
-    each length are extracted in blocks of at most SAMPLE_BLOCK_ROWS (n, x)
-    pairs of a correct machine, one call per block and width; a check's
+    each length are extracted in the blocks of _run_blocks, the empty code
+    (t = 0) in one of its own, one call per block and width; a check's
     witness is its first failure by t, then code, then width.
     """
     bound = _codes_bound("sp_suite", L, 2)
@@ -420,24 +420,18 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     ]
     failures: dict[str, tuple] = {}  # name -> the first witness found
     for t in range(0, L + 1):
-        if t:
-            codes, lengths, ends = _family_run_data(t)
-        else:  # the empty code: no runs
-            codes, lengths = np.zeros((1, 0), np.int8), np.zeros((1, 0), np.int8)
-            ends = lengths
-        step = max(1, SAMPLE_BLOCK_ROWS // (ends.shape[1] + 1))
-        for lo in range(0, len(codes), step):
-            block = slice(lo, lo + step)
-            starts = ends[block] - lengths[block] + 1
+        codes = code_matrix(t)
+        for a, ends, lengths in _run_blocks(codes):
+            block, starts = codes[a : a + len(ends)], ends - lengths + 1
             found: dict[str, tuple] = {}  # name -> (block row, witness tail)
             for width in (t, t + 1, t + 2):
-                pairs = accepted_numeric_values(machine, codes[block], width)
+                pairs = accepted_numeric_values(machine, block, width)
                 hits = _sp_failures(pairs, starts, width)
                 for name, hit in hits.items():
                     if name not in found or hit[0] < found[name][0]:
                         found[name] = hit
             for name, (r, tail) in found.items():
-                text = _row_code(codes, lo + r).to_text() if t else "(empty)"
+                text = _row_code(codes, a + r).to_text() or "(empty)"
                 failures.setdefault(name, (text, *tail))
     return [CheckReport(name, bound, failures.get(name)) for name in names]
 

@@ -891,6 +891,33 @@ def test_verifier_rejects_code_entries_other_than_plus_or_minus_one(rl_machine, 
         verify_exhaustive(rl_machine, oracle, 4)
 
 
+@pytest.mark.parametrize(
+    "fixture, make, width, t, depth, name",
+    [
+        ("rl_machine", RunLengthOracle, 3, 2, 5, "run-length"),
+        ("sp_machine", StartRelationOracle, 4, 3, 6, "run-start"),
+    ],
+)
+def test_verifier_rejects_samples_that_drop_a_labeled_row(
+    request, fixture, make, width, t, depth, name
+):
+    # the samples at `width` lose the row of one length-t code, which
+    # `label` still labels: the label counts disagree, but no word tells
+    # machine and labels apart, so the oracle is at fault, not the machine
+    machine = request.getfixturevalue(fixture)
+
+    def drop_first_row(c, f, v):
+        return (c[1:], f, v[1:]) if c.shape[1] == t else (c, f, v)
+
+    oracle = _edited_oracle(make, width, drop_first_row)
+    kept = sum(len(v) for c, _, v in oracle.samples(width) if c.shape[1] == t)
+    assert kept == 2**t - 1
+    message = f"^{name}: the samples at width {width} disagree with labels$"
+    with pytest.raises(InferenceError, match=message):
+        verify_exhaustive(machine, oracle, depth)
+    assert verify_exhaustive(machine, make(), depth) is None
+
+
 def test_verifier_rejects_negative_depths():
     # a negative depth compares no word, so it must not read as verified
     oracle = StartRelationOracle()
@@ -1068,7 +1095,7 @@ def test_prefix_tables_as_large_as_their_blocks_keep_the_verdicts(
     [
         (RunLengthOracle, (10, 6), 1903),
         (StartRelationOracle, (8, 5), 2085),
-        (GapOracle, (10, 6), 211),
+        (GapOracle, (10, 6), 210),
     ],
 )
 def test_learner_label_calls_are_pinned(make, depths, calls):

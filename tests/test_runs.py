@@ -42,8 +42,10 @@ from foldruns.runs import (
     _rank,
     _regular_run_data,
     _repetitions,
+    _run_blocks,
 )
 from foldruns import theorems
+from foldruns.foldcore import code_matrix
 from foldruns.theorems import _spread_codes
 from repetitions import periodic_hits
 
@@ -444,6 +446,17 @@ def test_family_run_data_matches_per_word_decomposition(monkeypatch, block_cells
             dec = run_decompose(paperfolding_word(code.tolist()))
             assert row_lengths.tolist() == dec.lengths.tolist()
             assert row_ends.tolist() == dec.ends.tolist()
+
+
+def test_the_empty_code_is_one_row_of_no_runs():
+    # t = 0: the empty word, one block of one row and no run columns
+    (a, ends, lengths), *more = _run_blocks(code_matrix(0))
+    assert (a, more) == (0, [])
+    assert ends.shape == lengths.shape == (1, 0)
+    assert ends.dtype == lengths.dtype == np.int32
+    codes, lengths, ends = _family_run_data(0)
+    assert codes.shape == lengths.shape == ends.shape == (1, 0)
+    assert (lengths.dtype, ends.dtype) == (np.int8, np.int32)
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (3, 0), (4, 9), (2, 300)])

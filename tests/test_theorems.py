@@ -190,16 +190,16 @@ def test_family_checks_refuse_bounds_that_check_nothing(check, args, message):
 )
 def test_thm3_witness_of_a_moved_run_end(monkeypatch, L, moves, witness):
     # moves[t] lists (code row, run index from 0, shift) for the run ends
-    real = theorems._family_run_data
+    real = theorems._run_blocks
 
-    def moved(t):
-        *rest, ends = real(t)
-        ends = ends.copy()
-        for r, k, shift in moves.get(t, ()):
-            ends[r, k] += shift
-        return (*rest, ends)
+    def moved(codes):
+        for a, ends, lengths in real(codes):
+            for r, k, shift in moves.get(codes.shape[1], ()):
+                if a <= r < a + len(ends):
+                    ends[r - a, k] += shift
+            yield a, ends, lengths
 
-    monkeypatch.setattr(theorems, "_family_run_data", moved)
+    monkeypatch.setattr(theorems, "_run_blocks", moved)
     assert thm3(L).witness == witness
 
 
@@ -478,15 +478,15 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sp_suite_extracts_once_per_length_width_and_block(monkeypatch, sp_machine):
-    # three widths per code length t <= 8; only t = 8 (256 codes of 129
-    # (n, x) pairs) exceeds SAMPLE_BLOCK_ROWS pairs and splits, into two
+    # three widths per code length t <= 8; even t = 8 (256 words of 255
+    # symbols) fits in one run block
     calls = _count_calls(monkeypatch, "accepted_numeric_values")
     L = 8
     assert all(r.passed for r in sp_suite(L=L, machine=sp_machine))
-    assert len(calls) == 3 * (L + 1) + 3
-    # a block of length-t codes holds at most SAMPLE_BLOCK_ROWS correct pairs
-    pairs = [len(codes) * (2 ** (codes.shape[1] - 1) + 1) for _, codes, _ in calls[3:]]
-    assert max(pairs) <= theorems.SAMPLE_BLOCK_ROWS
+    assert len(calls) == 3 * (L + 1)
+    # a block of length-t codes holds at most _RUN_BLOCK_CELLS word symbols
+    cells = [len(codes) * (2 ** codes.shape[1] - 1) for _, codes, _ in calls]
+    assert max(cells) <= runs._RUN_BLOCK_CELLS
 
 
 def test_gap_wellformedness_extracts_once(monkeypatch, tt_machine):
@@ -499,10 +499,10 @@ def test_sp_suite_witnesses_do_not_depend_on_the_block_size(monkeypatch, sp_mach
     mutants = [mutated_label(sp_machine, q) for q in range(sp_machine.n_states)]
     want = [sp_suite(L=5, machine=m) for m in mutants]
     calls = _count_calls(monkeypatch, "accepted_numeric_values")
-    monkeypatch.setattr(theorems, "SAMPLE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", 7)
     assert [sp_suite(L=5, machine=m) for m in mutants] == want
-    # 7 // (2**(t-1) + 1) codes per block: blocks of 2 codes at t = 1, 2 and
-    # of one code from t = 3 on
+    # 7 // (2**t - 1) codes per block: the empty code alone, both codes of
+    # t = 1, blocks of 2 codes at t = 2 and of one code from t = 3 on
     assert len(calls) == len(mutants) * 3 * (1 + 1 + 2 + 8 + 16 + 32)
 
 
