@@ -266,7 +266,8 @@ def test_family_reports_do_not_depend_on_the_run_block_size(
 ):
     monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", cells)
     assert _block_reports(sp_label_mutants) == default_block_reports
-    assert sum(not r.passed for rs in default_block_reports[3:] for r in rs) > 17
+    # every label mutant (after the machine itself) has witnesses to keep
+    assert all(not all(r.passed for r in rs) for rs in default_block_reports[4:])
 
 
 def test_no_triple_extension_matches_reference_on_long_factors():
