@@ -311,6 +311,22 @@ def _parse_eps(text: str) -> tuple[int, ...]:
     return tuple(1 if p == "+" else -1 for p in parts)
 
 
+def _fraction_text(value) -> str:
+    """p/q in full, past the interpreter's limit on int-to-str digits.
+
+    The limit (Python 3.10.7 on) is lifted only for these two conversions
+    and put back, so later code keeps the process-wide setting.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _cmd_cf(args) -> int:
     if (args.eps is None) == (args.sweep is None):
         raise _UsageError("provide exactly one of --eps or --sweep")
@@ -337,8 +353,9 @@ def _cmd_cf(args) -> int:
     computed = cf_from_rational(value)
     predicted = predicted_cf(eps)
     verdict = "MATCH" if computed == predicted else "MISMATCH"
+    rational = _fraction_text(value)
     if args.format == "tsv":
-        print(f"rational\t{value.numerator}/{value.denominator}")
+        print(f"rational\t{rational}")
         print("computed\t" + ",".join(map(str, computed)))
         print("predicted\t" + ",".join(map(str, predicted)))
         print(f"verdict\t{verdict}")
@@ -346,7 +363,7 @@ def _cmd_cf(args) -> int:
         print(
             _json_line(
                 {
-                    "rational": f"{value.numerator}/{value.denominator}",
+                    "rational": rational,
                     "computed": list(computed),
                     "predicted": list(predicted),
                     "verdict": verdict,

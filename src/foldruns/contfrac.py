@@ -9,7 +9,6 @@ unique; folding deliberately passes through non-canonical intermediates.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -98,9 +97,9 @@ def _mirror_join(half, u, v, first, j):
     return a, b, c, d
 
 
-def _pair(head, column):
-    """(p, q) = M(head) · column, with q >= 0."""
-    h00, h01, h10, h11 = _chunked(_IDENTITY, head)
+def _pair(m, column):
+    """(p, q) = m · column, with q >= 0."""
+    h00, h01, h10, h11 = m
     c0, c1 = column
     p, q = h00 * c0 + h01 * c1, h10 * c0 + h11 * c1
     return (-p, -q) if q < 0 else (p, q)
@@ -122,7 +121,7 @@ def cf_pair(terms: Sequence[int]) -> tuple[int, int]:
         raise ValueError("continued fraction needs at least one term")
     # last is empty when t has at most two terms
     c00, _, c10, _ = _chunked(_continuant(t[2:-1]), t[2:][-1:])
-    p, q = _pair(t[:2], (c00, c10))
+    p, q = _pair(_chunked(_IDENTITY, t[:2]), (c00, c10))
     if q == 0:
         shown = [int(a) for a in t]
         raise ZeroDivisionError(f"expansion {shown!r} has no finite value")
@@ -240,12 +239,48 @@ def alpha_pair(eps: Sequence[int]) -> tuple[int, int]:
             f"sign vector reaches index {n}; denominators grow as 2**(2**n), "
             f"capped at n = {MAX_ALPHA_INDEX}"
         )
-    # Horner over the shifts: eps_i sits 2**n - 2**i bits up, and
-    # 3 * 2**(2**n - 2) is 12 at eps_2's place
-    num = 12 + e[0]
-    for i, x in enumerate(e[1:], start=3):
-        num = (num << 2 ** (i - 1)) + x
+    num = 3
+    for i, x in enumerate(e, start=2):
+        num = _alpha_step(num, i, x)
     return num, 2 ** (2**n)
+
+
+def _alpha_step(num: int, i: int, x: int) -> int:
+    """The Horner step of alpha_pair: num over 2**(2**(i-1)) plus eps_i = x.
+
+    The result is over 2**(2**i), so num moves 2**(i-1) bits up.  Horner
+    starts from 1/2 + 1/4 = 3 over 2**(2**1).
+    """
+    return (num << 2 ** (i - 1)) + x
+
+
+class _AlphaCarry:
+    """alpha_pair of sign vectors in turn, restarting Horner where they differ.
+
+    The numerator after eps_2..eps_i does not depend on n, so the carry
+    keeps each partial numerator of the previous vector, at most
+    MAX_ALPHA_INDEX big ints, and a vector redoes only the steps from its
+    first sign that differs.  The vectors are taken as valid: +1/-1 tuples
+    of 1 to MAX_ALPHA_INDEX - 1 signs.
+    """
+
+    def __init__(self):
+        self._eps: tuple[int, ...] = ()
+        # _nums[m]: the numerator after the first m signs of _eps
+        self._nums = [3]
+
+    def pair(self, eps: tuple[int, ...]) -> tuple[int, int]:
+        """alpha_pair(eps)."""
+        nums, same = self._nums, 0
+        for x, y in zip(eps, self._eps):
+            if x != y:
+                break
+            same += 1
+        del nums[same + 1 :]
+        for m in range(same, len(eps)):
+            nums.append(_alpha_step(nums[-1], m + 2, eps[m]))
+        self._eps = eps
+        return nums[-1], 1 << 2 ** (len(eps) + 1)
 
 
 def alpha_value(eps: Sequence[int]) -> Fraction:
@@ -295,11 +330,15 @@ class _MirrorCarry:
     prefix P = core[:k] again, so every core of one length has the same
     chain of nested prefix lengths, down to the first one shorter than
     _MIRROR_MIN.  The carry keeps M of each proper prefix of the chain for
-    the previous row.  A row reuses the longest one whose terms it
-    shares, found by a first-difference test against the previous row.
-    Each longer prefix, and the core, is joined from the one below only
-    where the row passes the mirror test there; any other goes to
-    _continuant.
+    the previous row, and that row's first column.  A row reuses the
+    longest prefix whose terms it shares, found by a first-difference test
+    against the previous row.  At the level just above it, a row that is
+    the previous one with the seam terms u and v swapped takes the swap's
+    constant change (_swap_delta) instead: added to the carried half, or
+    to the carried first column at the top when last is the same too.
+    That needs the mirror test to pass there on both rows.  Each longer
+    prefix, and the core, is joined from the one below only where the row
+    passes the mirror test there; any other goes to _continuant.
     """
 
     def __init__(self, length: int):
@@ -307,7 +346,11 @@ class _MirrorCarry:
         while sizes[-1] >= _MIRROR_MIN:
             sizes.append(_split(sizes[-1])[1])
         self._sizes = sizes[::-1]
+        # (j, k) of each level above the first: level c + 1 is column c below
+        self._splits = [_split(size) for size in self._sizes[1:]]
         self._halves = [None] * (len(sizes) - 1)
+        # (row, mirror flags, u and v by level, first column, last) of the
+        # previous row, kept only while the halves belong to it
         self._last = None
 
     def first_columns(self, cores: np.ndarray, lasts: Sequence[int]) -> Iterator[tuple]:
@@ -315,62 +358,113 @@ class _MirrorCarry:
 
         The rows go on from those of the previous call.
         """
-        sizes, halves, top = self._sizes, self._halves, len(self._sizes) - 1
+        sizes, splits, halves = self._sizes, self._splits, self._halves
+        rows, top = len(cores), len(splits)
+        # halves that a raising row leaves half-updated fit no row
+        prev, self._last = self._last, None
         differs = np.ones(cores.shape, dtype=bool)
         np.not_equal(cores[1:], cores[:-1], out=differs[1:])
-        if self._last is not None:
-            np.not_equal(cores[0], self._last, out=differs[0])
+        if prev is not None:
+            np.not_equal(cores[0], prev[0], out=differs[0])
         # shared[r]: how many leading terms row r shares with the row before it
         shared = np.where(differs.any(axis=1), differs.argmax(axis=1), cores.shape[1])
-        if self._last is None:
+        if prev is None:
             shared[0] = -1
-        mirrored = [None]
-        for size in sizes[1:]:
-            j, k = _split(size)
-            mirror = cores[:, k + 2 : size] == cores[:, j:k][:, ::-1]
-            mirrored.append(mirror.all(axis=1))
-        for r, (row, last) in enumerate(zip(cores, lasts)):
+        # kept[r]: the longest carried prefix that row r reuses, if any
+        kept = np.minimum(np.searchsorted(sizes, shared, side="right"), top) - 1
+        mirrored = np.empty((rows, top), dtype=bool)
+        for c, (size, (j, k)) in enumerate(zip(sizes[1:], splits)):
+            tail, head = cores[:, k + 2 : size], cores[:, j:k][:, ::-1]
+            mirrored[:, c] = (tail == head).all(axis=1)
+        at = [k for _, k in splits]
+        u, v = cores[:, at], cores[:, [k + 1 for k in at]]
+        # swapped[r]: rows r - 1 and r pass the mirror test of level kept[r] + 1
+        # and differ there only by their swapped seams
+        swapped = np.zeros(rows, dtype=bool)
+        if top:
+            swaps = mirrored[1:] & mirrored[:-1] & (u[1:] == v[:-1]) & (v[1:] == u[:-1])
+            swapped[1:] = swaps[np.arange(rows - 1), kept[1:]] & (kept[1:] >= 0)
+        kept, swapped, firsts = kept.tolist(), swapped.tolist(), cores[:, 0].tolist()
+        mirrored, us, vs = mirrored.tolist(), u.tolist(), v.tolist()
+        column, final = None, None
+        if prev is not None:
+            _, flags, pu, pv, column, final = prev
+            c = kept[0]
+            if c >= 0 and mirrored[0][c] and flags[c]:
+                swapped[0] = us[0][c] == pv[c] and vs[0][c] == pu[c]
+        for r, last in zip(range(rows), lasts):
+            level, swap = kept[r] + 1, swapped[r]
+            flags, ur, vr, first = mirrored[r], us[r], vs[r], firsts[r]
             if top:
-                # halves that a raising _continuant leaves half-updated fit no row
-                self._last = None
-                kept = min(bisect_right(sizes, shared[r]), top) - 1
-                if kept < 0:
-                    halves[0] = _continuant(tuple(row[: sizes[0]].tolist()))
-                    kept = 0
-                for level in range(kept + 1, top):
-                    if mirrored[level][r]:
-                        seam = _seam(row, sizes[level])
-                        halves[level] = _mirror_join(halves[level - 1], *seam)
+                if level == 0:
+                    halves[0] = _continuant(tuple(cores[r, : sizes[0]].tolist()))
+                    level = 1
+                elif swap and level < top:
+                    c = level - 1
+                    delta = _swap_delta(ur[c], vr[c], first, *splits[c])
+                    halves[level] = tuple(map(operator.add, halves[level], delta))
+                    level, swap = level + 1, False
+                for level in range(level, top):
+                    c = level - 1
+                    if flags[c]:
+                        seam = ur[c], vr[c], first, splits[c][0]
+                        halves[level] = _mirror_join(halves[c], *seam)
                     else:
-                        halves[level] = _continuant(tuple(row[: sizes[level]].tolist()))
-            # the halves now belong to this row, even if the caller stops here
-            self._last = row.copy()
-            if top and mirrored[top][r]:
-                seam = _seam(row, sizes[top])
-                yield _mirror_column(halves[top - 1], *seam, (last, 1))
+                        prefix = tuple(cores[r, : sizes[level]].tolist())
+                        halves[level] = _continuant(prefix)
+            c = top - 1
+            # a swap left standing is one at the top
+            if swap and last == final:
+                d00, d01, d10, d11 = _swap_delta(ur[c], vr[c], first, *splits[c])
+                last = operator.index(last)
+                column = column[0] + d00 * last + d01, column[1] + d10 * last + d11
+            elif top and flags[c]:
+                seam = ur[c], vr[c], first, splits[c][0]
+                column = _mirror_column(halves[c], *seam, (last, 1))
             else:
-                a, _, c, _ = _chunked(_continuant(tuple(row.tolist())), (last,))
-                yield a, c
+                p, _, q, _ = _chunked(_continuant(tuple(cores[r].tolist())), (last,))
+                column = p, q
+            final = last
+            if r == rows - 1:
+                # the halves now belong to this row, even if the caller stops here
+                self._last = cores[r].copy(), flags, ur, vr, column, last
+            yield column
 
 
-def _seam(row: np.ndarray, size: int) -> tuple[int, int, int, int]:
-    """(u, v, P[0], j) of the prefix row[:size] read as (P, u, v, rev(P[j:]))."""
-    j, k = _split(size)
-    u, v = row[k : k + 2].tolist()
-    return u, v, int(row[0]), j
+def _swap_delta(u, v, first, j, k):
+    """M(P, u, v, R) - M(P, v, u, R) for R = rev(P[j:]) and |P| = k, first = P[0].
+
+    With J = [[0, 1], [-1, 0]], A(u)·A(v) - A(v)·A(u) = (v - u)·J, and
+    N·J·Nᵀ = det(N)·J for every 2 × 2 matrix N.  By _mirror_column's
+    M(P, a, b, R) = M(P)·A(a)·A(b)·M(P)ᵀ·K, with K = A(P[0])⁻¹ when j = 1
+    and the identity when j = 0, the difference is (u - v)·(-1)**k·J·K,
+    where det M(P) = (-1)**k and J·K is [[1, -P[0]], [0, -1]] or J.
+    """
+    d = operator.index(u) - operator.index(v)
+    if k % 2:
+        d = -d
+    if j:
+        return d, -operator.index(first) * d, 0, -d
+    return 0, d, -d, 0
 
 
 def _predicted_pairs(n: int) -> Iterator[tuple[tuple, np.ndarray, tuple[int, int]]]:
     """(eps, terms, cf_pair(terms)) for every sign vector of index n, in sweep order.
 
     terms is the family row of predicted_cf(eps) (_predicted_blocks); its
-    core and last term go through one _MirrorCarry over the whole index.
+    core and last term go through one _MirrorCarry over the whole index,
+    and M of its two leading terms is built once per distinct pair.
     """
-    carry = _MirrorCarry(2 ** (n - 1) - 1)
+    carry, heads = _MirrorCarry(2 ** (n - 1) - 1), {}
     for signs, rows in _predicted_blocks(n):
         columns = carry.first_columns(rows[:, 2:-1], rows[:, -1].tolist())
-        for eps, terms, column in zip(signs.tolist(), rows, columns):
-            yield tuple(eps), terms, _pair(terms[:2].tolist(), column)
+        for eps, head, terms, column in zip(
+            signs.tolist(), rows[:, :2].tolist(), rows, columns
+        ):
+            head = tuple(head)
+            if head not in heads:
+                heads[head] = _chunked(_IDENTITY, head)
+            yield tuple(eps), terms, _pair(heads[head], column)
 
 
 def folded_alpha(eps: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:

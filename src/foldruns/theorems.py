@@ -216,7 +216,8 @@ def squares_only(L: int = 10) -> CheckReport:
     bound = _codes_bound("squares_only", L, 1)
     found: set = set()
     for t in range(1, L + 1):
-        found |= _square_factors(_family_run_data(t)[1])
+        for _, _, lengths in _run_blocks(code_matrix(t)):
+            found |= _square_factors(lengths)
     if found == set(EXPECTED_SQUARES):
         return CheckReport("squares_only", bound)
     extra = sorted(found - EXPECTED_SQUARES)
@@ -671,7 +672,9 @@ def cf_theorem_check(n_max: int) -> CheckReport:
     The witness on failure is (eps, computed, predicted), both canonical
     expansions.  Each vector is decided by value: the pair (p, q) of its
     family row of predicted expansions (contfrac._predicted_pairs) against
-    alpha_pair(eps), both in lowest terms.  canonical(x) is
+    the pair of alpha, both in lowest terms; one contfrac._AlphaCarry
+    over the whole sweep builds each alpha pair from the Horner prefixes it
+    shares with the vector before.  canonical(x) is
     cf_from_rational(cf_to_rational(x)) and cf_from_rational is injective,
     so equal values mean equal canonical expansions.  The first vector of
     each n is also checked through the one-vector path: predicted_cf(eps)
@@ -687,9 +690,10 @@ def cf_theorem_check(n_max: int) -> CheckReport:
             f"denominators grow as 2**(2**n)"
         )
     name, bound = "cf-run-length-correspondence", f"n<={n_max}"
+    alphas = contfrac._AlphaCarry()
     for n in range(2, n_max + 1):
         for k, (eps, row, pair) in enumerate(contfrac._predicted_pairs(n)):
-            agrees = pair == contfrac.alpha_pair(eps)
+            agrees = pair == alphas.pair(eps)
             if k == 0:
                 _cross_check(eps, tuple(row.tolist()), agrees)
             if not agrees:

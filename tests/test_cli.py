@@ -29,6 +29,7 @@ from foldruns import (
 )
 from foldruns import cli
 from foldruns.cli import _emit_rows, entrypoint, run
+from foldruns.contfrac import alpha_pair
 
 RUN_TABLE_1111 = [
     (1, 2, 1, 2),
@@ -271,6 +272,39 @@ def test_cf_eps_takes_a_vector_that_opens_with_minus(capsys, vector, fmt):
 def test_cf_eps_still_needs_a_value(capsys):
     assert run(["cf", "--eps", "--sweep", "3"]) == 2
     assert "argument --eps: expected one argument" in capsys.readouterr().err
+
+
+def _int_digit_limit():
+    # the interpreter's limit on int-to-str digits, None before Python 3.10.7
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("signs", [13, 15])
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+def test_cf_eps_prints_every_digit_of_a_long_rational(capsys, signs, fmt):
+    # from 13 signs the denominator 2**(2**14) has 4,933 digits, past the
+    # default limit of 4,300; the limit is the same after the command
+    eps = tuple((1, -1, -1)[i % 3] for i in range(signs))
+    vector = ",".join("+" if e == 1 else "-" for e in eps)
+    limit = _int_digit_limit()
+    assert run(["cf", "--eps", vector, "--format", fmt]) == 0
+    assert _int_digit_limit() == limit
+    out = capsys.readouterr().out
+    p, q = alpha_pair(eps)
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        rational = f"{p}/{q}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    if fmt == "tsv":
+        lines = out.splitlines()
+        assert lines[0] == "rational\t" + rational
+        assert lines[3] == "verdict\tMATCH"
+    else:
+        row = json.loads(out)
+        assert (row["rational"], row["verdict"]) == (rational, "MATCH")
 
 
 @pytest.mark.parametrize("command", ["gen", "runs", "complexity"])

@@ -621,6 +621,186 @@ def test_mirror_carry_matches_continuant(length):
         assert list(again) == [_first_column(row)]
 
 
+def _linear(seq):
+    return contfrac._chunked(contfrac._IDENTITY, seq)
+
+
+@pytest.mark.parametrize("j", [0, 1], ids=["even", "odd"])
+def test_seam_swap_changes_the_continuant_by_a_constant(j):
+    # M(P, u, v, R) - M(P, v, u, R) = (u - v)·(-1)**|P|·J·K, R = rev(P[j:])
+    rng = random.Random(f"swap{j}")
+    for size in range(1, 14):
+        for pick in _PICKS.values():
+            p = tuple(pick(rng) for _ in range(size))
+            u = pick(rng)
+            for v in (pick(rng), u):
+                here, there = _linear(_fold(p, u, v, j)), _linear(_fold(p, v, u, j))
+                delta = contfrac._swap_delta(u, v, p[0], j, size)
+                assert tuple(a - b for a, b in zip(here, there)) == delta
+                assert sum(d != 0 for d in delta) <= 3
+
+
+def _seam_swapped(row, size):
+    """row with the seam terms u and v of its prefix row[:size] swapped."""
+    _, k = contfrac._split(size)
+    row = list(row)
+    row[k], row[k + 1] = row[k + 1], row[k]
+    return row
+
+
+def _remirrored(row, sizes, level):
+    """row with every prefix above sizes[level] mirrored again, seams kept."""
+    row = list(row)
+    for size in sizes[level + 1 :]:
+        j, k = contfrac._split(size)
+        row[:size] = _fold(row[:k], row[k], row[k + 1], j)
+    return row
+
+
+def _swap_rows(rng, sizes):
+    """(rows, swaps): rows of a carry's cores and last terms, case by case.
+
+    swaps lists the rows that must take the seam-swap shortcut.  Every row
+    is mirrored at every level unless a case bends it, and the base row's
+    seams hold two different terms at every level.
+    """
+    top = len(sizes) - 1
+    row = [rng.randint(1, 9) for _ in range(sizes[-1] + 1)]
+    _refold(rng, row, sizes, 0)
+    for level in range(1, top + 1):
+        _, k = contfrac._split(sizes[level])
+        row[k : k + 2] = rng.sample(range(1, 10), 2)
+        row = _remirrored(row, sizes, level)
+    rows, swaps = [row], []
+
+    def add(new, swap):
+        if swap:
+            swaps.append(len(rows))
+        rows.append(new)
+        return new
+
+    _, k = contfrac._split(sizes[top])
+    # at the top with last kept: the carried column changes
+    row = add(_seam_swapped(row, sizes[top]), True)
+    # at the top with last changed: a full column
+    row = add(_seam_swapped(row, sizes[top])[:-1] + [row[-1] + 1], False)
+    # at a random level below the top, the levels above mirrored again
+    level = rng.randint(1, top - 1) if top > 1 else top
+    row = add(_remirrored(_seam_swapped(row, sizes[level]), sizes, level), True)
+    # the previous row's tail beyond the seam is bent, so it is not mirrored
+    bent = list(row)
+    bent[sizes[top] - 1] += 1
+    add(bent, False)
+    row = add(_seam_swapped(row, sizes[top]), False)
+    # the swapped row's own tail is bent, so its mirror test fails
+    bent = _seam_swapped(row, sizes[top])
+    bent[sizes[top] - 1] += 1
+    add(bent, False)
+    row = add(list(row), False)
+    # u takes the previous v but v keeps its term: not a swap, and u == v
+    row = add(row[:k] + [row[k + 1]] + row[k + 1 :], False)
+    # u == v: the swap changes nothing
+    row = add(list(row), True)
+    # 30-digit seam terms
+    row = add(row[:k] + [10**29 + 7, 3 * 10**29] + row[k + 2 :], False)
+    add(_seam_swapped(row, sizes[top]), True)
+    return rows, swaps
+
+
+@pytest.mark.parametrize("length", [32, 63, 64, 127, 255, 256])
+@pytest.mark.parametrize("blocks", ["one", "each", "random"])
+def test_mirror_carry_takes_seam_swaps(monkeypatch, length, blocks):
+    rng = random.Random(f"{length}{blocks}")
+    carry = contfrac._MirrorCarry(length)
+    sizes = carry._sizes
+    rows, swaps = _swap_rows(rng, sizes)
+    taken, swap_delta = [], contfrac._swap_delta
+
+    def counted(*args):
+        taken.append(len(got))
+        return swap_delta(*args)
+
+    monkeypatch.setattr(contfrac, "_swap_delta", counted)
+    got, start = [], 0
+    while start < len(rows):
+        size = {"one": len(rows), "each": 1, "random": rng.randint(1, 4)}[blocks]
+        block = rows[start : start + size]
+        cores = np.array([row[:-1] for row in block], dtype=object)
+        for column in carry.first_columns(cores, [row[-1] for row in block]):
+            got.append(column)
+        start += len(block)
+    assert got == [_first_column(row) for row in rows]
+    # one shortcut per swap row, wherever the blocks start
+    assert taken == swaps
+
+
+def _counted(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(contfrac, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(contfrac, name, counted)
+    return calls
+
+
+def test_mirror_carry_drops_a_swap_after_a_row_that_raised(monkeypatch):
+    carry = contfrac._MirrorCarry(127)
+    sizes = carry._sizes
+    assert sizes == [31, 63, 127]
+    rng = random.Random(7)
+    good = [rng.randint(1, 9) for _ in range(128)]
+    _refold(rng, good, sizes, 0)
+    assert list(carry.first_columns(np.array([good[:-1]]), good[-1:])) == [
+        _first_column(good)
+    ]
+    # the swap at level 1 updates the carried half, then the top raises
+    swapped = _remirrored(_seam_swapped(good, sizes[1]), sizes, 1)
+    bad = np.array([swapped[:-1]], dtype=object)
+    bad[0, contfrac._split(sizes[2])[1]] = 2.5
+    calls = _counted(monkeypatch, "_swap_delta")
+    with pytest.raises(TypeError):
+        list(carry.first_columns(bad, [1]))
+    assert calls == {"_swap_delta": 1}
+    # the swap of the last good row starts over; the rows after it swap again
+    for row, swaps in ((swapped, 1), (good, 2), (swapped, 3)):
+        column = carry.first_columns(np.array([row[:-1]]), row[-1:])
+        assert list(column) == [_first_column(row)]
+        assert calls == {"_swap_delta": swaps}
+
+
+def test_alpha_carry_matches_alpha_pair():
+    vectors = [
+        eps for n in range(2, 11) for eps in product((1, -1), repeat=n - 1)
+    ]
+    shuffled = list(vectors)
+    random.Random(10).shuffle(shuffled)
+    for order in (vectors, shuffled):
+        carry = contfrac._AlphaCarry()
+        assert [carry.pair(eps) for eps in order] == [
+            contfrac.alpha_pair(eps) for eps in order
+        ]
+
+
+def test_family_sweep_call_counts_are_pinned(monkeypatch):
+    # half of each level's big products go to seam-swapped neighbours
+    calls = _counted(monkeypatch, "_mirror_column", "_mirror_join", "_continuant")
+    for n in range(2, 13):
+        for _ in contfrac._predicted_pairs(n):
+            pass
+    assert calls == {"_mirror_column": 5664, "_mirror_join": 1824, "_continuant": 254}
+
+
+def test_cf_sweep_builds_alpha_pairs_from_the_carry(monkeypatch):
+    # alpha_pair runs only for the cross-check, once per n
+    calls = _counted(monkeypatch, "alpha_pair")
+    assert cf_theorem_check(12).passed
+    assert calls == {"alpha_pair": 11}
+
+
 def test_pairs_are_in_lowest_terms():
     assert contfrac.alpha_pair((1,)) == (13, 16)
     assert contfrac.alpha_pair(EXAMPLE_EPS) == (3472818177, 2**32)

@@ -719,6 +719,19 @@ def _first_overlap(families):
     return None
 
 
+def _blocks_of(family):
+    """_run_blocks that yields the rows of family(t) in _run_blocks' blocks."""
+    real = theorems._run_blocks
+
+    def blocks(codes):
+        _, lengths, ends = family(codes.shape[1])
+        for a, block, _ in real(codes):
+            rows = slice(a, a + len(block))
+            yield a, ends[rows].astype(np.int32), lengths[rows].astype(np.int32)
+
+    return blocks
+
+
 def _crafted_family(edits):
     """_family_run_data with the run lengths of chosen rows overwritten."""
 
@@ -776,12 +789,27 @@ def _squares_of(families):
 def test_squares_only_witness_on_crafted_rows(monkeypatch, edits):
     # crafted squares occur in no real word, so no code is named
     family = _crafted_family(edits)
-    monkeypatch.setattr(theorems, "_family_run_data", family)
+    monkeypatch.setattr(theorems, "_run_blocks", _blocks_of(family))
     found = _squares_of([family(t)[:2] for t in range(1, 9)])
     extra = sorted(found - EXPECTED_SQUARES)
     assert bool(extra) == bool(edits)
     want = ("unexpected", extra[0], None) if extra else None
     assert squares_only(8).witness == want
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+def test_squares_only_unions_the_squares_of_every_block(monkeypatch, cells):
+    # the crafted squares sit in different blocks of t = 5 and t = 7
+    edits = {5: [(1, 2, (1, 3, 1, 3)), (14, 0, (2, 2, 2))], 7: [(60, 40, (1, 1))]}
+    family = _crafted_family(edits)
+    found = _squares_of([family(t)[:2] for t in range(1, 9)])
+    assert {(1, 1), (1, 3, 1, 3), (2, 2, 2, 2)} <= found - EXPECTED_SQUARES
+    monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", cells)
+    monkeypatch.setattr(theorems, "_run_blocks", _blocks_of(family))
+    assert squares_only(8).witness == ("unexpected", (1, 1), None)
+    # with every crafted square expected, a block left out would go missing
+    monkeypatch.setattr(theorems, "EXPECTED_SQUARES", found)
+    assert squares_only(8).passed
 
 
 def _square_free(size):
@@ -797,6 +825,6 @@ def test_squares_only_reports_a_missing_square(monkeypatch):
         row = np.array(_square_free(lengths.shape[1]), dtype=np.int8)
         return codes, np.resize(row, lengths.shape), ends
 
-    monkeypatch.setattr(theorems, "_family_run_data", family)
+    monkeypatch.setattr(theorems, "_run_blocks", _blocks_of(family))
     assert _squares_of([family(t)[:2] for t in range(1, 9)]) == set()
     assert squares_only(8).witness == ("missing", (1, 2, 3, 1, 2, 3))
