@@ -434,7 +434,7 @@ class _MirrorCarry:
 def _swap_delta(u, v, first, j, k):
     """M(P, u, v, R) - M(P, v, u, R) for R = rev(P[j:]) and |P| = k, first = P[0].
 
-    With J = [[0, 1], [-1, 0]], A(u)·A(v) - A(v)·A(u) = (v - u)·J, and
+    With J = [[0, 1], [-1, 0]], A(u)·A(v) - A(v)·A(u) = (u - v)·J, and
     N·J·Nᵀ = det(N)·J for every 2 × 2 matrix N.  By _mirror_column's
     M(P, a, b, R) = M(P)·A(a)·A(b)·M(P)ᵀ·K, with K = A(P[0])⁻¹ when j = 1
     and the identity when j = 0, the difference is (u - v)·(-1)**k·J·K,
