@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from foldruns import (
     CheckReport,
     as_code,
     find_overlaps,
+    paperfolding_term,
     paperfolding_word,
     right_special_count,
     run_decompose,
@@ -91,6 +93,30 @@ def test_gen_padded_code_same_word(capsys):
 def test_gen_usage_errors(argv, capsys):
     assert run(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+# a seeded code of every length 1..12, its sign pattern drawn once
+GEN_CODES = [
+    "".join(np.random.default_rng(t).choice(["+", "-"], size=t)) for t in range(1, 13)
+]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("limited", [False, True])
+@pytest.mark.parametrize("code", GEN_CODES)
+def test_gen_spells_the_paperfolding_terms(code, limited, fmt, capsys):
+    size = 2 ** len(code) - 1
+    argv = ["gen", f"--code={code}", "--format", fmt]
+    if limited:
+        # a prefix that ends inside the word, at one of its odd positions
+        size = size // 3 | 1
+        argv += ["--limit", str(size)]
+    assert run(argv) == 0
+    word = "".join(
+        "+" if paperfolding_term(code, n) == 1 else "-" for n in range(1, size + 1)
+    )
+    want = word if fmt == "tsv" else _json_text({"code": code, "word": word})
+    assert capsys.readouterr().out == want + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +598,82 @@ def test_emit_rows_at_block_boundaries(offset, width, fmt, capsys):
 def test_emit_rows_prints_the_int64_extremes(capsys):
     _emit_rows("tsv", ["x"], [np.array([-(2**63), 2**63 - 1])])
     assert lines_of(capsys) == ["x", "-9223372036854775808", "9223372036854775807"]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("digits", range(1, 20))
+def test_emit_rows_writes_every_digit_count(digits, fmt, capsys):
+    # each column is of one width throughout, or of one width with a sign on
+    # some values, or of every width up to it
+    rng = np.random.default_rng(digits)
+    high = min(10**digits, 2**63) - 1
+    same = rng.integers(10 ** (digits - 1), high, size=40, endpoint=True)
+    signs = rng.choice([-1, 1], size=40)
+    shorter = same >> rng.integers(0, 64, size=40)
+    columns = [same, -same, same * signs, shorter, -shorter]
+    header = ["p", "n", "s", "a", "b"]
+    _emit_rows(fmt, header, columns)
+    got = capsys.readouterr().out.splitlines(keepends=True)
+    assert got == _template_table(fmt, header, columns).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_emit_rows_switches_between_uniform_and_mixed_blocks(
+    block_rows, fmt, monkeypatch, capsys
+):
+    # across 9 -> 10, 99 -> 100 and 9,999 -> 10,000 a block holds values of
+    # one width, then of two, then of one again, and the row width changes;
+    # a column of mixed signs turns a block's sign byte on and off
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    up = np.r_[np.arange(1, 120), np.arange(9_990, 10_011)]
+    columns = [up, -up[::-1], up % 7 - 3, up * 10**9, -(up % 11)]
+    header = ["n", "neg", "mixed", "wide", "b"]
+    _emit_rows(fmt, header, columns)
+    got = capsys.readouterr().out.splitlines(keepends=True)
+    assert got == _template_table(fmt, header, columns).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 2**14])
+def test_emit_rows_zero_negative_and_mixed_columns(
+    block_rows, fmt, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    header = ["zero", "neg", "mixed", "min", "one"]
+    columns = [
+        np.zeros(20, dtype=np.int64),
+        -rng.integers(1, 10**12, size=20),
+        rng.integers(-(10**6), 10**6, size=20),
+        np.full(20, -(2**63)),
+        [-1, 0, 1, -9, 9, -10, 10] + [0] * 13,
+    ]
+    _emit_rows(fmt, header, columns)
+    assert capsys.readouterr().out == _template_table(fmt, header, columns)
+
+
+class _Discard:
+    """A stdout that drops what it is given, so tracemalloc counts no output."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+def test_emit_rows_memory_is_bounded_by_a_block(fmt):
+    # 2^19 rows as the t = 20 run table has them, int64 so nothing is copied;
+    # the whole table's text would be about 12 MB
+    n = np.arange(1, 2**19 + 1)
+    columns = [n, n % 3 + 1, 2 * n - 1, 2 * n + n % 3]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            _emit_rows(fmt, ["n", "R", "S", "E"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -174,3 +174,13 @@ def test_word_equality_and_array_dtype():
     assert w == PaperfoldingWord((1, 1, -1))
     assert w.array.dtype == np.int8
     assert w.array.tolist() == [1, 1, -1]
+
+
+@pytest.mark.parametrize("bad", [0, 2, -2, 127, -128])
+@pytest.mark.parametrize("at", [0, 2, -1])
+def test_word_refuses_terms_other_than_plus_and_minus_one(bad, at):
+    terms = [1, -1, 1, -1, 1]
+    terms[at] = bad
+    for given in (terms, np.array(terms, dtype=np.int8), [bad] * 3):
+        with pytest.raises(ValueError, match=r"^word terms must be \+1 or -1$"):
+            PaperfoldingWord(given)
