@@ -259,6 +259,8 @@ def _build_target(name: str, sample_depth: int, test_depth: int):
 def _check_depths(args) -> None:
     if not 4 <= args.sample_depth <= 12:
         raise _UsageError("--sample-depth must be in 4..12")
+    if args.test_depth is None:
+        args.test_depth = min(6, args.sample_depth)
     if not 2 <= args.test_depth <= args.sample_depth:
         raise _UsageError("--test-depth must be in 2..sample depth")
 
@@ -449,7 +451,8 @@ def _add_format_option(sub) -> None:
 
 def _add_depth_options(sub) -> None:
     sub.add_argument("--sample-depth", type=int, default=10)
-    sub.add_argument("--test-depth", type=int, default=6)
+    # default: min(6, sample depth), set by _check_depths
+    sub.add_argument("--test-depth", type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:

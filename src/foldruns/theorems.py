@@ -61,9 +61,10 @@ EXPECTED_PALINDROMES = frozenset(
 
 SUITES = ("sp", "runs", "regular", "cf")
 
-# The least max_code_len each suite accepts: an overlap, and a length-2
-# factor with a follower, need three runs, so the runs suite starts at 3.
-MIN_CODE_LEN = {"sp": 2, "runs": 3, "regular": 2, "cf": 2, "all": 3}
+# The least max_code_len each suite accepts.  The runs suite starts at 4:
+# an overlap, and a length-2 factor with a follower, need three runs, and
+# the squares 123123 and 321321 first occur in codes of length 4.
+MIN_CODE_LEN = {"sp": 2, "runs": 4, "regular": 2, "cf": 2, "all": 4}
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,8 @@ def overlapfree(L: int = 10) -> CheckReport:
 
 def squares_only(L: int = 10) -> CheckReport:
     """The union of square factors over all codes with t <= L is the known trio."""
-    bound = _codes_bound("squares_only", L, 1)
+    # 123123 and 321321 first occur at t = 4: below it the trio is never whole
+    bound = _codes_bound("squares_only", L, 4)
     found: set = set()
     for t in range(1, L + 1):
         for _, _, lengths in _run_blocks(code_matrix(t)):

@@ -32,6 +32,7 @@ from foldruns import (
 from foldruns import cli
 from foldruns.cli import _emit_rows, entrypoint, run
 from foldruns.contfrac import alpha_pair
+from foldruns.theorems import MIN_CODE_LEN
 
 RUN_TABLE_1111 = [
     (1, 2, 1, 2),
@@ -220,6 +221,9 @@ def test_verify_failing_report_exits_one(capsys, monkeypatch):
         ["verify", "--suite", "nope"],
         ["verify", "--suite", "runs", "--max-code-len", "2"],
         ["verify", "--max-code-len", "2"],
+        # no code with t <= 3 holds the square 123123
+        ["verify", "--suite", "runs", "--max-code-len", "3"],
+        ["verify", "--max-code-len", "3"],
     ],
 )
 def test_verify_usage_errors(argv):
@@ -230,7 +234,7 @@ def test_verify_usage_errors(argv):
 def test_verify_names_the_runs_floor(capsys, suite):
     assert run(["verify", "--suite", suite, "--max-code-len", "2"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --max-code-len must be in 3..12 for --suite {suite}\n"
+    assert err == f"error: --max-code-len must be in 4..12 for --suite {suite}\n"
 
 
 @pytest.mark.parametrize("suite, bound", [("sp", "codes t<=2"), ("cf", "n<=2")])
@@ -795,6 +799,35 @@ def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "x.out" in err
+
+
+# ---------------------------------------------------------------------------
+# every subcommand at the least value of each numeric option
+
+
+def _floor_argvs():
+    yield ["gen", "--regular", "--length", "1"]
+    yield ["gen", "--regular", "--length", "1", "--limit", "1"]
+    yield ["runs", "--regular", "--length", "1"]
+    yield ["runs", "--code", "+", "--factors", "palindromes", "--max-len", "1"]
+    # the least code length whose window covers factor length 1
+    least = cli.min_code_length(2)
+    yield ["complexity", "--regular", "--length", str(least), "--n-to", "1"]
+    yield ["cf", "--sweep", "2"]
+    for suite, floor in MIN_CODE_LEN.items():
+        yield ["verify", "--suite", suite, "--max-code-len", str(floor),
+               "--max-index", "16"]
+    for command in ("infer", "dot"):
+        for target in ("sp", "ep", "rl", "tt"):
+            yield [command, "--target", target, "--sample-depth", "4"]
+    yield ["infer", "--target", "rl", "--sample-depth", "4", "--test-depth", "2"]
+
+
+@pytest.mark.parametrize("argv", list(_floor_argvs()), ids=" ".join)
+def test_every_subcommand_runs_at_its_floors(argv, capsys):
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and not err
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def _reference_triple(families, max_factor_len):
         # an overlap, and a length-2 factor with a follower, need three runs
         (overlapfree, (2,), "overlapfree needs L >= 3, got 2"),
         (no_triple_extension, (2,), "no_triple_extension needs L >= 3, got 2"),
-        (squares_only, (0,), "squares_only needs L >= 1, got 0"),
+        # 123123 and 321321 first occur at t = 4
+        (squares_only, (3,), "squares_only needs L >= 4, got 3"),
         (squares_present, (0,), "squares_present needs L >= 1, got 0"),
         (palindromes, (0,), "palindromes needs L >= 1, got 0"),
         (palindromes, (-1,), "palindromes needs L >= 1, got -1"),
