@@ -59,11 +59,16 @@ class _UsageError(Exception):
 
 
 # Rows rendered per write by _emit_rows: bounds the digit arrays and the
-# cell matrix built at once, whatever the table's length.
+# row buffer built at once, whatever the table's length.
 _BLOCK_ROWS = 2**14
 
+# the digit cells' dtype: little-endian, so a cell shifted right by 8 bits
+# per byte keeps its rightmost bytes on any host
+_CELL = np.dtype("<u4")
+
+
 def _digit_groups() -> np.ndarray:
-    """The ASCII digits of every group 0..9999, four bytes in one uint32 each.
+    """The ASCII digits of every group 0..9999, four bytes in one cell each.
 
     Three tables of 10**4 entries, stacked: the group zero-padded (an inner
     group), right-aligned over NULs with 0 as all NULs (the leading group; a
@@ -75,47 +80,62 @@ def _digit_groups() -> np.ndarray:
     shown = np.logical_or.accumulate(digits > 0, axis=1)
     leading = inner * shown
     shown[:, -1] = True
-    return np.stack([inner, leading, inner * shown]).view(np.uint32).ravel()
+    return np.stack([inner, leading, inner * shown]).view(_CELL).ravel()
 
 
 _GROUPS = _digit_groups()
 _GROUP = np.uint64(10**4)
 
 
-def _digit_cells(values: np.ndarray) -> list[np.ndarray]:
-    """The digits of |values| as uint32 cells, most significant group first.
+def _write_digits(view, end: int, q: np.ndarray, digits: int, least: int) -> None:
+    """Write each q in `digits` decimal digits, right-aligned to byte `end`.
 
-    Each cell is one base-10**4 group looked up in _GROUPS; there are as many
-    cells as the largest value needs, and NULs pad the shorter values.
+    view(dtype, at) is the block's rows at byte `at` of the row buffer, read
+    as dtype.  Each base-10**4 group is one cell looked up in _GROUPS;
+    `least` is the digit count of the smallest q, and the bytes a shorter q
+    does not reach read NUL.
     """
-    # np.abs(-2**63) is -2**63, whose bits are 2**63 as uint64
-    q = np.abs(values).view(np.uint64)
-    cells = []
-    # a leading group reads the third table if it is the lowest, else the second
-    offset = 2 * _GROUP
-    while True:
+    # a group reads the first table below a value's top, the second where
+    # the value leads, and the third where it leads in the lowest group
+    # every index is in range by construction: mode "clip" skips the check
+    offset, groups = 2 * _GROUP, -(-digits // 4)
+    for j in range(groups - 1):
         higher = q // _GROUP
-        cells.append(_GROUPS.take(q - higher * _GROUP + (higher == 0) * offset))
-        if not higher.any():
-            return cells[::-1]
+        index = q - higher * _GROUP
+        if least <= 4 * j + 4:
+            index += (higher == 0) * offset
+        view(_CELL, end - 4 * j - 4)[...] = _GROUPS.take(index, mode="clip")
         q, offset = higher, _GROUP
-
-
-def _text_cells(text: str) -> np.ndarray:
-    """ASCII text as uint32 cells, NUL-padded to a multiple of four bytes."""
-    data = text.encode("ascii")
-    return np.frombuffer(data.ljust(-(-len(data) // 4) * 4, b"\0"), np.uint32)
+    # the top group is its cell's rightmost `top` bytes, stored as 4, or as
+    # 2 and then 1, so nothing spills into the bytes before the field
+    top = digits - 4 * (groups - 1)
+    cell = _GROUPS.take(q + offset, mode="clip") >> np.uint32(32 - 8 * top)
+    at = end - digits
+    if top == 4:
+        view(_CELL, at)[...] = cell
+    if top & 2:
+        view("<u2", at)[...] = cell
+        cell >>= np.uint32(16)
+        at += 2
+    if top & 1:
+        view(np.uint8, at)[...] = cell
 
 
 def _emit_rows(fmt: str, header: list[str], columns) -> None:
     """Print a table given as equal-length integer columns (arrays, lists or ranges).
 
-    Each block of _BLOCK_ROWS rows is laid out as one uint32 matrix: per
-    field, the text before it (a tab, or the JSON key with sorted keys, as
-    _json_line writes it) with the sign ('-' or NUL) in its last cell, then
-    the digit cells; the row ends with the newline (and '}').  Dropping the
-    NULs from the matrix's bytes leaves every field at its own width, so the
-    block is written as one string and no Python object is made per row.
+    Each block of _BLOCK_ROWS rows is written into one uint8 row buffer,
+    reused across the table, with every field as wide as its block needs:
+    the text before it (a tab, or the JSON key with sorted keys, as
+    _json_line writes it), a sign byte only if the block holds a negative
+    value, and as many digits as the block's largest |value|; the row ends
+    with the newline (and '}').  Digits are stored through strided views of
+    the buffer, one 4-byte cell per base-10**4 group and the top group as
+    exactly its own bytes; the texts are rewritten only when the layout
+    changes.  A block whose fields each have one width and one sign is
+    decoded as it stands.  In the others a shorter value, or a positive one
+    under a sign byte, leaves NULs, which one translate drops.  No Python
+    object is made per row.
     """
     columns = [
         _int64_terms(f"column {h!r}", c) for h, c in zip(header, columns, strict=True)
@@ -130,16 +150,50 @@ def _emit_rows(fmt: str, header: list[str], columns) -> None:
         columns = [columns[k] for k in order]
         keys = [_json_line(header[k]) + ":" for k in order]
         texts = ["{" + keys[0], *("," + key for key in keys[1:]), "}\n"]
-    heads = [(_text_cells(t + "\0"), _text_cells(t + "-")[-1]) for t in texts[:-1]]
-    tail = _text_cells(texts[-1])
+    texts = [t.encode("ascii") for t in texts]
+    buf, layout = np.empty(0, np.uint8), None
     for a in range(0, columns[0].size, _BLOCK_ROWS):
-        cells = []
-        for (head, minus), c in zip(heads, columns):
+        fields, uniform = [], True
+        for c in columns:
             values = c[a : a + _BLOCK_ROWS]
-            sign = np.where(values < 0, minus, head[-1])
-            cells += [*head[:-1], sign, *_digit_cells(values)]
-        matrix = np.column_stack(np.broadcast_arrays(*cells, *tail))
-        sys.stdout.write(matrix.tobytes().translate(None, b"\0").decode("ascii"))
+            lo, hi = int(values.min()), int(values.max())
+            signed = lo < 0
+            # np.abs(-2**63) is -2**63, whose bits are 2**63 as uint64
+            q = (np.abs(values) if signed else values).view(np.uint64)
+            # the least |value| of a block of both signs is taken to be 0
+            least = len(str(-hi if hi < 0 else max(lo, 0)))
+            digits = len(str(max(hi, -lo)))
+            uniform &= least == digits and signed == (hi < 0)
+            fields.append((values, q, signed, digits, least))
+        rows = fields[0][0].size
+        shape = [(signed, digits) for _, _, signed, digits, _ in fields]
+        width = sum(map(len, texts)) + sum(s + d for s, d in shape)
+        if buf.size < rows * width:
+            buf, layout = np.empty(rows * width, np.uint8), None
+
+        def view(dtype, at):
+            return np.ndarray((rows,), dtype, buf, at, (width,))
+
+        # the buffer keeps the last layout's texts: only the last block can
+        # have fewer rows than the one that wrote them
+        if shape != layout:
+            at = 0
+            for text, (signed, digits) in zip(texts, shape + [(0, 0)]):
+                if text:
+                    view(f"V{len(text)}", at)[...] = np.void(text)
+                at += len(text) + signed + digits
+            layout = shape
+        at = 0
+        for text, (values, q, signed, digits, least) in zip(texts, fields):
+            at += len(text)
+            if signed:
+                view(np.uint8, at)[...] = (values < 0) * np.uint8(ord("-"))
+            at += signed + digits
+            _write_digits(view, at, q, digits, least)
+        block = buf[: rows * width]
+        if not uniform:
+            block = block.tobytes().translate(None, b"\0")
+        sys.stdout.write(str(block, "ascii"))
 
 
 def _json_line(obj) -> str:
@@ -180,12 +234,12 @@ def _output(path):
         raise _UsageError(str(exc))
 
 
-_SIGNS = np.frombuffer(b"-+", dtype=np.uint8)
-
-
 def _word_text(symbols: np.ndarray) -> str:
-    """+1 as '+', anything else as '-': one byte lookup, one decode."""
-    return _SIGNS[(symbols == 1).view(np.uint8)].tobytes().decode("ascii")
+    """A word's ±1 terms as '+'/'-' (ASCII 43 and 45): each byte is 44 - term.
+
+    One subtract makes the bytes and one decode the text; no lookup table.
+    """
+    return str(44 - symbols, "ascii")
 
 
 # ---------------------------------------------------------------------------

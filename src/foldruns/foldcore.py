@@ -186,7 +186,7 @@ class PaperfoldingWord:
         )
         if arr.ndim != 1:
             raise ValueError("word terms must be one-dimensional")
-        if arr.size and not np.all((arr == 1) | (arr == -1)):
+        if arr.size and not (arr.min() >= -1 and arr.max() <= 1 and arr.all()):
             raise ValueError("word terms must be +1 or -1")
         arr = arr.copy()
         arr.setflags(write=False)
