@@ -96,8 +96,8 @@ def _write_digits(view, end: int, q: np.ndarray, digits: int, least: int) -> Non
     does not reach read NUL.
     """
     # a group reads the first table below a value's top, the second where
-    # the value leads, and the third where it leads in the lowest group
-    # every index is in range by construction: mode "clip" skips the check
+    # the value leads, and the third where it leads in the lowest group;
+    # every index is in range, so take's "clip" mode only skips the check
     offset, groups = 2 * _GROUP, -(-digits // 4)
     for j in range(groups - 1):
         higher = q // _GROUP
