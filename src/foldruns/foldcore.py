@@ -55,7 +55,7 @@ def _int64_terms(what: str, values) -> np.ndarray:
             raise TypeError(f"{what} holds a value that is not an integer")
         # numpy would type ints past int64 as uint64, float64 or object
         values = np.array(values, dtype=object)
-    if values.size and not (
+    if not np.can_cast(values.dtype, np.int64) and values.size and not (
         _INT64_MIN <= int(values.min()) and int(values.max()) <= _INT64_MAX
     ):
         raise ValueError(f"{what} holds a value outside int64")
