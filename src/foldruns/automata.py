@@ -30,14 +30,21 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .runs import (
-    _family_run_data,
     _regular_gaps,
     _regular_run_data,
+    _run_blocks,
     _span,
     regular_run_end,
     regular_run_span,
 )
-from .foldcore import PAD, FoldCode, InvalidCodeError, as_code, is_valid_code
+from .foldcore import (
+    PAD,
+    FoldCode,
+    InvalidCodeError,
+    as_code,
+    code_matrix,
+    is_valid_code,
+)
 
 INSTRUCTION_TRACK = (-1, 0, 1)
 BIT_TRACK = (0, 1)
@@ -451,10 +458,11 @@ class _CodeFamilyOracle(_RunOracle):
         """
         hit = self._rows.get(t)
         if hit is None:
-            codes, lengths, ends = _family_run_data(t)
-            column = self._pick(lengths, ends)
-            zero = np.full((len(codes), 1), self.value_at_zero, dtype=np.int32)
-            hit = self._rows[t] = (codes, 0, np.hstack([zero, column]))
+            codes = code_matrix(t)
+            values = np.full((len(codes), 2**t // 2 + 1), self.value_at_zero, np.int32)
+            for a, ends, lengths in _run_blocks(codes):
+                values[a : a + len(ends), 1:] = self._pick(lengths, ends)
+            hit = self._rows[t] = (codes, 0, values)
         return hit
 
     def _tables(self, width: int) -> Iterator[tuple]:

@@ -19,7 +19,6 @@ from .foldcore import (
     PaperfoldingWord,
     _int64_terms,
     as_code,
-    code_matrix,
     paperfolding_word,
     word_matrix,
 )
@@ -158,21 +157,6 @@ def _run_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
         lengths[:, 0] = ends[:, 0]
         np.subtract(ends[:, 1:], ends[:, :-1], out=lengths[:, 1:])
         yield a, ends, lengths
-
-
-def _family_run_data(t: int):
-    """(codes, run lengths, 1-indexed run ends) for every code of length t >= 0.
-
-    Row r of each matrix belongs to row r of code_matrix(t); the rows are
-    copied from _run_blocks, for the checks that need every row at once.
-    """
-    codes = code_matrix(t)
-    ends = np.empty((len(codes), 2**t // 2), dtype=np.int32)
-    lengths = np.empty(ends.shape, dtype=np.int8)
-    for a, block_ends, block_lengths in _run_blocks(codes):
-        ends[a : a + len(block_ends)] = block_ends
-        lengths[a : a + len(block_ends)] = block_lengths
-    return codes, lengths, ends
 
 
 def _assoc_codes(codes: np.ndarray) -> np.ndarray:

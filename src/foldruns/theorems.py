@@ -19,7 +19,6 @@ from .runs import (
     _FactorIndex,
     _Levels,
     _assoc_codes,
-    _family_run_data,
     _palindromic_factors,
     _predicted_ends,
     _regular_gaps,
@@ -200,13 +199,17 @@ def overlapfree(L: int = 10) -> CheckReport:
     """Run-length words of all codes with t <= L contain no overlap axaxa."""
     bound = _codes_bound("overlapfree", L, 3)
     for t in range(1, L + 1):
-        codes, lengths = _family_run_data(t)[:2]
-        rows, starts, periods = _repetitions(_Levels(lengths), 1)
-        if rows.size:
-            # the first by period, then row, then start
-            h = np.lexsort((starts, rows, periods))[0]
-            r, j, p = int(rows[h]), int(starts[h]), int(periods[h])
-            overlap = tuple(int(v) for v in lengths[r, j : j + 2 * p + 1])
+        codes, hits = code_matrix(t), []
+        for a, _, lengths in _run_blocks(codes):
+            rows, starts, periods = _repetitions(_Levels(lengths), 1)
+            if rows.size:
+                # each block's first by period, then row, then start
+                h = np.lexsort((starts, rows, periods))[0]
+                r, j, p = int(rows[h]), int(starts[h]), int(periods[h])
+                overlap = tuple(lengths[r, j : j + 2 * p + 1].tolist())
+                hits.append((p, a + r, j, overlap))
+        if hits:
+            p, r, j, overlap = min(hits)
             witness = (_row_code(codes, r).to_text(), j + 1, p, overlap)
             return CheckReport("overlapfree", bound, witness)
     return CheckReport("overlapfree", bound)
@@ -250,27 +253,21 @@ def squares_present(L: int = 7, flag_up_to: int = 10) -> CheckReport:
     bound = f"codes t={L}, sampled to t<={flag_up_to}"
     notes = []
     for t in range(L, max(L, flag_up_to) + 1):
-        codes, lengths = _family_run_data(t)[:2]
-        m = lengths.shape[1]
-        for square in sorted(EXPECTED_SQUARES):
-            q = len(square)
-            if m < q:
-                hit_rows = np.zeros(codes.shape[0], dtype=bool)
-            else:
-                target = np.asarray(square, dtype=np.int8)
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    lengths, q, axis=1
-                )
-                hit_rows = (windows == target).all(axis=2).any(axis=1)
-            if not hit_rows.all():
-                r = int(np.flatnonzero(~hit_rows)[0])
-                if t == L:
-                    witness = (_row_code(codes, r).to_text(), square)
-                    return CheckReport("squares_present", bound, witness)
-                notes.append(
-                    f"t={t}: {_row_code(codes, r).to_text()} lacks "
-                    f"{''.join(map(str, square))}"
-                )
+        codes, lacking = code_matrix(t), {}  # square -> the first row without it
+        for a, _, lengths in _run_blocks(codes):
+            words = [bytes(row) for row in lengths.astype(np.uint8)]
+            for square in EXPECTED_SQUARES - lacking.keys():
+                bad = [r for r, w in enumerate(words) if bytes(square) not in w]
+                if bad:
+                    lacking[square] = a + bad[0]
+        for square, r in sorted(lacking.items()):
+            if t == L:
+                witness = (_row_code(codes, r).to_text(), square)
+                return CheckReport("squares_present", bound, witness)
+            notes.append(
+                f"t={t}: {_row_code(codes, r).to_text()} lacks "
+                f"{''.join(map(str, square))}"
+            )
     return CheckReport("squares_present", bound, note="; ".join(notes))
 
 
@@ -282,7 +279,9 @@ def palindromes(L: int = 9, max_len: int = 7) -> CheckReport:
     """
     _needs("palindromes", L, 1)
     bound = f"codes t={L}, factor len<={max_len}"
-    found = _palindromic_factors(_family_run_data(L)[1], max_len)
+    found = set()
+    for _, _, lengths in _run_blocks(code_matrix(L)):
+        found |= _palindromic_factors(lengths, max_len)
     if found == set(EXPECTED_PALINDROMES):
         return CheckReport("palindromes", bound)
     extra = sorted(found - EXPECTED_PALINDROMES)
@@ -300,20 +299,29 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
     bound = _codes_bound("no_triple_extension", L, 3)
     bound += f", factor len 2..{max_factor_len}"
     for t in range(2, L + 1):
-        codes, lengths = _family_run_data(t)[:2]
-        levels, m = _Levels(lengths), lengths.shape[1]
-        for n in range(2, min(max_factor_len, m - 1) + 1):
-            count = m - n  # the windows that have a next run
+        # a window of n + 1 <= top runs lies in one of top runs: the distinct
+        # top-run windows of each block, at their first (row, start), suffice
+        codes, parts = code_matrix(t), []
+        for a, _, lengths in _run_blocks(codes):
+            m = lengths.shape[1]
+            top = min(max_factor_len, m - 1) + 1
+            keys = _Levels(lengths).window_keys(top, m - top + 1)
+            r, j = np.divmod(np.unique(keys, return_index=True)[1], keys.shape[1])
+            parts.append((a + r, j, lengths[r[:, None], j[:, None] + np.arange(top)]))
+        rows, starts, windows = map(np.concatenate, zip(*parts))
+        levels = _Levels(windows)
+        for n in range(2, top):
+            count = top - n  # the windows that have a next run
             factors, follows = _right_extension_pairs(
-                levels.window_keys(n, count), lengths[:, n:]
+                levels.window_keys(n, count), windows[:, n:]
             )
             # a factor repeats in the sorted pairs once per extra extension
             triple = factors[2:][factors[2:] == factors[:-2]]
             if triple.size:
                 # the smallest such factor, where it first occurs row by row
-                keys = levels.window_keys(n, count)
-                r, j = divmod(int(np.argmax(keys == triple[0])), count)
-                factor = tuple(lengths[r, j : j + n].tolist())
+                w, k = np.nonzero(levels.window_keys(n, count) == triple[0])
+                r, j = min(zip(rows[w].tolist(), (starts[w] + k).tolist()))
+                factor = tuple(windows[w[0], k[0] : k[0] + n].tolist())
                 exts = tuple(follows[factors == triple[0]].tolist())
                 witness = (_row_code(codes, r).to_text(), factor, exts, j + 1)
                 return CheckReport("no_triple_extension", bound, witness)

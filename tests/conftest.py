@@ -1,5 +1,6 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures, the family reader and the acceptance-criteria summary hook."""
 
+import numpy as np
 import pytest
 
 from foldruns import (
@@ -9,8 +10,25 @@ from foldruns import (
     build_tt,
     infer_automaton,
 )
+from foldruns.foldcore import code_matrix
+from foldruns.runs import _run_blocks
 
 ACCEPTANCE_RESULTS = {}
+
+
+def family_runs(t):
+    """(codes, run lengths, run ends) of every code of length t, the blocks joined.
+
+    Row r of each matrix belongs to row r of code_matrix(t); lengths and
+    ends are int32, as _run_blocks yields them.
+    """
+    codes = code_matrix(t)
+    blocks = list(_run_blocks(codes))
+    return (
+        codes,
+        np.concatenate([lengths for _, _, lengths in blocks]),
+        np.concatenate([ends for _, ends, _ in blocks]),
+    )
 
 
 def pytest_configure(config):

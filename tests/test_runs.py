@@ -37,7 +37,6 @@ from foldruns import runs
 from foldruns.runs import (
     _FactorIndex,
     _Levels,
-    _family_run_data,
     _palindromic_factors,
     _rank,
     _regular_run_data,
@@ -47,6 +46,7 @@ from foldruns.runs import (
 from foldruns import theorems
 from foldruns.foldcore import code_matrix
 from foldruns.theorems import _spread_codes
+from conftest import family_runs
 from repetitions import periodic_hits
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=10).map(
@@ -252,7 +252,7 @@ def test_periodic_windows_match_the_definition_on_random_rows(symbols, extra):
 
 @pytest.mark.parametrize("block", [3, 100, 2**15])
 def test_repetitions_do_not_depend_on_the_sample_block(monkeypatch, block):
-    rows = _family_run_data(6)[1].copy()
+    rows = family_runs(6)[1]
     rows[3, 10:15] = (1, 2, 1, 2, 1)
     rows[9, 0:4] = (3, 3, 3, 3)
     monkeypatch.setattr(runs, "_SAMPLE_BLOCK", block)
@@ -304,7 +304,7 @@ def _palindromes_by_scan(rows, max_len):
 
 
 def test_batched_palindromes_match_a_per_word_scan():
-    rows = _family_run_data(6)[1]
+    rows = family_runs(6)[1]
     assert _palindromic_factors(rows, 5) == _palindromes_by_scan(rows, 5)
 
 
@@ -343,7 +343,7 @@ def _assert_window_holds_every_factor(codes, lengths, ends, n):
 
 
 def test_window_bound_holds_every_factor_of_the_length_10_family():
-    codes, lengths, ends = _family_run_data(10)
+    codes, lengths, ends = family_runs(10)
     ns = [n for n in range(1, 31) if min_code_length(n) <= 10]
     assert ns == list(range(1, 13))
     for n in ns:
@@ -436,16 +436,20 @@ def test_complexity_increment_is_four_past_six():
 
 
 @pytest.mark.parametrize("block_cells", [1, 100, 2**18])
-def test_family_run_data_matches_per_word_decomposition(monkeypatch, block_cells):
-    # blocks of one row, of a few rows, and the default must all agree
+def test_run_blocks_match_per_word_decomposition(monkeypatch, block_cells):
+    # blocks of one row, of a few rows, and of the whole family must all agree
     monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", block_cells)
     for t in range(1, 8):
-        codes, lengths, ends = _family_run_data(t)
-        assert lengths.dtype == np.int8 and ends.dtype == np.int32
-        for code, row_lengths, row_ends in zip(codes, lengths, ends):
-            dec = run_decompose(paperfolding_word(code.tolist()))
-            assert row_lengths.tolist() == dec.lengths.tolist()
-            assert row_ends.tolist() == dec.ends.tolist()
+        codes, done = code_matrix(t), 0
+        for a, ends, lengths in _run_blocks(codes):
+            assert a == done and lengths.dtype == ends.dtype == np.int32
+            assert len(ends) == min(max(1, block_cells // (2**t - 1)), len(codes) - a)
+            for code, row_lengths, row_ends in zip(codes[a:], lengths, ends):
+                dec = run_decompose(paperfolding_word(code.tolist()))
+                assert row_lengths.tolist() == dec.lengths.tolist()
+                assert row_ends.tolist() == dec.ends.tolist()
+            done += len(ends)
+        assert done == len(codes)
 
 
 def test_the_empty_code_is_one_row_of_no_runs():
@@ -454,9 +458,6 @@ def test_the_empty_code_is_one_row_of_no_runs():
     assert (a, more) == (0, [])
     assert ends.shape == lengths.shape == (1, 0)
     assert ends.dtype == lengths.dtype == np.int32
-    codes, lengths, ends = _family_run_data(0)
-    assert codes.shape == lengths.shape == ends.shape == (1, 0)
-    assert (lengths.dtype, ends.dtype) == (np.int8, np.int32)
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (3, 0), (4, 9), (2, 300)])
@@ -569,7 +570,7 @@ def _overlaps_by_definition(row):
 
 def test_squares_and_overlaps_match_the_definition_on_the_length_10_family():
     for t in range(1, 11):
-        codes, lengths, _ = _family_run_data(t)
+        codes, lengths, _ = family_runs(t)
         squares = defaultdict(set)
         overlaps = defaultdict(list)
         for r, i, p in periodic_hits(lengths, 0):

@@ -1,6 +1,7 @@
 """Named bounded checks: reports, individual checks, suites, dispatch."""
 
 import hashlib
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -11,6 +12,9 @@ from foldruns import (
     EXPECTED_SQUARES,
     SUITES,
     CheckReport,
+    EndRelationOracle,
+    RunLengthOracle,
+    StartRelationOracle,
     complexity,
     gap_wellformedness,
     no_triple_extension,
@@ -31,11 +35,11 @@ from foldruns import (
 from foldruns import runs, theorems
 from foldruns.foldcore import FoldCode, code_matrix, paperfolding_word
 from foldruns.runs import (
-    _family_run_data,
     _regular_gaps,
     _regular_run_data,
     run_decompose,
 )
+from conftest import family_runs
 from repetitions import periodic_hits
 from mutants import mutated_label, seeded_transition_mutants
 
@@ -261,18 +265,103 @@ def default_block_reports(sp_label_mutants):
     return _block_reports(sp_label_mutants)
 
 
+def _oracle_tables():
+    return [
+        (t, values.dtype, values.tolist())
+        for oracle in (StartRelationOracle(), EndRelationOracle(), RunLengthOracle())
+        for t in range(8)
+        for _, _, values in [oracle._table(t)]
+    ]
+
+
+# (check, crafted rows, (witness, note)) where the witness needs a block
+# after the first: with 100 cells a block holds 3 codes at t = 5 and one
+# from t = 7 on.  The witnesses are those of the definitions (_first_overlap,
+# _reference_triple, a scan of the rows).
+_STREAMED_CASES = [
+    # period 2 in row 1, and the shorter period 1 in row 14
+    (
+        lambda: overlapfree(5),
+        {5: [(1, 3, (1, 2, 1, 2, 1)), (14, 6, (3, 3, 3))]},
+        (("+---+", 7, 1, (3, 3, 3)), ""),
+    ),
+    # 33 extends by 1 in row 13, by 2 in row 5 (first) and by 3 in row 9
+    (
+        lambda: no_triple_extension(5),
+        {5: [(13, 2, (3, 3, 1)), (5, 6, (3, 3, 2)), (9, 0, (3, 3, 3))]},
+        (("++-+-", (3, 3), (1, 2, 3), 7), ""),
+    ),
+    # row 30 lacks 22 and 321321, row 90 the first square, 123123
+    (
+        lambda: squares_present(7, 8),
+        {7: [(30, 0, (1, 2, 3) * 21 + (1,)), (90, 0, (3, 2, 1) * 21 + (3,))]},
+        (("-+--+-+", (1, 2, 3, 1, 2, 3)), ""),
+    ),
+    # the same at a sampled length: noted in the order of the squares
+    (
+        lambda: squares_present(7, 8),
+        {8: [(30, 0, (1, 2, 3) * 42 + (1, 2)), (90, 0, (3, 2, 1) * 42 + (3, 2))]},
+        (
+            None,
+            "t=8: +-+--+-+ lacks 123123; t=8: +++----+ lacks 22; "
+            "t=8: +++----+ lacks 321321",
+        ),
+    ),
+    # a palindrome in the last code only
+    (lambda: palindromes(5), {5: [(31, 4, (1, 1))]}, (("unexpected", (1, 1)), "")),
+]
+
+
 @pytest.mark.parametrize("cells", [1, 7, 100])
 def test_family_reports_do_not_depend_on_the_run_block_size(
     monkeypatch, sp_label_mutants, default_block_reports, cells
 ):
+    tables = _oracle_tables()
     monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", cells)
     assert _block_reports(sp_label_mutants) == default_block_reports
     # every label mutant (after the machine itself) has witnesses to keep
     assert all(not all(r.passed for r in rs) for rs in default_block_reports[4:])
+    assert _oracle_tables() == tables
+    for check, edits, want in _STREAMED_CASES:
+        family = _crafted_family(edits)
+        monkeypatch.setattr(theorems, "_run_blocks", _blocks_of(family))
+        report = check()
+        assert (report.witness, report.note) == want
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: overlapfree(10),
+        lambda: no_triple_extension(10),
+        lambda: squares_present(7, 10),
+        lambda: palindromes(10),
+    ],
+    ids=["overlapfree", "no_triple_extension", "squares_present", "palindromes"],
+)
+def test_family_checks_hold_one_run_block_at_a_time(check):
+    # the int32 run lengths of the whole t = 10 family take 2 MiB
+    report, peak = _traced_peak(check)
+    assert report.passed
+    assert peak < 3 * 2**20
+
+
+def test_oracle_table_is_filled_in_place():
+    (_, _, values), peak = _traced_peak(lambda: RunLengthOracle()._table(10))
+    assert values.shape == (2**10, 2**9 + 1)
+    assert peak <= 1.5 * values.nbytes
 
 
 def test_no_triple_extension_matches_reference_on_long_factors():
-    families = [_family_run_data(t)[:2] for t in range(2, 9)]
+    families = [family_runs(t)[:2] for t in range(2, 9)]
     assert _reference_triple(families, 40) is None
     report = no_triple_extension(L=8, max_factor_len=40)
     assert report.passed and report.witness is None
@@ -293,9 +382,7 @@ _LONG = [2] * 32
 def test_no_triple_extension_on_crafted_rows(monkeypatch, tails):
     codes = code_matrix(2)[: len(tails)]
     lengths = np.array([_LONG + list(tail) for tail in tails], dtype=np.int8)
-    monkeypatch.setattr(
-        theorems, "_family_run_data", lambda t: (codes, lengths, None)
-    )
+    monkeypatch.setattr(theorems, "_run_blocks", lambda _: [(0, None, lengths)])
     want = _reference_triple([(codes, lengths)], 40)
     report = no_triple_extension(L=3, max_factor_len=40)
     assert report.passed == (want is None)
@@ -321,9 +408,7 @@ def test_no_triple_extension_witness_at_each_level(monkeypatch, n, triple):
         rows = [[3] * (n + 1), [1] * (n + 1), [1] * n + [2], [1] * (n - 1) + [2, 3]]
     codes = code_matrix(2)
     lengths = np.array(rows, dtype=np.int8)
-    monkeypatch.setattr(
-        theorems, "_family_run_data", lambda t: (codes, lengths, None)
-    )
+    monkeypatch.setattr(theorems, "_run_blocks", lambda _: [(0, None, lengths)])
     want = _reference_triple([(codes, lengths)], 40)
     if triple:
         assert want == ("+-", (1, 2), (1, 2, 3), n)
@@ -722,7 +807,7 @@ def _first_overlap(families):
 
 def _blocks_of(family):
     """_run_blocks that yields the rows of family(t) in _run_blocks' blocks."""
-    real = theorems._run_blocks
+    real = runs._run_blocks
 
     def blocks(codes):
         _, lengths, ends = family(codes.shape[1])
@@ -734,11 +819,10 @@ def _blocks_of(family):
 
 
 def _crafted_family(edits):
-    """_family_run_data with the run lengths of chosen rows overwritten."""
+    """family_runs with the run lengths of chosen rows overwritten."""
 
     def family(t):
-        codes, lengths, ends = _family_run_data(t)
-        lengths = lengths.copy()
+        codes, lengths, ends = family_runs(t)
         for r, j, runs in edits.get(t, ()):
             lengths[r, j : j + len(runs)] = runs
         return codes, lengths, ends
@@ -763,7 +847,7 @@ def _crafted_family(edits):
 )
 def test_overlapfree_witness_on_crafted_rows(monkeypatch, edits):
     family = _crafted_family(edits)
-    monkeypatch.setattr(theorems, "_family_run_data", family)
+    monkeypatch.setattr(theorems, "_run_blocks", _blocks_of(family))
     want = _first_overlap([family(t)[:2] for t in range(1, 9)])
     assert (want is None) == (not edits)
     assert overlapfree(8).witness == want
@@ -822,7 +906,7 @@ def _square_free(size):
 
 def test_squares_only_reports_a_missing_square(monkeypatch):
     def family(t):
-        codes, lengths, ends = _family_run_data(t)
+        codes, lengths, ends = family_runs(t)
         row = np.array(_square_free(lengths.shape[1]), dtype=np.int8)
         return codes, np.resize(row, lengths.shape), ends
 
