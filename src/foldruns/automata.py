@@ -366,14 +366,18 @@ class WordOracle:
 
     An oracle provides `label(word)`, the machine's required verdict on any
     product word, and `samples(width)`, which enumerates, exactly once
-    each, every width-`width` input whose label differs from the default
-    (False or 0).  It yields grid blocks (codes int8[R, t] | None, first,
-    values[R, K]) of at most SAMPLE_BLOCK_ROWS cells: cell (r, k) is the
-    code codes[r] (entries +-1, t <= width), the index n = first + k and
-    its value v, the label in function mode and the x accepted with n in
-    relation mode.  Within a block the codes come in strictly increasing
-    (length, code_matrix rank) order, and each block's first cell follows
-    the last cell of the one before, which the verifier checks.
+    each, every input whose label differs from the default (False or 0)
+    and whose least width is `width`: it fits `width` symbols but not one
+    fewer.  An input of least width w is the same input at every width
+    above w, its word padded with zeros, so samples(0..width) together
+    list the non-default inputs of width `width`.  It yields grid blocks
+    (codes int8[R, t] | None, first, values[R, K]) of at most
+    SAMPLE_BLOCK_ROWS cells: cell (r, k) is the code codes[r] (entries
+    +-1, t <= width), the index n = first + k and its value v, the label
+    in function mode and the x accepted with n in relation mode.  Within
+    a block the codes come in strictly increasing (length, code_matrix
+    rank) order, and each block's first cell follows the last cell of the
+    one before, which the verifier checks.
     """
 
     tracks: tuple = ()
@@ -397,7 +401,8 @@ class _RunOracle(WordOracle):
     Subclasses give `_value(raw, n)`, v at one index (raw: the track-0
     symbols) or None off the domain, and `_tables(width)`, which yields
     (codes, first, values) with values[c, k] = v(codes[c], first + k) for
-    every sample of the width in order (codes None without a code track).
+    every sample of least width `width` in order (codes None without a
+    code track).
     """
 
     column: int  # run start, end or length: 0, 1 or 2
@@ -466,7 +471,9 @@ class _CodeFamilyOracle(_RunOracle):
         return hit
 
     def _tables(self, width: int) -> Iterator[tuple]:
-        return map(self._table, range(0 if self.empty_code_relates else 1, width + 1))
+        # a code of length t needs t symbols, and its n and x fit in t bits
+        if width or self.empty_code_relates:
+            yield self._table(width)
 
 
 class StartRelationOracle(_CodeFamilyOracle):
@@ -507,8 +514,10 @@ class _RegularOracle(_RunOracle):
     Column 3 is the gap t(n).  Relation-mode oracles read the graph (n, x)
     on two bit tracks, and those with `zero_relates` also (0, 0); a
     function-mode oracle reads n and outputs v(n), 0 at n = 0.  Samples
-    read one run or gap table per width; `label` evaluates v pointwise, so
-    a large index builds no table.
+    read one run or gap table per width and keep its suffix whose index
+    (function mode) or value (relation mode, where x >= n) needs all
+    `width` bits; `label` evaluates v pointwise, so a large index builds
+    no table.
     """
 
     tracks = (BIT_TRACK, BIT_TRACK)
@@ -523,7 +532,11 @@ class _RegularOracle(_RunOracle):
         return self._pick(e - s + 1, e)
 
     def _tables(self, width: int) -> Iterator[tuple]:
-        """One table: f(n) for every n >= 1 whose sample fits the width."""
+        """One table: f(n) for every n >= 1 whose sample needs the width."""
+        if width == 0:
+            if self.zero_relates:  # (0, 0)
+                yield None, 0, np.zeros((1, 1), dtype=np.int64)
+            return
         top = 2**width - 1
         if self.column == 3:
             values = _regular_gaps(top)  # t(n) <= top forces n <= top
@@ -531,10 +544,10 @@ class _RegularOracle(_RunOracle):
             values = self._pick(*_regular_run_data(top))
             if self.mode == "accept":
                 values = values[values <= top]
-        values = values.astype(np.int64)
-        if self.zero_relates:  # (0, 0) comes first
-            values = np.concatenate(([0], values))
-        yield None, 1 - self.zero_relates, values[None, :]
+        # the samples of n <= top // 2, or of increasing x <= top // 2, fit
+        # one bit fewer
+        lo = np.count_nonzero(values <= top // 2) if self.mode == "accept" else top // 2
+        yield None, 1 + lo, values[None, lo:].astype(np.int64)
 
 
 class RegularStartOracle(_RegularOracle):
@@ -731,14 +744,21 @@ def verify_exhaustive(
 
     Positive side: walk every grid block of non-default samples through one
     flat copy of the table, premultiplied by the symbol count
-    (_final_states), and compare the labels as arrays.  The codes of a
-    width must come in strictly increasing order, and each block must start
-    past the last cell of the block before, so no sample is counted twice.
-    Negative side: count words per label (valid track 0 only) and match
-    against the sample tally; a count mismatch means A labels some default
-    word otherwise, which a pruned search then materializes.  Together
-    these two sides are exactly word-by-word comparison over the whole
-    universe.  A count mismatch that no word explains raises InferenceError.
+    (_final_states), and compare the labels as arrays.  Each sample is
+    walked once, at its least width: the samples of smaller widths reach
+    this width one padding symbol further on, so their per-state counts are
+    carried through the padding map.  Only when a state holding some of
+    them changes label on that symbol are they walked again at this width,
+    in order, so the first mismatch is the one a walk of every sample of
+    the width would find.  The codes of a width must come in strictly
+    increasing order, each block must start past the last cell of the
+    block before, and no sample may fit one symbol fewer, so no sample is
+    counted twice.  Negative side: count words per label (valid track 0
+    only) and match against the sample tally; a count mismatch means A
+    labels some default word otherwise, which a pruned search then
+    materializes.  Together these two sides are exactly word-by-word
+    comparison over the whole universe.  A count mismatch that no word
+    explains raises InferenceError.
     """
     if tuple(tuple(t) for t in oracle.tracks) != a.tracks:
         raise ValueError("automaton and oracle alphabets differ")
@@ -761,53 +781,43 @@ def verify_exhaustive(
     weight = [size // math.prod(map(len, a.tracks[: j + 1])) for j in range(2)]
     flat, pad = (a.table.astype(np.intp) * size).ravel(), weight[0] * constrained
     label = np.repeat(a.labels, size)  # the label of a premultiplied state
+    after_pad = a.table[:, pad]  # the all-zero symbol's column is `pad`
+    relabels = a.labels[after_pad] != a.labels
+    reached = np.zeros(a.n_states, dtype=np.int64)  # samples per end state
     for width in range(depth + 1):
-        reached = np.zeros(len(flat), dtype=np.int64)  # cells per end state
-        last = (-1, 0)  # (code key, n) of the previous block's last cell
-        for codes, first, grid in oracle.samples(width):
-            if grid.size == 0:
-                continue
-            if codes is None:
-                codes = np.zeros((len(grid), 0), dtype=np.int8)
-            t, n = codes.shape[1], first + np.arange(grid.shape[1])
-            if t > width or first < 0 or n[-1] >= 2**width or (
-                relation and not 0 <= grid.min() <= grid.max() < 2**width
-            ):
-                raise InferenceError(
-                    f"{oracle.name}: a sample code or value does not fit width {width}"
-                )
-            minus = codes == -1
-            if not (minus | (codes == 1)).all():
-                raise InferenceError(
-                    f"{oracle.name}: a sample code at width {width} has an "
-                    "entry other than -1 or +1"
-                )
-            # the code of length t and code_matrix rank r is number 2**t - 1 + r
-            keys = (1 << t) - 1 + minus @ (1 << np.arange(t)[::-1])
-            if np.any(keys[1:] <= keys[:-1]) or (keys[0].item(), first) <= last:
-                raise InferenceError(
-                    f"{oracle.name}: samples at width {width} repeat or are "
-                    "out of order"
-                )
-            last = (keys[-1].item(), n[-1].item())
-            digits = np.full((len(grid), width), pad, dtype=np.intp)
-            digits[:, :t] = (codes + 1) * weight[0]
-            q = _final_states(flat, digits, n, grid, relation, weight[constrained])
-            got = label[q]
-            bad = np.flatnonzero(got != (True if relation else grid))
-            if len(bad):
-                r, k = divmod(bad[0].item(), grid.shape[1])
-                nums = [n[k].item(), grid[r, k].item()][:numeric]
-                tracks = [[(v >> i) & 1 for i in range(width)] for v in nums]
-                if constrained:
-                    tracks.insert(0, codes[r].tolist() + [0] * (width - t))
-                want = True if relation else grid[r, k].item()
-                return Counterexample(
-                    tuple(zip(*tracks)), got[r, k].item(), want, constrained
-                )
-            reached += np.bincount(q.ravel(), minlength=len(flat))
+        # the samples of smaller widths end one padding symbol further on;
+        # if that changes the label of any, walk them all again, in order
+        rewalk = relabels[reached > 0].any()
+        carried, reached = reached, np.zeros_like(reached)
+        if not rewalk:
+            np.add.at(reached, after_pad, carried)
+        for least in range(0 if rewalk else width, width + 1):
+            last = (-1, 0)  # (code key, n) of the previous block's last cell
+            for codes, first, grid in oracle.samples(least):
+                if grid.size == 0:
+                    continue
+                if codes is None:
+                    codes = np.zeros((len(grid), 0), dtype=np.int8)
+                n, last = _checked_block(oracle, least, codes, first, grid, last)
+                t = codes.shape[1]
+                digits = np.full((len(grid), width), pad, dtype=np.intp)
+                digits[:, :t] = (codes + 1) * weight[0]
+                q = _final_states(flat, digits, n, grid, relation, weight[constrained])
+                got = label[q]
+                bad = np.flatnonzero(got != (True if relation else grid))
+                if len(bad):
+                    r, k = divmod(bad[0].item(), grid.shape[1])
+                    nums = [n[k].item(), grid[r, k].item()][:numeric]
+                    tracks = [[(v >> i) & 1 for i in range(width)] for v in nums]
+                    if constrained:
+                        tracks.insert(0, codes[r].tolist() + [0] * (width - t))
+                    want = True if relation else grid[r, k].item()
+                    return Counterexample(
+                        tuple(zip(*tracks)), got[r, k].item(), want, constrained
+                    )
+                reached += np.bincount(q.ravel(), minlength=len(flat))[::size]
         tally: dict = defaultdict(int)
-        for lbl, count in zip(a.labels.tolist(), reached[::size].tolist()):
+        for lbl, count in zip(a.labels.tolist(), reached.tolist()):
             tally[lbl] += count
         tally[default] += _universe_size(oracle, width) - sum(tally.values())
         found = dict(zip(values, counts[width][0, 0].tolist()))
@@ -821,6 +831,47 @@ def verify_exhaustive(
                 )
             return cex
     return None
+
+
+def _checked_block(
+    oracle: WordOracle, width: int, codes: np.ndarray, first: int, grid, last: tuple
+) -> tuple[np.ndarray, tuple]:
+    """(indices, last cell's (code key, n)) of a block of samples(width).
+
+    Raises InferenceError unless every sample fits the width, has a code
+    of +-1 entries, follows the cell `last` in (code key, n) order and
+    does not fit one symbol fewer.
+    """
+    relation = oracle.mode == "accept"
+    t, n = codes.shape[1], first + np.arange(grid.shape[1])
+    if t > width or first < 0 or n[-1] >= 2**width or (
+        relation and not 0 <= grid.min() <= grid.max() < 2**width
+    ):
+        raise InferenceError(
+            f"{oracle.name}: a sample code or value does not fit width {width}"
+        )
+    minus = codes == -1
+    if not (minus | (codes == 1)).all():
+        raise InferenceError(
+            f"{oracle.name}: a sample code at width {width} has an "
+            "entry other than -1 or +1"
+        )
+    # the code of length t and code_matrix rank r is number 2**t - 1 + r
+    keys = (1 << t) - 1 + minus @ (1 << np.arange(t)[::-1])
+    if np.any(keys[1:] <= keys[:-1]) or (keys[0].item(), first) <= last:
+        raise InferenceError(
+            f"{oracle.name}: samples at width {width} repeat or are out of order"
+        )
+    if width and t < width:
+        half = 1 << width - 1
+        narrow = n < half
+        if relation:
+            narrow = narrow & (grid < half)
+        if narrow.any():
+            raise InferenceError(
+                f"{oracle.name}: a sample at width {width} fits width {width - 1}"
+            )
+    return n, (keys[-1].item(), n[-1].item())
 
 
 # ---------------------------------------------------------------------------

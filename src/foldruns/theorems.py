@@ -309,6 +309,9 @@ def no_triple_extension(L: int = 10, max_factor_len: int = 12) -> CheckReport:
             r, j = np.divmod(np.unique(keys, return_index=True)[1], keys.shape[1])
             parts.append((a + r, j, lengths[r[:, None], j[:, None] + np.arange(top)]))
         rows, starts, windows = map(np.concatenate, zip(*parts))
+        # the earliest block holding a window also holds its first occurrence
+        kept = np.sort(np.unique(windows, axis=0, return_index=True)[1])
+        rows, starts, windows = rows[kept], starts[kept], windows[kept]
         levels = _Levels(windows)
         for n in range(2, top):
             count = top - n  # the windows that have a next run

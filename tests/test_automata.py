@@ -149,13 +149,14 @@ def _sample_word(track0, nums, width):
 
 def _sample_tables(oracle, width):
     """Each table's samples as rows (track0 int8[N, width] | None, nums
-    int64[N, m], labels[N]): the grid blocks of one code length, or of no
-    code, flattened cell by cell in order."""
+    int64[N, m], labels[N]): the grid blocks of samples(0..width) of one
+    code length, or of no code, flattened cell by cell in order."""
 
     def code_length(block):
         return None if block[0] is None else block[0].shape[1]
 
-    for _, group in itertools.groupby(oracle.samples(width), code_length):
+    blocks = itertools.chain.from_iterable(map(oracle.samples, range(width + 1)))
+    for _, group in itertools.groupby(blocks, code_length):
         parts = []
         for codes, first, values in group:
             code, k = np.divmod(np.arange(values.size), values.shape[1])
@@ -213,6 +214,33 @@ def test_oracle_samples_are_the_non_default_universe(make, max_width):
         assert len(universe) == _universe_size(oracle, width)
         want = {w: oracle.label(w) for w in universe}
         assert dict(got) == {w: v for w, v in want.items() if v != oracle.default}
+
+
+def _bit_lengths(values):
+    return (values[..., None] >> np.arange(63) > 0).sum(axis=-1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [oracle for oracle, _ in SELF_CHECKED_ORACLES],
+    ids=["sp", "ep", "rl", "rs", "re", "rlen", "gap"],
+)
+def test_oracle_samples_need_exactly_their_width(make):
+    # samples(width) yields each input once, at its least width: every
+    # cell's code, index and related value fit `width` symbols, and one of
+    # them needs all of them
+    oracle = make()
+    relation = oracle.mode == "accept"
+    for width in range(9 if oracle.has_instruction_track else 13):
+        for codes, first, values in oracle.samples(width):
+            t = 0 if codes is None else codes.shape[1]
+            if codes is not None:
+                assert set(np.unique(codes).tolist()) <= {-1, 1}
+            n = first + np.arange(values.shape[1], dtype=np.int64)
+            need = np.maximum(t, _bit_lengths(np.broadcast_to(n, values.shape)))
+            if relation:
+                need = np.maximum(need, _bit_lengths(values))
+            assert (need == width).all(), (width, t, first)
 
 
 def _samples_digest(oracle, max_width):
@@ -844,6 +872,33 @@ def _with(array, index, value):
     return array
 
 
+@pytest.mark.parametrize(
+    "fixture, make, name",
+    [
+        ("rl_machine", RunLengthOracle, "run-length"),
+        ("tt_machine", GapOracle, "regular-gaps"),
+        ("regular_length_machine", RegularLengthOracle, "regular-run-length"),
+    ],
+)
+def test_verifier_rejects_samples_of_a_smaller_width_yielded_again(
+    request, fixture, make, name
+):
+    # the samples at width 3 start with the width-2 ones again, in order:
+    # they would count twice, since the width-2 counts are carried along
+    machine = request.getfixturevalue(fixture)
+
+    class Replaying(make):
+        def samples(self, width):
+            if width == 3:
+                yield from super().samples(2)
+            yield from super().samples(width)
+
+    message = f"^{name}: a sample at width 3 fits width 2$"
+    with pytest.raises(InferenceError, match=message):
+        verify_exhaustive(machine, Replaying(), 4)
+    assert verify_exhaustive(machine, make(), 4) is None
+
+
 @pytest.mark.parametrize("across_blocks", [False, True])
 def test_verifier_rejects_a_repeated_sample(rl_machine, across_blocks):
     # a repeated sample would raise the tally twice and could hide one
@@ -894,8 +949,8 @@ def test_verifier_rejects_code_entries_other_than_plus_or_minus_one(rl_machine, 
 @pytest.mark.parametrize(
     "fixture, make, width, t, depth, name",
     [
-        ("rl_machine", RunLengthOracle, 3, 2, 5, "run-length"),
-        ("sp_machine", StartRelationOracle, 4, 3, 6, "run-start"),
+        ("rl_machine", RunLengthOracle, 2, 2, 5, "run-length"),
+        ("sp_machine", StartRelationOracle, 3, 3, 6, "run-start"),
     ],
 )
 def test_verifier_rejects_samples_that_drop_a_labeled_row(
@@ -1293,6 +1348,69 @@ def test_verifier_matches_brute_force_on_mutants(request, fixture, make_oracle):
             assert cex.automaton_label != cex.oracle_label
         outcomes.add(separated)
     assert outcomes == {False, True}
+
+
+# SHA-256 of the depth-8 (tt: depth-10) outcomes of every mutant that
+# redirects one state's all-zero (padding) edge to a state 0, 3, 6, ...:
+# (name, state, new successor, None) or the counterexample's (word,
+# automaton label, oracle label) after them, pinned before the verifier
+# carried its counts from width to width through that edge
+PADDING_EDGE_MUTANTS = (
+    "ce37eaf54d4ecad985ad090e5b77183e4558a9a58fa044284c0a2f2f1ca83405"
+)
+
+PADDING_EDGE_MACHINES = [
+    ("rl", "rl_machine", RunLengthOracle, 8),
+    ("sp", "sp_machine", StartRelationOracle, 8),
+    ("tt", "tt_machine", GapOracle, 10),
+    ("rlen", "regular_length_machine", RegularLengthOracle, 8),
+]
+
+
+def _padding_edge_mutants(request):
+    """(name, state, new successor, mutant, make, depth) of each pinned mutant."""
+    for name, fixture, make, depth in PADDING_EDGE_MACHINES:
+        machine = request.getfixturevalue(fixture)
+        pad = (0,) * len(machine.tracks)
+        for q in range(machine.n_states):
+            for dst in range(0, machine.n_states, 3):
+                mutant = mutated_transition(machine, q, pad, dst)
+                yield name, q, dst, mutant, make, depth
+
+
+def test_padding_edge_mutants_keep_their_counterexamples(request):
+    h, failing = hashlib.sha256(), 0
+    for name, q, dst, mutant, make, depth in _padding_edge_mutants(request):
+        cex = verify_exhaustive(mutant, make(), depth)
+        if cex is None:
+            h.update(repr((name, q, dst, None)).encode())
+        else:
+            failing += 1
+            outcome = (name, q, dst, cex.word, cex.automaton_label, cex.oracle_label)
+            h.update(repr(outcome).encode())
+    assert failing == 347
+    assert h.hexdigest() == PADDING_EDGE_MUTANTS
+
+
+def test_samples_are_walked_again_only_when_a_padded_state_changes_label(request):
+    # a correct machine reads samples(w) once per width; a mutant reads the
+    # smaller widths again only where padding moves their samples to a
+    # state of another label
+    walked_again = Counter()
+    for name, _, _, mutant, make, depth in _padding_edge_mutants(request):
+        oracle, asked = make(), []
+        real = oracle.samples
+        oracle.samples = lambda w, real=real, asked=asked: asked.append(w) or real(w)
+        cex = verify_exhaustive(mutant, oracle, depth)
+        if len(asked) > len(set(asked)):
+            # widths 0..w-1 once, then from 0 again at w until the mismatch
+            walked_again[name] += 1
+            w = len(cex.word)
+            assert asked[:w] == list(range(w))
+            assert asked[w:] == list(range(len(asked) - w)) and len(asked) <= 2 * w + 1
+        else:
+            assert asked == list(range(len(asked)))
+    assert walked_again == {"rl": 178, "sp": 40, "tt": 2, "rlen": 26}
 
 
 def test_overaccepted_search_stays_inside_the_valid_universe(sp_machine):
