@@ -1,9 +1,11 @@
 """Exact continued fractions and the folding identity for dyadic sums.
 
-Everything is computed over `fractions.Fraction`; no floating point.  A
-continued fraction is a tuple of ints [a0; a1, ..., at].  Canonical form
-has a_i >= 1 for i >= 1 and a_t >= 2 when t >= 1, which makes expansions
-unique; folding deliberately passes through non-canonical intermediates.
+Everything is exact, over ints and `fractions.Fraction`; no floating
+point.  The sweep compares values as integer pairs (p, q) in lowest
+terms.  A continued fraction is a tuple of ints [a0; a1, ..., at].
+Canonical form has a_i >= 1 for i >= 1 and a_t >= 2 when t >= 1, which
+makes expansions unique; folding deliberately passes through
+non-canonical intermediates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .runs import _run_blocks, run_decompose
+from .runs import _fold_run_lengths, run_decompose
 from .foldcore import code_matrix, paperfolding_word
 
 Q = Fraction
@@ -314,12 +316,12 @@ def _predicted_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(signs, terms) per block of the 2**(n-1) sign vectors of index n.
 
     Row r of signs is (eps_2, ..., eps_n) and row r of terms is its
-    predicted_cf, read off one block of the family run table of the
-    f0 = +1 half of code_matrix(n).  Rows come in product((1, -1),
-    repeat=n - 1) order.
+    predicted_cf, from one block of run lengths of the f0 = +1 half of
+    code_matrix(n), unfolded by runs._fold_run_lengths with no word.
+    Rows come in product((1, -1), repeat=n - 1) order.
     """
     codes = code_matrix(n)[: 2 ** (n - 1)]
-    for a, _, lengths in _run_blocks(codes):
+    for a, lengths in _fold_run_lengths(n):
         yield codes[a : a + len(lengths), 1:], _expansions(lengths)
 
 

@@ -124,7 +124,9 @@ def _run_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
     and dropped before the next block.  Requires the uniform run count
     2**(t-1); a violation (none exists, but the reshape depends on it)
     raises RunCountError instead of misaligning rows.  The empty code
-    (t = 0) is one block of one row with no runs.
+    (t = 0) is one block of one row with no runs.  The theorem checks and
+    the oracles read their families here; the cf sweep's run lengths come
+    from _fold_run_lengths, which the tests hold to these blocks.
     """
     t = codes.shape[1]
     if t == 0:
@@ -241,6 +243,61 @@ def _span(f: tuple[int, ...], t: int, n: int) -> tuple[int, int]:
         return (m + 1, 2 * m + 2 - _span(f, t - 1, half)[0])
     s, e = _span(f, t - 1, 2 * half + 1 - n)
     return (2 * m + 2 - e, 2 * m + 2 - s)
+
+
+def _unfold_runs(parents: np.ndarray, first: int, last: int, k: int) -> np.ndarray:
+    """Run lengths of rows first..last of code_matrix(k + 1)[: 2**k], int32.
+
+    parents holds those of rows first >> 1 .. last >> 1 of length k: row c
+    is its parent c >> 1 with one more instruction, -1 when c is odd.  By
+    _span's lemma its runs are the parent's R_1..R_h and then R_h..R_1,
+    with 1 added to the left R_h when the new instruction equals the
+    parent's last symbol (+1 at k = 1, else -1), and to the mirrored R_h
+    otherwise.
+    """
+    rows, h = parents.shape
+    # both children of every parent, the odd one second
+    out = np.empty((rows, 2, 2 * h), dtype=np.int32)
+    out[:, :, :h] = parents[:, None]
+    out[:, :, h:] = parents[:, None, ::-1]
+    odd = int(k > 1)  # the child whose instruction is the parent's last symbol
+    out[:, odd, h - 1] += 1
+    out[:, 1 - odd, h] += 1
+    skip = first & 1
+    return out.reshape(2 * rows, 2 * h)[skip : skip + last - first + 1]
+
+
+def _fold_run_lengths(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, lengths) per block of rows of codes = code_matrix(n)[: 2**(n - 1)].
+
+    The blocks and int32 rows of lengths in _run_blocks(codes), n >= 2,
+    unfolded from the code (1) by _unfold_runs with no word.  While k is
+    short enough that rows a..b of a block share their first k
+    instructions, their one-row table is kept for the next block in a
+    chain, redone from the first k whose prefix changes, as _AlphaCarry
+    keeps Horner prefixes.  The longer k are unfolded from the chain's
+    last row, keeping only the prefixes of rows a..b, so no table
+    outgrows the block.
+    """
+    rows = 2 ** (n - 1)
+    step = max(1, _RUN_BLOCK_CELLS // (2**n - 1))
+    # chain[k - 1]: (row of the first k instructions, their run lengths)
+    chain = [(0, np.ones((1, 1), dtype=np.int32))]
+    for a in range(0, rows, step):
+        b = min(a + step, rows) - 1
+        # rows a..b share k instructions for k <= shared; length n is never kept
+        shared = min(n - (a ^ b).bit_length(), n - 1)
+        keep = 1
+        while keep < min(len(chain), shared) and chain[keep][0] == a >> (n - keep - 1):
+            keep += 1
+        del chain[keep:]
+        for k in range(keep, shared):
+            c = a >> (n - k - 1)
+            chain.append((c, _unfold_runs(chain[-1][1], c, c, k)))
+        lengths = chain[-1][1]
+        for k in range(shared, n):
+            lengths = _unfold_runs(lengths, a >> (n - k - 1), b >> (n - k - 1), k)
+        yield a, lengths
 
 
 def regular_run_span(n: int) -> tuple[int, int]:

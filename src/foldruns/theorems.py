@@ -684,13 +684,14 @@ def cf_theorem_check(n_max: int) -> CheckReport:
 
     The witness on failure is (eps, computed, predicted), both canonical
     expansions.  Each vector is decided by value: the pair (p, q) of its
-    family row of predicted expansions (contfrac._predicted_pairs) against
-    the pair of alpha, both in lowest terms; one contfrac._AlphaCarry
-    over the whole sweep builds each alpha pair from the Horner prefixes it
-    shares with the vector before.  canonical(x) is
-    cf_from_rational(cf_to_rational(x)) and cf_from_rational is injective,
-    so equal values mean equal canonical expansions.  The first vector of
-    each n is also checked through the one-vector path: predicted_cf(eps)
+    family row of predicted expansions (contfrac._predicted_pairs, whose
+    run lengths are unfolded with no word) against the pair of alpha,
+    both in lowest terms; one contfrac._AlphaCarry over the whole sweep
+    builds each alpha pair from the Horner prefixes it shares with the
+    vector before.  canonical(x) is cf_from_rational(cf_to_rational(x))
+    and cf_from_rational is injective, so equal values mean equal
+    canonical expansions.  The first vector of each n is also checked
+    through the one-vector path: predicted_cf(eps), built from its word,
     must be its family row, and the comparison by Fraction and the one by
     Euclid (predicted_cf is canonical by construction) must agree with the
     pair decision.

@@ -24,7 +24,7 @@ from foldruns import (
     predicted_cf,
     set_parity,
 )
-from foldruns import contfrac
+from foldruns import contfrac, runs
 from foldruns.cli import run
 
 EXAMPLE_EPS = (1, -1, -1, 1)
@@ -538,6 +538,26 @@ def test_cf_theorem_check_stops_when_family_and_predicted_cf_disagree(monkeypatc
     monkeypatch.setattr(contfrac, "predicted_cf", bent)
     with pytest.raises(RuntimeError, match=r"disagree at eps=\(1,\)$"):
         cf_theorem_check(4)
+
+
+def test_cf_sweep_fails_when_one_fold_joins_the_wrong_side(monkeypatch):
+    # at length 3 the middle symbol eps_4 = -1 adds its 1 to the other side
+    # of the seam: (1, 1, 1), the first vector of n = 4, keeps its row and
+    # passes the cross-check, and the pair decision rejects (1, 1, -1)
+    honest = runs._unfold_runs
+
+    def bent(parents, first, last, k):
+        out = honest(parents, first, last, k)
+        if k == 3:
+            h, odd = parents.shape[1], np.arange(first, last + 1) % 2 == 1
+            out[odd, h - 1], out[odd, h] = out[odd, h], out[odd, h - 1]
+        return out
+
+    monkeypatch.setattr(runs, "_unfold_runs", bent)
+    eps = (1, 1, -1)
+    report = cf_theorem_check(6)
+    assert report.witness[:2] == (eps, cf_from_rational(alpha_value(eps)))
+    assert report.witness[2] != predicted_cf(eps)
 
 
 def test_family_sweep_reaches_continuant_only_below_the_split(monkeypatch):

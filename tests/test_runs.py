@@ -37,6 +37,7 @@ from foldruns import runs
 from foldruns.runs import (
     _FactorIndex,
     _Levels,
+    _fold_run_lengths,
     _palindromic_factors,
     _rank,
     _regular_run_data,
@@ -450,6 +451,46 @@ def test_run_blocks_match_per_word_decomposition(monkeypatch, block_cells):
                 assert row_ends.tolist() == dec.ends.tolist()
             done += len(ends)
         assert done == len(codes)
+
+
+@pytest.mark.parametrize("block_cells", [7, 1000, None])
+def test_fold_run_lengths_are_the_run_blocks_of_the_plus_half(monkeypatch, block_cells):
+    # 1000 cells give blocks of 142, 66, 15, 7 and 3 rows, not aligned to
+    # powers of two; None keeps the default
+    if block_cells is not None:
+        monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", block_cells)
+    for n in range(2, 14):
+        words = _run_blocks(code_matrix(n)[: 2 ** (n - 1)])
+        folds = list(_fold_run_lengths(n))
+        most = max(1, runs._RUN_BLOCK_CELLS // (2**n - 1))
+        assert [a for a, _ in folds] == list(range(0, 2 ** (n - 1), most))
+        for (a, _, want), (b, lengths) in zip(words, folds, strict=True):
+            assert a == b and len(lengths) <= most
+            assert lengths.dtype == np.int32 and lengths.shape == want.shape
+            assert np.array_equal(lengths, want)
+
+
+def test_fold_run_lengths_build_each_shared_prefix_once(monkeypatch):
+    # one row a block: rows 2i and 2i + 1 share their first n - 1
+    # instructions, so each prefix of length 2..n-1 is unfolded once, and
+    # every row once more; overwriting a yielded row changes no later one
+    monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", 1)
+    calls = []
+    honest = runs._unfold_runs
+
+    def counted(parents, first, last, k):
+        calls.append(k)
+        return honest(parents, first, last, k)
+
+    monkeypatch.setattr(runs, "_unfold_runs", counted)
+    for n in range(2, 11):
+        calls.clear()
+        words = _run_blocks(code_matrix(n)[: 2 ** (n - 1)])
+        for (_, _, want), (_, lengths) in zip(words, _fold_run_lengths(n), strict=True):
+            assert np.array_equal(lengths, want)
+            lengths[:] = -1
+        assert len(calls) == 2**n - 2
+        assert calls.count(n - 1) == 2 ** (n - 1)
 
 
 def test_the_empty_code_is_one_row_of_no_runs():
