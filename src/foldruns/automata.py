@@ -311,50 +311,26 @@ def valid_code_length_automaton() -> MultiTrackAutomaton:
     )
 
 
-def _least_true(ok, lo: int, hi: int) -> int:
-    """The least x >= 1 with ok(x), for ok False up to some x and True from there.
-
-    (lo, hi] is a guessed bracket.  It is used only when ok(hi) holds and
-    ok(lo) does not (lo < 1 counts as not); otherwise doubling from 1 finds
-    one, so a wrong guess costs time, never exactness.
-    """
-    if (lo >= 1 and ok(lo)) or not ok(hi):
-        lo, hi = 0, 1
-        while not ok(hi):
-            lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def regular_gap_value(n: int) -> int:
     """t(n): the n-th positive integer outside H = {run_end(m)+1} U {1}.
 
-    Works by binary search on the counting function of the complement,
-    using only the O(log) regular run-end recursion and its monotonicity,
-    so arbitrary indices are fine.  The minimal y reaching count n is never
-    itself in H.
+    Counts H directly from the regular run ends h(m), which increase and
+    are 2m - 1 or 2m (thm3).  So the ends up to z are those of m <= z // 2,
+    and m = z // 2 + 1 when h(m) = z: O(1) run-end calls per count, for any
+    index.  Then 1..2n - 1 holds at most n - 1 integers outside H and
+    1..2n + 1 holds n, so stepping y up from 2n stops by 2n + 1.
     """
     if n < 1:
         raise IndexError("gap index must be >= 1")
 
-    def ends_upto(z: int) -> int:
-        # number of m >= 1 with regular_run_end(m) <= z; run_end(m) is 2m - 1
-        # or 2m, so the first m past z is z // 2 + 1 or z // 2 + 2
-        if z < 2:
-            return 0
-        past = _least_true(lambda m: regular_run_end(m) > z, z // 2, (z + 1) // 2 + 1)
-        return past - 1
+    def outside(y: int) -> int:  # how many of 1..y lie outside H
+        z = y - 1
+        return z - z // 2 - (regular_run_end(z // 2 + 1) == z)
 
-    def not_in_h_count(y: int) -> int:
-        return y - 1 - ends_upto(y - 1)
-
-    # not_in_h_count(y) is within one of (y - 1) / 2, so t(n) is within 2 of 2n
-    return _least_true(lambda y: not_in_h_count(y) >= n, 2 * n - 2, 2 * n + 2)
+    y = 2 * n
+    while outside(y) < n:
+        y += 1
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -878,12 +854,11 @@ def _checked_block(
 # inference
 
 
-def infer_automaton(
-    oracle: WordOracle,
-    sample_depth: int = 10,
-    test_depth: int = 6,
-    max_rounds: int = 200,
-) -> MultiTrackAutomaton:
+# Learner rounds before infer_automaton gives up.
+MAX_ROUNDS = 200
+
+
+def infer_automaton(oracle: WordOracle, sample_depth: int = 10) -> MultiTrackAutomaton:
     """Reconstruct the relation's automaton from oracle queries.
 
     Observation-table learning: access words with pairwise distinct
@@ -892,15 +867,14 @@ def infer_automaton(
     their suffixes as new experiments.  Each word keeps its observation
     row across rounds, and a round extends it only with the cells of the
     new experiments; each distinct word is labeled by the oracle once, one
-    `label` call per word.  The hypothesis is verified against
-    the oracle on every word of length <= sample_depth; the returned machine
-    is its minimization, proven equivalent to it at every length.  Each
-    round verifies to test_depth first: the verifier returns the first
-    mismatch by width, so that pass finds only what the full pass would,
-    and test_depth changes the work of a round, never the machine.
+    `label` call per word.  Each round verifies its hypothesis once,
+    against the oracle on every word of length <= sample_depth, and learns
+    from the first mismatch by width; the returned machine is the
+    minimization of the first hypothesis with none, proven equivalent to it
+    at every length.
     """
-    if sample_depth < 1 or test_depth < 1:
-        raise ValueError("depths must be >= 1")
+    if sample_depth < 1:
+        raise ValueError("sample depth must be >= 1")
     symbols = tuple(itertools.product(*oracle.tracks))
     memo: dict = {}
 
@@ -923,7 +897,7 @@ def infer_automaton(
 
     access: list[tuple] = [()]
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         rows: dict = {}
         for i, u in enumerate(access):
             r = row(u)
@@ -949,9 +923,7 @@ def infer_automaton(
             oracle.tracks, table, [row(u)[0] for u in access], oracle.mode
         )
 
-        ce = verify_exhaustive(hypothesis, oracle, min(test_depth, sample_depth))
-        if ce is None:
-            ce = verify_exhaustive(hypothesis, oracle, sample_depth)
+        ce = verify_exhaustive(hypothesis, oracle, sample_depth)
         if ce is None:
             final = minimize(hypothesis)
             separating = equivalent(hypothesis, final)
@@ -967,7 +939,7 @@ def infer_automaton(
             if suffix not in experiment_set:
                 experiment_set.add(suffix)
                 experiments.append(suffix)
-    raise InferenceError(f"no stable hypothesis after {max_rounds} rounds")
+    raise InferenceError(f"no stable hypothesis after {MAX_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -1365,7 +1337,7 @@ def read_automaton(source) -> MultiTrackAutomaton:
         while pos < len(lines) and not lines[pos].strip():
             pos += 1
         if pos >= len(lines):
-            raise AutomatonFormatError("unexpected end of file", line=len(lines))
+            raise AutomatonFormatError("unexpected end of file", line=len(lines) or 1)
         pos += 1
         return pos - 1, lines[pos - 1].split()
 

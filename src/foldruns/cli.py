@@ -1,7 +1,8 @@
 """Command-line front end: generation, run tables, inference, verification.
 
-Every subcommand writes deterministic output: tables are TSV by default and
-switch to one JSON object per line with --format json-lines.  Exit codes:
+Every subcommand writes deterministic output.  `infer` writes the automaton
+text format; the others print TSV by default and one JSON object per line
+with --format json-lines.  Exit codes:
 0 success / all checks pass, 1 a check failed (witness printed), 2 usage.
 """
 
@@ -250,6 +251,8 @@ def _cmd_gen(args) -> int:
     code = _resolve_code(args)
     symbols = paperfolding_word(code).array
     if args.limit is not None:
+        if symbols.size == 0:
+            raise _UsageError("--limit needs a code with at least one instruction")
         if not 1 <= args.limit <= symbols.size:
             raise _UsageError(
                 f"--limit must be in 1..{symbols.size} for this code"
@@ -297,32 +300,30 @@ def _cmd_runs(args) -> int:
     return 0
 
 
-def _build_target(name: str, sample_depth: int, test_depth: int):
+def _build_target(name: str, sample_depth: int):
     if name == "tt":
-        return build_tt(sample_depth=sample_depth, test_depth=test_depth)
+        return build_tt(sample_depth)
     oracle = {
         "sp": StartRelationOracle,
         "ep": EndRelationOracle,
         "rl": RunLengthOracle,
     }[name]()
-    return infer_automaton(
-        oracle, sample_depth=sample_depth, test_depth=test_depth
-    )
+    return infer_automaton(oracle, sample_depth)
 
 
 def _check_depths(args) -> None:
     if not 4 <= args.sample_depth <= 12:
         raise _UsageError("--sample-depth must be in 4..12")
-    if args.test_depth is None:
-        args.test_depth = min(6, args.sample_depth)
-    if not 2 <= args.test_depth <= args.sample_depth:
+    # --test-depth has no effect; it is still accepted and checked, since
+    # the benchmark's infer-rl command line passes it
+    if args.test_depth is not None and not 2 <= args.test_depth <= args.sample_depth:
         raise _UsageError("--test-depth must be in 2..sample depth")
 
 
 def _cmd_infer(args) -> int:
     _check_depths(args)
     with _output(args.out) as fh:
-        machine = _build_target(args.target, args.sample_depth, args.test_depth)
+        machine = _build_target(args.target, args.sample_depth)
         write_automaton(machine, fh)
     return 0
 
@@ -470,7 +471,7 @@ def _cmd_dot(args) -> int:
             raise _UsageError(str(exc))
     with _output(args.out) as fh:
         if machine is None:
-            machine = _build_target(args.target, args.sample_depth, args.test_depth)
+            machine = _build_target(args.target, args.sample_depth)
         text = to_dot(machine)
         if args.format == "json-lines":
             text = "".join(
@@ -505,8 +506,7 @@ def _add_format_option(sub) -> None:
 
 def _add_depth_options(sub) -> None:
     sub.add_argument("--sample-depth", type=int, default=10)
-    # default: min(6, sample depth), set by _check_depths
-    sub.add_argument("--test-depth", type=int)
+    sub.add_argument("--test-depth", type=int, help="accepted; has no effect")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -541,7 +541,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_depth_options(infer)
     infer.add_argument("--out", help="write the automaton here instead of stdout")
-    _add_format_option(infer)
     infer.set_defaults(handler=_cmd_infer)
 
     verify = subs.add_parser("verify", help="run bounded check suites")

@@ -421,7 +421,7 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     """
     bound = _codes_bound("sp_suite", L, 2)
     if machine is None:
-        machine = infer_automaton(StartRelationOracle(), sample_depth=8, test_depth=5)
+        machine = infer_automaton(StartRelationOracle(), sample_depth=8)
     names = [
         "sp-functional",
         "sp-accepts-origin",
@@ -565,13 +565,14 @@ def gap_wellformedness(a: MultiTrackAutomaton, depth: int = 10) -> list:
     ]
 
 
-def build_tt(sample_depth: int = 10, test_depth: int = 6) -> MultiTrackAutomaton:
+def build_tt(sample_depth: int = 10) -> MultiTrackAutomaton:
     """Infer the automaton for the gap sequence t(n) and check it is well formed.
 
-    Raises InferenceError when any gap_wellformedness check fails at
-    `sample_depth`, the bound inference certified.
+    Inference verifies the machine against GapOracle to `sample_depth`, and
+    gap_wellformedness checks it at the same bound; raises InferenceError
+    when any of those checks fails.
     """
-    machine = infer_automaton(GapOracle(), sample_depth, test_depth)
+    machine = infer_automaton(GapOracle(), sample_depth)
     bad = [r for r in gap_wellformedness(machine, depth=sample_depth) if not r.passed]
     if bad:
         raise InferenceError(f"gap automaton failed checks: {bad}")

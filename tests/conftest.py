@@ -68,19 +68,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # the depth-10 acceptance criterion does its own timed inference
 @pytest.fixture(scope="session")
 def sp_machine():
-    return infer_automaton(StartRelationOracle(), sample_depth=8, test_depth=5)
+    return infer_automaton(StartRelationOracle(), sample_depth=8)
 
 
 @pytest.fixture(scope="session")
 def ep_machine():
-    return infer_automaton(EndRelationOracle(), sample_depth=8, test_depth=5)
+    return infer_automaton(EndRelationOracle(), sample_depth=8)
 
 
 @pytest.fixture(scope="session")
 def rl_machine():
-    return infer_automaton(RunLengthOracle(), sample_depth=8, test_depth=5)
+    return infer_automaton(RunLengthOracle(), sample_depth=8)
 
 
 @pytest.fixture(scope="session")
 def tt_machine():
-    return build_tt(sample_depth=10, test_depth=6)
+    return build_tt(sample_depth=10)

@@ -163,7 +163,7 @@ def test_relation_machines_verified():
         (RunLengthOracle(), 31),
     )
     for oracle, want in jobs:
-        machine = minimize(infer_automaton(oracle, sample_depth=8, test_depth=5))
+        machine = minimize(infer_automaton(oracle, sample_depth=8))
         dead = sorted(machine.dead_states())
         assert machine.n_states == want, (
             f"{type(oracle).__name__}: {machine.n_states} states, want {want}; "
@@ -177,7 +177,7 @@ def test_relation_machines_verified():
 @pytest.mark.acceptance(9, "regular-code derived sequences and the gap machine")
 def test_regular_sequences_and_gaps():
     start = time.monotonic()
-    tt = build_tt(sample_depth=10, test_depth=6)
+    tt = build_tt(sample_depth=10)
     reports = regular_suite(N=10**5, tt_machine=tt)
     assert len(reports) == 10
     failed = [str(r) for r in reports if not r.passed]
@@ -217,7 +217,7 @@ def test_mutation_sensitivity():
     start = time.monotonic()
 
     sp_oracle = StartRelationOracle()
-    sp = infer_automaton(sp_oracle, sample_depth=8, test_depth=5)
+    sp = infer_automaton(sp_oracle, sample_depth=8)
     symbols = sorted(sp.symbols)
     for q in range(sp.n_states):
         sym = symbols[q % len(symbols)]
@@ -231,7 +231,7 @@ def test_mutation_sensitivity():
         assert cex.automaton_label != cex.oracle_label
 
     rl_oracle = RunLengthOracle()
-    rl = infer_automaton(rl_oracle, sample_depth=8, test_depth=5)
+    rl = infer_automaton(rl_oracle, sample_depth=8)
     rl_symbols = sorted(rl.symbols)
     for q in range(rl.n_states):
         caught = False

@@ -32,6 +32,7 @@ from foldruns import (
     accepted_second_values,
     all_codes,
     build_semantic_automaton,
+    build_tt,
     is_valid_code,
     combine_value_acceptors,
     encode_inputs,
@@ -59,7 +60,6 @@ from foldruns.automata import (
     BIT_TRACK,
     INSTRUCTION_TRACK,
     _completion_counts,
-    _least_true,
     _universe_size,
     decode_raw,
     pad_closure,
@@ -68,7 +68,7 @@ from foldruns.automata import (
     shortest_word,
 )
 from foldruns.foldcore import code_matrix
-from foldruns.runs import _regular_gaps
+from foldruns.runs import _regular_gaps, _regular_run_data
 from mutants import mutated_label, mutated_transition, seeded_transition_mutants
 
 codes_st = st.lists(st.sampled_from((PLUS, MINUS)), min_size=0, max_size=5).map(
@@ -536,7 +536,7 @@ def test_counterexample_text_decodes_both_alphabet_shapes():
 def test_verifier_records_the_alphabet_shape(sp_machine):
     cex = verify_exhaustive(sp_machine, EndRelationOracle(), depth=6)
     assert cex.has_instruction_track
-    rs = infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
+    rs = infer_automaton(RegularStartOracle(), sample_depth=6)
     cex = verify_exhaustive(rs, RegularEndOracle(), depth=6)
     assert cex is not None and not cex.has_instruction_track
     assert str(cex).startswith(f"word {cex.word} (values=")
@@ -807,24 +807,66 @@ def test_acceptance_is_padding_invariant(sp_machine, code, n, x, extra):
     assert sp_machine.accepts(w1) == sp_machine.accepts(w2)
 
 
-def test_infer_rejects_bad_depths():
+def test_infer_rejects_bad_depths(monkeypatch):
     with pytest.raises(ValueError):
         infer_automaton(StartRelationOracle(), sample_depth=0)
-    with pytest.raises(InferenceError):
-        infer_automaton(StartRelationOracle(), sample_depth=6, max_rounds=1)
+    monkeypatch.setattr(automata, "MAX_ROUNDS", 1)
+    with pytest.raises(InferenceError, match="after 1 rounds"):
+        infer_automaton(StartRelationOracle(), sample_depth=6)
+
+
+# target -> (SHA-256 of the written machine, oracle label calls, learner
+# rounds), at the default sample depth 10
+DEFAULT_DEPTH_INFERENCE = {
+    "sp": ("233e99ab002ab9a4c47e589e0e786a50af00e24694f88a65aa623ce3d4298720", 2085, 5),
+    "ep": ("a8eee907563dd1e40fbb71898cff6ee3ad598ba411a4a835a91fc742979cdd54", 1889, 6),
+    "rl": ("c3e0a1c8cabacd128b6a020a48ea27c307cc783e179e22544da1aa57db43e973", 1903, 5),
+    "tt": ("374079a02fb8fb55e13a7c2e2cf837316d87b0ea0718e8cd4b5ae8085d360db4", 210, 4),
+}
+
+
+@pytest.mark.parametrize("target", sorted(DEFAULT_DEPTH_INFERENCE))
+def test_each_learner_round_verifies_once(target, monkeypatch):
+    # every round but the last ends in a counterexample; each verifies its
+    # hypothesis once, to the sample depth, and the machine is unchanged
+    cls = {
+        "sp": StartRelationOracle,
+        "ep": EndRelationOracle,
+        "rl": RunLengthOracle,
+        "tt": GapOracle,
+    }[target]
+    verified, labels = [], []
+    real_verify, real_label = automata.verify_exhaustive, cls.label
+
+    def verifying(a, oracle, depth):
+        ce = real_verify(a, oracle, depth)
+        verified.append((depth, ce is None))
+        return ce
+
+    def labeling(self, word):
+        labels.append(word)
+        return real_label(self, word)
+
+    monkeypatch.setattr(automata, "verify_exhaustive", verifying)
+    monkeypatch.setattr(cls, "label", labeling)
+    machine = build_tt() if target == "tt" else infer_automaton(cls())
+    digest, label_calls, rounds = DEFAULT_DEPTH_INFERENCE[target]
+    assert verified == [(10, False)] * (rounds - 1) + [(10, True)]
+    assert len(labels) == label_calls
+    assert hashlib.sha256(_written(machine).encode()).hexdigest() == digest
 
 
 def test_infer_rejects_a_minimization_that_changes_behavior(monkeypatch):
     # the equivalence certificate must catch any label flip in the
     # minimized machine, whichever state it hits
     real_minimize = automata.minimize
-    machine = infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
+    machine = infer_automaton(RegularStartOracle(), sample_depth=6)
     for q in range(machine.n_states):
         monkeypatch.setattr(
             automata, "minimize", lambda a, q=q: mutated_label(real_minimize(a), q)
         )
         with pytest.raises(InferenceError, match="minimization changed behavior"):
-            infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
+            infer_automaton(RegularStartOracle(), sample_depth=6)
 
 
 class _RepeatingOracle(RunLengthOracle):
@@ -910,14 +952,14 @@ def test_verifier_rejects_a_repeated_sample(rl_machine, across_blocks):
 
 
 def test_verifier_rejects_samples_outside_the_width():
-    machine = infer_automaton(RegularLengthOracle(), sample_depth=6, test_depth=4)
+    machine = infer_automaton(RegularLengthOracle(), sample_depth=6)
     with pytest.raises(InferenceError, match="does not fit width 2"):
         verify_exhaustive(machine, _OverflowingOracle(), 4)
 
 
 @pytest.mark.parametrize("value", [4, -1])
 def test_verifier_rejects_related_values_outside_the_width(value):
-    machine = infer_automaton(RegularStartOracle(), sample_depth=6, test_depth=4)
+    machine = infer_automaton(RegularStartOracle(), sample_depth=6)
     oracle = _edited_oracle(
         RegularStartOracle, 2, lambda c, f, v: (c, f, _with(v, (0, -1), value))
     )
@@ -1040,7 +1082,7 @@ def test_sample_blocks_may_split_anywhere(monkeypatch, rl_machine):
 def test_codeless_grids_split_by_columns_keep_the_verdicts(monkeypatch, make):
     # a regular table is one row of every index; cut into column ranges
     # narrower than the row, it gives the same verdicts and counterexamples
-    machine = infer_automaton(make(), sample_depth=6, test_depth=4)
+    machine = infer_automaton(make(), sample_depth=6)
     rng = random.Random(make.__name__)
     mutants = [machine] + [
         mutated_transition(
@@ -1109,7 +1151,7 @@ def test_one_cell_blocks_keep_the_verdicts_of_random_machines(monkeypatch, make)
             labels = [rng.randrange(4) for _ in range(m.n_states)]
             m = MultiTrackAutomaton(m.tracks, m.table, labels, "output")
         machines.append(m)
-    machine = infer_automaton(make(), sample_depth=8, test_depth=5)
+    machine = infer_automaton(make(), sample_depth=8)
     for _ in range(16):
         m = machine
         for _ in range(rng.randint(1, 3)):
@@ -1148,9 +1190,9 @@ def test_prefix_tables_as_large_as_their_blocks_keep_the_verdicts(
 @pytest.mark.parametrize(
     "make, depths, calls",
     [
-        (RunLengthOracle, (10, 6), 1903),
-        (StartRelationOracle, (8, 5), 2085),
-        (GapOracle, (10, 6), 210),
+        (RunLengthOracle, (10,), 1903),
+        (StartRelationOracle, (8,), 2085),
+        (GapOracle, (10,), 210),
     ],
 )
 def test_learner_label_calls_are_pinned(make, depths, calls):
@@ -1236,8 +1278,8 @@ def test_depth_10_mutant_counterexamples_are_pinned(
     assert outcomes(failing) == failing
 
 
-# counterexample words verify_exhaustive hands the learner at depths 6/4,
-# in order: the learner path is pinned to these
+# counterexample words verify_exhaustive hands the learner at sample depth
+# 6, in order: the learner path is pinned to these
 LEARNER_COUNTEREXAMPLES = {
     "sp": [
         ((1, 0, 1), (1, 1, 1)),
@@ -1286,7 +1328,7 @@ def test_learner_sees_the_pinned_counterexamples(monkeypatch, name, make):
         return cex
 
     monkeypatch.setattr(automata, "verify_exhaustive", recording)
-    infer_automaton(make(), sample_depth=6, test_depth=4)
+    infer_automaton(make(), sample_depth=6)
     assert seen == LEARNER_COUNTEREXAMPLES[name]
 
 
@@ -1300,7 +1342,7 @@ def test_mutated_transition_is_caught(sp_machine):
 
 @pytest.fixture(scope="module")
 def regular_length_machine():
-    return infer_automaton(RegularLengthOracle(), sample_depth=8, test_depth=5)
+    return infer_automaton(RegularLengthOracle(), sample_depth=8)
 
 
 @pytest.mark.parametrize(
@@ -1439,21 +1481,21 @@ def test_overaccepted_search_stays_inside_the_valid_universe(sp_machine):
 
 def test_specialized_start_machine_matches_direct_inference(sp_machine):
     specialized = specialize_regular(sp_machine)
-    direct = infer_automaton(RegularStartOracle(), sample_depth=8, test_depth=5)
+    direct = infer_automaton(RegularStartOracle(), sample_depth=8)
     assert specialized.n_states == direct.n_states == 12
     assert specialized == direct
 
 
 def test_specialized_end_machine_matches_direct_inference(ep_machine):
     specialized = specialize_regular(ep_machine)
-    direct = infer_automaton(RegularEndOracle(), sample_depth=8, test_depth=5)
+    direct = infer_automaton(RegularEndOracle(), sample_depth=8)
     assert specialized.n_states == direct.n_states == 10
     assert specialized == direct
 
 
 def test_specialized_length_machine_matches_direct_inference(rl_machine):
     specialized = specialize_regular(rl_machine)
-    direct = infer_automaton(RegularLengthOracle(), sample_depth=8, test_depth=5)
+    direct = infer_automaton(RegularLengthOracle(), sample_depth=8)
     assert specialized.n_states == direct.n_states == 12
     assert specialized == direct
 
@@ -1469,14 +1511,14 @@ def test_value_slices_combine_back_to_the_length_machine(rl_machine):
 
 
 def test_regular_machines_match_fast_path_lookups():
-    rs = infer_automaton(RegularStartOracle(), sample_depth=8, test_depth=5)
-    re_ = infer_automaton(RegularEndOracle(), sample_depth=8, test_depth=5)
+    rs = infer_automaton(RegularStartOracle(), sample_depth=8)
+    re_ = infer_automaton(RegularEndOracle(), sample_depth=8)
     ns = np.arange(1, 65)
     for machine, value in ((rs, regular_run_start), (re_, regular_run_end)):
         row, xs = accepted_second_values(machine, ns, 8)
         assert row.tolist() == list(range(64))
         assert xs.tolist() == [value(n) for n in range(1, 65)]
-    rl = infer_automaton(RegularLengthOracle(), sample_depth=8, test_depth=5)
+    rl = infer_automaton(RegularLengthOracle(), sample_depth=8)
     for n in range(1, 65):
         # single bit track, least significant first
         word = tuple(((n >> i) & 1,) for i in range(8))
@@ -1515,13 +1557,20 @@ def test_gap_table_matches_search(top):
     assert _regular_gaps(top).tolist() == want
 
 
-@pytest.mark.parametrize(
-    "lo, hi", [(36, 37), (30, 40), (0, 37), (37, 50), (1, 10), (-5, 0)]
-)
-def test_least_true_is_exact_for_any_bracket(lo, hi):
-    # a bracket that fails its endpoint check falls back to doubling from 1
-    assert _least_true(lambda x: x >= 37, lo, hi) == 37
-    assert _least_true(lambda x: x >= 1, lo, hi) == 1
+def test_regular_run_ends_are_2m_minus_1_or_2m():
+    # the premise of regular_gap_value's count: h(m) increases and is
+    # 2m - 1 or 2m, read here off the decomposed word, not the recursion
+    _, ends = _regular_run_data(2**16)
+    m = np.arange(1, 2**16 + 1)
+    assert len(ends) == 2**16
+    assert (np.diff(ends) > 0).all()
+    assert ((ends == 2 * m - 1) | (ends == 2 * m)).all()
+
+
+def test_gap_value_matches_the_sieve_below_2_16():
+    # t(n) <= 2n + 1, so the sieve to 2**17 + 1 holds every t(n), n < 2**16
+    want = _regular_gaps(2**17 + 1)[: 2**16 - 1].tolist()
+    assert [regular_gap_value(n) for n in range(1, 2**16)] == want
 
 
 def test_gap_wellformedness_reports(tt_machine):
@@ -1722,6 +1771,12 @@ def test_read_reports_line_numbers():
     with pytest.raises(AutomatonFormatError) as exc:
         read_automaton(io.StringIO(text + "trans 0 0 0\n"))
     assert "line" in str(exc.value)
+    # line numbers are 1-based, so input with no lines ends at line 1
+    for empty, line in (("", 1), ("\n", 1), (" \t\n\n  ", 3)):
+        with pytest.raises(AutomatonFormatError) as exc:
+            read_automaton(io.StringIO(empty))
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: unexpected end of file"
 
 
 def test_read_names_duplicate_and_missing_transitions():

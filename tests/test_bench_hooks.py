@@ -1,12 +1,21 @@
-"""The benchmark tracer rebinds foldruns names by string; each must exist."""
+"""The benchmark's hooks into foldruns: the names its tracer rebinds by
+string, and the outputs its golden file pins."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-from foldruns import theorems
+import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from foldruns import theorems
+from foldruns.cli import run
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = BENCH / "tracer.py"
+# read-only: command line -> the stdout SHA-256 and exit code the bench expects
+GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
 
 
 def _load_tracer():
@@ -39,3 +48,12 @@ def test_spread_checks_record_the_factor_scan_layer():
         assert theorems.right_special_exactly_four().passed
     assert tracer.calls["runs.factor_scan"] > 0
     assert tracer.self_s["runs.factor_scan"] > 0
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_bench_golden_commands_keep_their_bytes(command, capsys):
+    # the bench fails an operation whose output drifts from golden.json;
+    # this catches the drift before a bench run
+    code = run(command.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert {"exit": code, "sha256": digest} == GOLDEN[command]

@@ -88,12 +88,21 @@ def test_gen_padded_code_same_word(capsys):
         ["gen", "--regular", "--length", "25"],
         ["gen", "--code", "++++", "--limit", "16"],
         ["gen", "--code", "++++", "--limit", "0"],
+        ["gen", "--code", "0", "--limit", "1"],
         ["gen"],
     ],
 )
 def test_gen_usage_errors(argv, capsys):
     assert run(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_limit_on_the_empty_word_names_no_range(capsys):
+    # the empty word has no valid --limit, so no range 1..0 is offered
+    assert run(["gen", "--code", "0", "--limit", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --limit needs a code with at least one instruction\n"
+    )
 
 
 # a seeded code of every length 1..12, its sign pattern drawn once
@@ -761,10 +770,15 @@ def test_infer_depth_validation():
                 "--test-depth", "9"]) == 2
 
 
+def test_infer_has_no_format_option(capsys):
+    # infer writes the automaton text format only; dot keeps --format
+    assert run(["infer", "--target", "rl", "--format", "tsv"]) == 2
+    assert "unrecognized arguments: --format tsv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("target", ["sp", "ep", "rl", "tt"])
 def test_test_depth_does_not_change_the_machine(target, capsys):
-    # the verifier returns the first mismatch by width, so the pass to
-    # --test-depth finds only counterexamples the full pass finds first
+    # --test-depth is accepted and has no effect
     outs = []
     for depth in ("2", "5", "8"):
         argv = ["infer", "--target", target, "--sample-depth", "8"]
