@@ -1216,16 +1216,7 @@ def accepted_numeric_values(
     code_matrix(t).  values[:, j] holds numeric track j + 1; see
     _free_track_values for the order.
     """
-    if (
-        a.mode != "accept"
-        or len(a.tracks) < 2
-        or a.tracks[0] != INSTRUCTION_TRACK
-        or any(t != BIT_TRACK for t in a.tracks[1:])
-    ):
-        raise ValueError(
-            "needs a relation automaton with an instruction track 0 and bit "
-            f"tracks after it, got tracks {a.tracks} in {a.mode} mode"
-        )
+    _require_code_relation(a)
     if isinstance(codes, (str, FoldCode)):
         raise ValueError(f"needs a batch of codes, got the single code {codes!r}")
     if isinstance(codes, np.ndarray):
@@ -1254,6 +1245,59 @@ def accepted_numeric_values(
     rows = np.zeros((len(codes), width), dtype=np.int64)
     rows[:, : codes.shape[1]] = codes
     return _free_track_values(a, rows)
+
+
+def _require_code_relation(a: MultiTrackAutomaton) -> None:
+    """Refuse all but a relation automaton of an instruction track and bit tracks."""
+    if (
+        a.mode != "accept"
+        or len(a.tracks) < 2
+        or a.tracks[0] != INSTRUCTION_TRACK
+        or any(t != BIT_TRACK for t in a.tracks[1:])
+    ):
+        raise ValueError(
+            "needs a relation automaton with an instruction track 0 and bit "
+            f"tracks after it, got tracks {a.tracks} in {a.mode} mode"
+        )
+
+
+def _accepts_exactly(
+    a: MultiTrackAutomaton, codes: np.ndarray, grid: np.ndarray, extra: int
+) -> np.ndarray:
+    """Whether A accepts exactly the pairs (k, grid[r, k]) with each code row r.
+
+    A reads the tracks (instruction, n, x) and codes is one (R, t) batch
+    of code_matrix rows.  Row r is decided at every width t..t + extra,
+    the code padded to the width; every pair must fit in t bits.  The
+    words A accepts with the row on track 0 are counted forward through
+    one states x states count matrix per instruction (its free-bit
+    symbols summed), the padding one at each width past t.  The pairs are
+    walked once through _final_states, then through the padding symbol.
+    The n are distinct, so when all of them end accepting and the count
+    at each width is their number, the accepted set is exactly the pairs.
+    """
+    states, size = a.n_states, len(a.symbols)
+    free = size // len(INSTRUCTION_TRACK)  # the (n, x) bit symbols
+    # count[d, q, s]: the symbols of instruction d - 1 that take q to s
+    cell = np.arange(3 * states).reshape(3, states, 1) * states
+    cell = cell + a.table.reshape(states, 3, free).transpose(1, 0, 2)
+    count = np.bincount(cell.ravel(), minlength=3 * states**2)
+    count = count.reshape(3, states, states)
+    words = np.zeros((len(codes), states), dtype=np.int64)
+    words[:, 0] = 1
+    for i in range(codes.shape[1]):
+        words = np.einsum("rq,rqs->rs", words, count[codes[:, i] + 1])
+    ok = np.ones(len(codes), dtype=bool)
+    accepted = a.labels.astype(np.int64)  # per state: its accepted j-symbol tails
+    flat, label = (a.table.astype(np.intp) * size).ravel(), np.repeat(a.labels, size)
+    digits = (codes.astype(np.intp) + 1) * free
+    q = _final_states(flat, digits, np.arange(grid.shape[1]), grid, True, 2)
+    for j in range(extra + 1):
+        if j:
+            accepted = count[1] @ accepted
+            q = flat[q + free]  # the padding symbol (0, 0, 0)
+        ok &= (words @ accepted == grid.shape[1]) & label[q].all(axis=1)
+    return ok
 
 
 def accepted_second_values(

@@ -26,7 +26,6 @@ from .runs import (
     _repetitions,
     _right_extension_pairs,
     _run_blocks,
-    _square_factors,
     find_squares,
     min_code_length,
     right_special_count,
@@ -38,6 +37,8 @@ from .automata import (
     InferenceError,
     MultiTrackAutomaton,
     StartRelationOracle,
+    _accepts_exactly,
+    _require_code_relation,
     accepted_numeric_values,
     accepted_second_values,
     infer_automaton,
@@ -195,34 +196,81 @@ def thm3(L: int = 12) -> CheckReport:
 # named checks: factors of run-length words
 
 
+def _repetition_scan(L: int) -> tuple["tuple | None", set]:
+    """(overlapfree's witness or None, the square factors) over codes t <= L.
+
+    Reads the first half of each family, the codes with f0 = +1: row
+    2**t - 1 - r of code_matrix(t) is the negation of row r, whose word is
+    the negated word, with the same runs.  So the second half repeats the
+    first, and a hit in row r' recurs in row 2**t - 1 - r' at the same
+    period and start: every least hit by row lies in the first half.  One
+    _repetitions scan per block finds the squares zz; the overlaps axaxa
+    with |ax| = p are the squares of period p whose next symbol equals the
+    one p places back.  The witness is the first t's least overlap by
+    period, then row, then start.
+    """
+    witness, found = None, set()
+    for t in range(1, L + 1):
+        codes, hits = code_matrix(t)[: 2 ** (t - 1)], []
+        for a, _, lengths in _run_blocks(codes):
+            levels = _Levels(lengths)
+            r, i, p = _repetitions(levels, 0)
+            over = _overlap_hits(lengths, r, i, p)
+            if over.size:
+                h = over[np.lexsort((i[over], r[over], p[over]))[0]]
+                row, j, q = int(r[h]), int(i[h]), int(p[h])
+                overlap = tuple(lengths[row, j : j + 2 * q + 1].tolist())
+                hits.append((q, a + row, j, overlap))
+            found |= _distinct_squares(levels, lengths, r, i, p)
+        if hits and witness is None:
+            q, row, j, overlap = min(hits)
+            witness = (_row_code(codes, row).to_text(), j + 1, q, overlap)
+    return witness, found
+
+
+def _overlap_hits(rows: np.ndarray, r, i, p) -> np.ndarray:
+    """Indices of the square hits (r, i, p) that extend to overlaps of period p.
+
+    The square rows[r, i : i + 2p] is an overlap's first 2p symbols when
+    its next symbol exists and equals the one p places back.
+    """
+    end, m = i + 2 * p, rows.shape[1]
+    more = (end < m) & (rows[r, np.minimum(end, m - 1)] == rows[r, i + p])
+    return np.flatnonzero(more)
+
+
+def _distinct_squares(levels: _Levels, rows: np.ndarray, r, i, p) -> set:
+    """The distinct squares among the hits (r, i, p) of _repetitions(levels, 0).
+
+    A square is named by its period and the level ids of the first and
+    last 2**k <= p symbols of its z, and one occurrence of each name is
+    read back as a slice, as in runs._square_factors.
+    """
+    at, k = r * rows.shape[1] + i, np.frexp(p)[1] - 1
+    levels.need(int(k.max(initial=0)))
+    head, tail = np.empty_like(at), np.empty_like(at)
+    for b in set(k.tolist()):
+        hit, ids = k == b, levels.ids[b].reshape(-1)
+        head[hit], tail[hit] = ids[at[hit]], ids[at[hit] + p[hit] - (1 << b)]
+    first = np.unique(np.stack([p, head, tail]), axis=1, return_index=True)[1]
+    return {tuple(rows[r[h], i[h] : i[h] + 2 * p[h]].tolist()) for h in first.tolist()}
+
+
 def overlapfree(L: int = 10) -> CheckReport:
     """Run-length words of all codes with t <= L contain no overlap axaxa."""
     bound = _codes_bound("overlapfree", L, 3)
-    for t in range(1, L + 1):
-        codes, hits = code_matrix(t), []
-        for a, _, lengths in _run_blocks(codes):
-            rows, starts, periods = _repetitions(_Levels(lengths), 1)
-            if rows.size:
-                # each block's first by period, then row, then start
-                h = np.lexsort((starts, rows, periods))[0]
-                r, j, p = int(rows[h]), int(starts[h]), int(periods[h])
-                overlap = tuple(lengths[r, j : j + 2 * p + 1].tolist())
-                hits.append((p, a + r, j, overlap))
-        if hits:
-            p, r, j, overlap = min(hits)
-            witness = (_row_code(codes, r).to_text(), j + 1, p, overlap)
-            return CheckReport("overlapfree", bound, witness)
-    return CheckReport("overlapfree", bound)
+    return CheckReport("overlapfree", bound, _repetition_scan(L)[0])
 
 
 def squares_only(L: int = 10) -> CheckReport:
     """The union of square factors over all codes with t <= L is the known trio."""
     # 123123 and 321321 first occur at t = 4: below it the trio is never whole
     bound = _codes_bound("squares_only", L, 4)
-    found: set = set()
-    for t in range(1, L + 1):
-        for _, _, lengths in _run_blocks(code_matrix(t)):
-            found |= _square_factors(lengths)
+    return _squares_report(L, bound, _repetition_scan(L)[1])
+
+
+def _squares_report(L: int, bound: str, found: set) -> CheckReport:
+    """squares_only's report from the square factors found over codes t <= L."""
     if found == set(EXPECTED_SQUARES):
         return CheckReport("squares_only", bound)
     extra = sorted(found - EXPECTED_SQUARES)
@@ -402,26 +450,35 @@ def right_special_exactly_four(
 def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     """Eight structural checks of the run-start relation automaton.
 
-    For every valid code with t <= L, the accepted (n, x) pairs are pulled
-    out of the automaton and examined: (1) at most one x per n; (2) (0,0)
-    accepted; (3) (1,1) accepted when t >= 1; (4) some x accepted at the
-    final index 2**(t-1); (5) nothing accepted beyond it; (6) the word is
-    constant from that final x onward; (7) accepted x increase strictly
-    with n; (8) accepted x equal the decomposition's run starts.  Checks 6
-    and 8 compare against run starts computed independently of the
-    automaton.
+    For every valid code with t <= L, the accepted (n, x) pairs are
+    examined: (1) at most one x per n; (2) (0,0) accepted; (3) (1,1)
+    accepted when t >= 1; (4) some x accepted at the final index
+    2**(t-1); (5) nothing accepted beyond it; (6) the word is constant
+    from that final x onward; (7) accepted x increase strictly with n;
+    (8) accepted x equal the decomposition's run starts.  Checks 6 and 8
+    compare against run starts computed independently of the automaton.
 
     Every numeric pair of a length-t code fits in t bits, so each code is
-    probed at widths t, t+1, and t+2; the three extractions must agree
-    (checks 1 and 8 see any padding-dependence), which pins every accept
-    bit the valid-code language can reach at these lengths.  The codes of
-    each length are extracted in the blocks of _run_blocks, the empty code
-    (t = 0) in one of its own, one call per block and width; a check's
-    witness is its first failure by t, then code, then width.
+    probed at widths t, t+1, and t+2; the three must agree (checks 1 and
+    8 see any padding-dependence), which pins every accept bit the
+    valid-code language can reach at these lengths.  The codes of each
+    length go in the blocks of _run_blocks, the empty code (t = 0) in one
+    of its own.  _run_blocks' run starts read 1 = S_1 < S_2 < ... by
+    construction, so a block whose accepted pairs are exactly (0, 0) and
+    the (n, S_n) passes all eight; _accepts_exactly decides that by
+    counting, at each width.  Only a block it refuses has its pairs
+    pulled out of the automaton, one call per width, to name the
+    failures; a check's witness is its first failure by t, then code,
+    then width.
     """
     bound = _codes_bound("sp_suite", L, 2)
     if machine is None:
         machine = infer_automaton(StartRelationOracle(), sample_depth=8)
+    _require_code_relation(machine)
+    if len(machine.tracks) != 3:
+        raise ValueError(
+            f"sp_suite needs the numeric tracks n and x, got tracks {machine.tracks}"
+        )
     names = [
         "sp-functional",
         "sp-accepts-origin",
@@ -436,11 +493,15 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     for t in range(0, L + 1):
         codes = code_matrix(t)
         for a, ends, lengths in _run_blocks(codes):
-            block, starts = codes[a : a + len(ends)], ends - lengths + 1
+            block = codes[a : a + len(ends)]
+            want = np.zeros((len(ends), ends.shape[1] + 1), dtype=np.int64)
+            want[:, 1:] = ends - lengths + 1  # x of n = 0, then the run starts
+            if _accepts_exactly(machine, block, want, 2).all():
+                continue
             found: dict[str, tuple] = {}  # name -> (block row, witness tail)
             for width in (t, t + 1, t + 2):
                 pairs = accepted_numeric_values(machine, block, width)
-                hits = _sp_failures(pairs, starts, width)
+                hits = _sp_failures(pairs, want, width)
                 for name, hit in hits.items():
                     if name not in found or hit[0] < found[name][0]:
                         found[name] = hit
@@ -450,16 +511,17 @@ def sp_suite(L: int = 8, machine=None) -> list[CheckReport]:
     return [CheckReport(name, bound, failures.get(name)) for name in names]
 
 
-def _sp_failures(pairs, starts: np.ndarray, width: int) -> dict:
+def _sp_failures(pairs, want: np.ndarray, width: int) -> dict:
     """name -> (row, witness tail) for each sp check failing on a block.
 
     `pairs` is accepted_numeric_values' (row, (n, x)) output at `width` and
-    starts[r] the 1-indexed run starts of row r, so the final index `last`
-    is starts.shape[1].  Indices n <= last are checked on (row, n)
+    want[r] row r's x of each n: 0, then its 1-indexed run starts, so the
+    final index `last` is want.shape[1] - 1.  Indices n <= last are checked on (row, n)
     matrices, the rest on the sorted entries.  A failure is the first bad
     (row, n), row-major; its tail is the witness without the code.
     """
     row, (n, x) = pairs[0], pairs[1].T
+    starts = want[:, 1:]
     rows, last = starts.shape
     key = row * 2**width + n  # sorted: one run of entries per (row, n)
 
@@ -478,7 +540,6 @@ def _sp_failures(pairs, starts: np.ndarray, width: int) -> dict:
     least = np.full(rows * (last + 1), -1, dtype=np.int64)  # the least x, or -1
     least[cell[head]] = x[inside][head]
     least = least.reshape(rows, -1)
-    want = np.concatenate([np.zeros((rows, 1), dtype=np.int64), starts], axis=1)
     one = count == 1
 
     out = {}
@@ -736,13 +797,17 @@ def _cross_check(eps: tuple[int, ...], terms: tuple[int, ...], agrees: bool) -> 
 
 
 def runs_suite(L: int = 10) -> list[CheckReport]:
-    """All word/factor checks at a shared code-length bound."""
-    return [
-        prop1(min(L, 12)),
-        prop4(min(L, 12)),
-        thm3(min(L, 12)),
-        overlapfree(L),
-        squares_only(L),
+    """All word/factor checks at a shared code-length bound.
+
+    overlapfree and squares_only share one repetition scan.
+    """
+    head = [prop1(min(L, 12)), prop4(min(L, 12)), thm3(min(L, 12))]
+    overlap_bound = _codes_bound("overlapfree", L, 3)
+    squares_bound = _codes_bound("squares_only", L, 4)
+    overlap, squares = _repetition_scan(L)
+    return head + [
+        CheckReport("overlapfree", overlap_bound, overlap),
+        _squares_report(L, squares_bound, squares),
         squares_present(L=7, flag_up_to=max(7, min(L, 10))),
         palindromes(),
         no_triple_extension(L),

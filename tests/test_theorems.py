@@ -1,6 +1,7 @@
 """Named bounded checks: reports, individual checks, suites, dispatch."""
 
 import hashlib
+import random
 import tracemalloc
 from collections import defaultdict
 
@@ -13,8 +14,10 @@ from foldruns import (
     SUITES,
     CheckReport,
     EndRelationOracle,
+    MultiTrackAutomaton,
     RunLengthOracle,
     StartRelationOracle,
+    accepted_numeric_values,
     complexity,
     gap_wellformedness,
     no_triple_extension,
@@ -33,6 +36,7 @@ from foldruns import (
     thm3,
 )
 from foldruns import runs, theorems
+from foldruns.automata import BIT_TRACK, INSTRUCTION_TRACK, _accepts_exactly
 from foldruns.foldcore import FoldCode, code_matrix, paperfolding_word
 from foldruns.runs import (
     _regular_gaps,
@@ -41,7 +45,7 @@ from foldruns.runs import (
 )
 from conftest import family_runs
 from repetitions import periodic_hits
-from mutants import mutated_label, seeded_transition_mutants
+from mutants import mutated_label, mutated_transition, seeded_transition_mutants
 
 SP_NAMES = [
     "sp-functional",
@@ -564,13 +568,111 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _sp_blocks(L):
+    """(t, codes, pairs) per run block of the codes t <= L, as sp_suite reads them.
+
+    pairs[r] holds the x of n = 0, 1, ..., 2**(t-1) that code row r relates:
+    0, then its run starts.
+    """
+    for t in range(L + 1):
+        codes = code_matrix(t)
+        for a, ends, lengths in runs._run_blocks(codes):
+            pairs = np.zeros((len(ends), ends.shape[1] + 1), dtype=np.int64)
+            pairs[:, 1:] = ends - lengths + 1
+            yield t, codes[a : a + len(ends)], pairs
+
+
+def _extracted_exactly(machine, codes, pairs, t):
+    """(3, R): whether the pairs pulled out at width t, t+1, t+2 are exactly row r's."""
+    rows, k = pairs.shape
+    want = np.stack([np.broadcast_to(np.arange(k), pairs.shape), pairs], axis=-1)
+    exact = np.zeros((3, rows), dtype=bool)
+    for w, width in enumerate((t, t + 1, t + 2)):
+        row, values = accepted_numeric_values(machine, codes, width)
+        count = np.bincount(row, minlength=rows)
+        ok = count == k  # then row r's sorted pairs are values[at[r]:at[r] + k]
+        at = np.cumsum(count) - count
+        got = values[at[ok, None] + np.arange(k)]
+        ok[ok] = (got == want[ok]).all(axis=(1, 2))
+        exact[w] = ok
+    return exact
+
+
+def test_sp_decision_agrees_with_extraction_on_the_machine(sp_machine):
+    for t, codes, pairs in _sp_blocks(10):
+        assert _accepts_exactly(sp_machine, codes, pairs, 2).all()
+        assert _extracted_exactly(sp_machine, codes, pairs, t).all()
+
+
+def _padding_edge_mutants(a, count, seed):
+    """Seeded single-edge mutants that differ from `a` only on the padding symbol."""
+    pad = (0,) * len(a.tracks)
+    edits = [(q, d) for q in range(a.n_states) for d in range(a.n_states)]
+    edits = [(q, d) for q, d in edits if d != a.step(q, pad)]
+    return [
+        mutated_transition(a, q, pad, d)
+        for q, d in random.Random(seed).sample(edits, count)
+    ]
+
+
+def _padding_swaps(a):
+    """Copies of `a` with the padding edge of a state swapped with another.
+
+    The other symbol also pads track 0, so every count matrix, and every
+    count of accepted words, stays as it was: only the walk sees the swap.
+    """
+    pad = (0,) * len(a.tracks)
+    return [
+        mutated_transition(mutated_transition(a, q, pad, a.step(q, sym)), q, sym, d)
+        for q in range(a.n_states)
+        for sym in a.symbols
+        if sym[0] == 0 and (d := a.step(q, pad)) != a.step(q, sym)
+    ]
+
+
+@pytest.mark.parametrize(
+    "mutants, padding",
+    [
+        (lambda a: [mutated_label(a, q) for q in range(a.n_states)], False),
+        (lambda a: seeded_transition_mutants(a, 64, seed=37), False),
+        (lambda a: _padding_edge_mutants(a, 64, seed=37), True),
+        (_padding_swaps, True),
+    ],
+    ids=["label", "transition", "padding-edge", "padding-swap"],
+)
+def test_sp_decision_agrees_with_extraction_on_mutants(sp_machine, mutants, padding):
+    refused = tails = 0  # rows refused, and those of them exact at width t
+    for machine in mutants(sp_machine):
+        for t, codes, pairs in _sp_blocks(5):
+            decided = _accepts_exactly(machine, codes, pairs, 2)
+            exact = _extracted_exactly(machine, codes, pairs, t)
+            assert decided.tolist() == exact.all(axis=0).tolist()
+            refused += int((~decided).sum())
+            tails += int((~decided & exact[0]).sum())
+    assert refused
+    # a padding edge is read only past width t: its rows fail in the tails
+    if padding:
+        assert tails == refused
+
+
 def test_sp_suite_extracts_once_per_length_width_and_block(monkeypatch, sp_machine):
-    # three widths per code length t <= 8; even t = 8 (256 words of 255
-    # symbols) fits in one run block
+    # the machine passes on its counts: nothing is pulled out of it
     calls = _count_calls(monkeypatch, "accepted_numeric_values")
     L = 8
     assert all(r.passed for r in sp_suite(L=L, machine=sp_machine))
-    assert len(calls) == 3 * (L + 1)
+    assert calls == []
+    # a mutant's failing blocks are each pulled out once per width t, t+1, t+2
+    mutant = mutated_label(sp_machine, 2)
+    assert not all(r.passed for r in sp_suite(L=L, machine=mutant))
+    failing = [
+        (t, codes)
+        for t, codes, pairs in _sp_blocks(L)
+        if not _extracted_exactly(mutant, codes, pairs, t).all()
+    ]
+    assert 0 < len(failing) < len(list(_sp_blocks(L)))
+    assert [(codes.tolist(), width) for _, codes, width in calls] == [
+        (codes.tolist(), width) for t, codes in failing for width in (t, t + 1, t + 2)
+    ]
     # a block of length-t codes holds at most _RUN_BLOCK_CELLS word symbols
     cells = [len(codes) * (2 ** codes.shape[1] - 1) for _, codes, _ in calls]
     assert max(cells) <= runs._RUN_BLOCK_CELLS
@@ -589,8 +691,41 @@ def test_sp_suite_witnesses_do_not_depend_on_the_block_size(monkeypatch, sp_mach
     monkeypatch.setattr(runs, "_RUN_BLOCK_CELLS", 7)
     assert [sp_suite(L=5, machine=m) for m in mutants] == want
     # 7 // (2**t - 1) codes per block: the empty code alone, both codes of
-    # t = 1, blocks of 2 codes at t = 2 and of one code from t = 3 on
-    assert len(calls) == len(mutants) * 3 * (1 + 1 + 2 + 8 + 16 + 32)
+    # t = 1, blocks of 2 codes at t = 2 and of one code from t = 3 on; of
+    # those, each failing block is pulled out at its three widths
+    failing = sum(
+        not _extracted_exactly(m, codes, pairs, t).all()
+        for m in mutants
+        for t, codes, pairs in _sp_blocks(5)
+    )
+    assert len(list(_sp_blocks(5))) == 1 + 1 + 2 + 8 + 16 + 32
+    assert 0 < failing < len(mutants) * (1 + 1 + 2 + 8 + 16 + 32)
+    assert len(calls) == 3 * failing
+
+
+@pytest.mark.parametrize("machine", ["rl_machine", "tt_machine"])
+def test_sp_suite_refuses_other_machines_before_counting(
+    request, monkeypatch, machine
+):
+    machine = request.getfixturevalue(machine)
+    with pytest.raises(ValueError) as extracting:
+        accepted_numeric_values(machine, code_matrix(2), 2)
+
+    def counted(*args):
+        raise AssertionError("sp_suite counted words of a machine it should refuse")
+
+    monkeypatch.setattr(theorems, "_accepts_exactly", counted)
+    with pytest.raises(ValueError) as suite:
+        sp_suite(L=4, machine=machine)
+    assert str(suite.value) == str(extracting.value)
+
+
+@pytest.mark.parametrize("numeric", [1, 3])
+def test_sp_suite_refuses_relations_of_other_arity(monkeypatch, numeric):
+    tracks = (INSTRUCTION_TRACK,) + (BIT_TRACK,) * numeric
+    machine = MultiTrackAutomaton(tracks, np.zeros((1, 3 * 2**numeric)), [True])
+    with pytest.raises(ValueError, match="sp_suite needs the numeric tracks n and x"):
+        sp_suite(L=4, machine=machine)
 
 
 def test_runs_suite_names():
@@ -913,3 +1048,65 @@ def test_squares_only_reports_a_missing_square(monkeypatch):
     monkeypatch.setattr(theorems, "_run_blocks", _blocks_of(family))
     assert _squares_of([family(t)[:2] for t in range(1, 9)]) == set()
     assert squares_only(8).witness == ("missing", (1, 2, 3, 1, 2, 3))
+
+
+def test_family_run_lengths_read_the_same_in_reversed_row_order():
+    # row 2**t - 1 - r negates row r: the same runs, so half a family will do
+    for t in range(13):
+        codes = code_matrix(t)
+        blocks = runs._run_blocks(codes), runs._run_blocks(codes[::-1])
+        for (a, _, lengths), (b, _, mirror) in zip(*blocks, strict=True):
+            assert a == b and np.array_equal(lengths, mirror)
+
+
+@pytest.mark.parametrize(
+    "rows, must",
+    [
+        # period 1 in the middle, and a square 123123 that stops before it
+        ([[1, 2, 3, 3, 3, 2, 1, 2], [1, 2, 3, 1, 2, 3, 2, 1]], {(0, 2, 1)}),
+        # 13131 and 333 end at the last column; 2121 ends there, no overlap
+        (
+            [
+                [2, 3, 2, 1, 3, 1, 3, 1],
+                [1, 2, 3, 1, 3, 3, 3, 3],
+                [3, 3, 1, 3, 2, 1, 2, 1],
+            ],
+            {(0, 3, 2), (1, 5, 1)},
+        ),
+        # periodic and constant rows: overlaps of every period that fits
+        ([[1, 2, 1, 2, 1, 2, 1, 2, 1], [2] * 9], {(0, 0, 4), (1, 0, 4), (1, 6, 1)}),
+        # real run-length words: squares, no overlap
+        (family_runs(6)[1][:8], set()),
+        # seeded words over two letters
+        (np.random.default_rng(5).integers(1, 3, (16, 40)), set()),
+    ],
+    ids=["period-one", "last-column", "periodic", "family", "seeded"],
+)
+def test_overlaps_are_the_square_hits_with_one_more_symbol(rows, must):
+    rows = np.asarray(rows)
+    r, i, p = runs._repetitions(runs._Levels(rows), 0)
+    keep = theorems._overlap_hits(rows, r, i, p)
+    got = sorted(zip(r[keep].tolist(), i[keep].tolist(), p[keep].tolist()))
+    want = runs._repetitions(runs._Levels(rows), 1)
+    assert got == sorted(zip(*(a.tolist() for a in want)))
+    assert got == sorted(periodic_hits(rows, 1))
+    assert must <= set(got)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # 123123 and 121121: one period, the same first two symbols
+        [[1, 2, 3, 1, 2, 3, 2, 1], [3, 1, 2, 1, 1, 2, 1, 3]],
+        family_runs(7)[1][:16],
+        np.random.default_rng(6).integers(1, 3, (12, 48)),
+    ],
+    ids=["same-head", "family", "seeded"],
+)
+def test_distinct_squares_are_those_of_the_definition(rows):
+    rows = np.asarray(rows)
+    levels = runs._Levels(rows)
+    found = theorems._distinct_squares(levels, rows, *runs._repetitions(levels, 0))
+    hits = periodic_hits(rows, 0)
+    assert found == {tuple(rows[r, i : i + 2 * p].tolist()) for r, i, p in hits}
+    assert found == runs._square_factors(rows)
